@@ -15,6 +15,7 @@ from .harness import (
     load_dataset,
     load_real_csv,
     data_nyquist_rate,
+    fit_sindyc,
     run_experiment,
     save_dataset,
 )
@@ -56,7 +57,6 @@ def _cmd_generate(args) -> int:
 def _cmd_recover(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    train_cfg = _train_config(doc.get("train", {}))
     spec, coeffs_true, traces, _ = load_dataset(args.data)
     mask = doc.get("mask")
     if mask is not None:
@@ -64,15 +64,19 @@ def _cmd_recover(args) -> int:
         from .harness import apply_mask_to_traces
 
         traces = apply_mask_to_traces(traces, SensingMask(tuple(mask)))
-    result = recover(
-        traces,
-        spec,
-        args.arch,
-        train_cfg,
-        k_window=int(doc.get("k_window", 200)),
-        split_ratio=float(doc.get("split_ratio", 0.75)),
-        coeffs_true=coeffs_true,
-    )
+    if args.arch == "sindyc":
+        sindy_cfg = ExperimentConfig(**{k: v for k, v in doc.items() if k.startswith("sindy_")})
+        result = fit_sindyc(spec, coeffs_true, traces, sindy_cfg)
+    else:
+        result = recover(
+            traces,
+            spec,
+            args.arch,
+            _train_config(doc.get("train", {})),
+            k_window=int(doc.get("k_window", 200)),
+            split_ratio=float(doc.get("split_ratio", 0.75)),
+            coeffs_true=coeffs_true,
+        )
     out = {
         "arch": args.arch,
         "system": spec.name,

@@ -207,61 +207,61 @@ def apply_sensing(mask: SensingMask, x: np.ndarray) -> np.ndarray:
 
 
 class CompiledRhs:
-    """Vectorized term evaluator.
+    """Vectorized evaluator over one spec's term table.
 
-    Operates on batches: ``x`` is (S, n), ``coeffs`` is (S, p), ``u`` is
-    (S, m); returns (S, n).  Batching over S lets callers integrate many
-    coefficient candidates / trajectories in lockstep.
+    Operates on batches: ``x`` is (S, n) and ``u`` is (S, m); results are
+    (S, n).  ``columns(coeff_rows)`` turns (S, p) coefficient rows into one
+    weight×coefficient column per term and runs once per solve; ``full``
+    then multiplies each column by the term's factors in order and then by
+    its input, and adds it to its equation, f-terms before g-terms and each
+    in term order.  Every row therefore sees the same floating-point
+    operations as summing the terms one by one, whatever else is in the
+    batch.
     """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-        self._f = self._pack(spec.f_terms)
-        self._g = self._pack(spec.g_terms)
+        terms = (*spec.f_terms, *spec.g_terms)
+        self._n_f = len(spec.f_terms)
+        self._scales = [
+            (t.weight, None if t.coeff is None else spec.coeff_index(t.coeff)) for t in terms
+        ]
+        self._table = [
+            (t.state, tuple((f.var, f.power, f.func) for f in t.factors), t.input) for t in terms
+        ]
 
-    def _pack(self, terms):
-        packed = []
-        for t in terms:
-            ci = self.spec.coeff_index(t.coeff) if t.coeff is not None else -1
-            packed.append((t.state, ci, t.weight, t.factors, -1 if t.input is None else t.input))
-        return packed
+    def columns(self, coeff_rows) -> list[np.ndarray]:
+        """One (S,) weight×coefficient column per term, f-terms first."""
+        S = coeff_rows.shape[0]
+        return [
+            np.full(S, w) if ci is None else w * coeff_rows[:, ci]
+            for w, ci in self._scales
+        ]
 
-    def _accumulate(self, packed, x, coeffs, u, out):
-        for state, ci, weight, factors, inp in packed:
-            v = np.full(x.shape[0], weight)
-            if ci >= 0:
-                v = v * coeffs[:, ci]
-            for fac in factors:
-                col = x[:, fac.var]
-                if fac.func == "sin":
+    @staticmethod
+    def _accumulate(table, x, cols, u):
+        out = np.zeros_like(x)
+        for (state, factors, inp), v in zip(table, cols):
+            for var, power, func in factors:
+                col = x[:, var]
+                if func == "sin":
                     col = np.sin(col)
-                elif fac.func == "cos":
+                elif func == "cos":
                     col = np.cos(col)
-                if fac.power == 1:
-                    v = v * col
-                else:
-                    v = v * col**fac.power
-            if inp >= 0:
+                v = v * col if power == 1 else v * col**power
+            if inp is not None:
                 v = v * u[:, inp]
             out[:, state] += v
         return out
 
-    def drift(self, x, coeffs):
-        out = np.zeros_like(x)
-        return self._accumulate(self._f, x, coeffs, None, out)
+    def drift(self, x, cols):
+        return self._accumulate(self._table[: self._n_f], x, cols[: self._n_f], None)
 
-    def input_effect(self, x, coeffs, u):
-        out = np.zeros_like(x)
-        if self.spec.m == 0:
-            return out
-        return self._accumulate(self._g, x, coeffs, u, out)
+    def input_effect(self, x, cols, u):
+        return self._accumulate(self._table[self._n_f :], x, cols[self._n_f :], u)
 
-    def full(self, x, coeffs, u):
-        out = np.zeros_like(x)
-        self._accumulate(self._f, x, coeffs, None, out)
-        if self.spec.m:
-            self._accumulate(self._g, x, coeffs, u, out)
-        return out
+    def full(self, x, cols, u):
+        return self._accumulate(self._table, x, cols, u)
 
 
 @lru_cache(maxsize=64)
@@ -284,7 +284,7 @@ def eval_rhs(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarray:
     u = _check_vec("u_total", u_total, spec.m)
     c = _check_vec("coeffs", coeffs.values, spec.p)
     rhs = compile_rhs(spec)
-    return rhs.full(x[None, :], c[None, :], u[None, :])[0]
+    return rhs.full(x[None, :], rhs.columns(c[None, :]), u[None, :])[0]
 
 
 def input_effect(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarray:
@@ -293,7 +293,7 @@ def input_effect(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarr
     u = _check_vec("u_total", u_total, spec.m)
     c = _check_vec("coeffs", coeffs.values, spec.p)
     rhs = compile_rhs(spec)
-    return rhs.input_effect(x[None, :], c[None, :], u[None, :])[0]
+    return rhs.input_effect(x[None, :], rhs.columns(c[None, :]), u[None, :])[0]
 
 
 def split_time_constant(spec: SystemSpec, coeffs: Coefficients, x) -> tuple[float, np.ndarray]:
@@ -306,7 +306,8 @@ def split_time_constant(spec: SystemSpec, coeffs: Coefficients, x) -> tuple[floa
         raise SpecError(f"system {spec.name!r} declares no time constant")
     x = _check_vec("x", x, spec.n)
     c = _check_vec("coeffs", coeffs.values, spec.p)
-    f = compile_rhs(spec).drift(x[None, :], c[None, :])[0]
+    rhs = compile_rhs(spec)
+    f = rhs.drift(x[None, :], rhs.columns(c[None, :]))[0]
     return spec.rho, f + x / spec.rho
 
 
@@ -354,11 +355,11 @@ def bilinearize(
     """
     x0 = _check_vec("x0", x0, spec.n)
     u0 = _check_vec("u0", u0, spec.m)
-    c = coeffs.values
     rhs = compile_rhs(spec)
+    cols = rhs.columns(coeffs.values[None, :])
 
     def gu(x, u):
-        return rhs.input_effect(x[None, :], c[None, :], u[None, :])[0]
+        return rhs.input_effect(x[None, :], cols, u[None, :])[0]
 
     hx = h if h is not None else 1e-5 * max(1.0, np.max(np.abs(x0), initial=0.0))
     hu = h if h is not None else 1e-5 * max(1.0, np.max(np.abs(u0), initial=0.0))

@@ -29,15 +29,19 @@ from .dynamics import (
     dump_system_config,
     load_system_config,
 )
-from .neural import RecoveryResult, TrainConfig, recover
+from .neural import RecoveryResult, TrainConfig, common_grid, recover
 from .odesolve import SolverConfig, integrate_batch
 from .signals import Event, EventList, Trace, decimate, nyquist_rate
 from .sindy import (
     FunctionLibrary,
+    SparseModel,
     build_library,
+    library_labels,
     map_to_coefficients,
+    model_spec,
     rmse_with_spurious,
     sindyc_recover,
+    stridge,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,23 +64,6 @@ def rmse_signal(est: np.ndarray, true: np.ndarray) -> float:
     if e.shape != t.shape:
         raise SpecError(f"signal shapes differ: {e.shape} vs {t.shape}")
     return float(np.mean(np.sqrt(np.mean((e - t) ** 2, axis=1))))
-
-
-def degradation_pct(metric_violated: float, metric_base: float) -> float:
-    """Percentage degradation of a metric relative to a positive baseline."""
-    if metric_base <= 0:
-        raise SpecError("baseline metric must be positive")
-    return 100.0 * (metric_violated - metric_base) / metric_base
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    rmse_coeffs: float
-    rmse_y: float
-
-    def __post_init__(self):
-        if self.rmse_coeffs < 0 or self.rmse_y < 0:
-            raise SpecError("metrics must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -570,50 +557,41 @@ def _fit_neural(
     )
 
 
-def _sindy_rhs(xi, lib: FunctionLibrary):
-    def rhs(x, u):
-        row = build_library(lib, x[:, None], u[:, None] if u.size else None)[0]
-        return row @ xi
-
-    return rhs
-
-
 def _sindy_rmse_y(xi, lib, traces) -> float:
-    """Reconstruct each trace under the recovered sparse model (plain RK4)."""
-    rmses = []
-    for tr in traces:
-        x = tr.y[:, 0].copy()
-        est = np.empty_like(tr.y)
-        est[:, 0] = x
-        rhs = _sindy_rhs(xi, lib)
-        ok = True
-        with np.errstate(all="ignore"):
-            for j in range(tr.k - 1):
-                u0 = tr.u[:, j]
-                u1 = tr.u[:, min(j + 1, tr.k - 1)]
-                h = tr.dt
-                k1 = rhs(x, u0)
-                k2 = rhs(x + 0.5 * h * k1, u0)
-                k3 = rhs(x + 0.5 * h * k2, u0)
-                k4 = rhs(x + h * k3, u1)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e9:
-                    ok = False
-                    break
-                est[:, j + 1] = x
-        rmses.append(rmse_signal(est, tr.y) if ok else float("inf"))
+    """Mean per-trace RMSE of the recovered sparse model, every trace
+    integrated in one batch from its first sample by RK4 with one step per
+    sample, the input held at ``u[j]`` and at ``u[j+1]`` for the step's
+    last stage; a trace that diverges scores inf."""
+    spec = model_spec(xi, lib, traces[0].m)
+    _, k, dt = common_grid(spec, traces)
+    states, diverged, _ = integrate_batch(
+        spec,
+        np.zeros((len(traces), 0)),
+        np.stack([tr.y[:, 0] for tr in traces]),
+        np.stack([tr.u for tr in traces]),
+        k,
+        dt,
+        SolverConfig(method="rk4", substeps=1),
+    )
+    rmses = [
+        float("inf") if bad else rmse_signal(est, tr.y)
+        for est, bad, tr in zip(states, diverged, traces)
+    ]
     return float(np.mean(rmses))
 
 
-def _fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig):
+def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResult:
+    """Pooled SINDYc fit of full-state traces, scored against the true
+    coefficients (spurious library terms count as errors) and by
+    reconstruction.  Keeps no reconstructed traces, shifts or loss history."""
+    if any(tr.y.shape[0] != spec.n for tr in traces):
+        raise SpecError("the sparse-regression baseline needs full-state data")
     lib = FunctionLibrary(poly_degree=cfg.sindy_degree, include_control=True)
     pooled_y = np.hstack([tr.y for tr in traces])
     pooled_u = np.hstack([tr.u for tr in traces])
     pooled_dots = np.hstack(
         [np.gradient(tr.y, tr.dt, axis=1, edge_order=2) for tr in traces]
     )
-    from .sindy import library_labels, stridge
-
     A = build_library(lib, pooled_y, pooled_u if traces[0].m else None)
     xi = np.column_stack(
         [
@@ -621,18 +599,20 @@ def _fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig):
             for i in range(pooled_y.shape[0])
         ]
     )
-    from .sindy import SparseModel
-
     model = SparseModel(
         xi=xi,
         labels=tuple(library_labels(lib, pooled_y.shape[0], traces[0].m)),
         threshold=cfg.sindy_threshold,
     )
     theta_est, spurious = map_to_coefficients(model, spec)
-    r_theta = rmse_with_spurious(theta_est, coeffs_true, spurious)
-    r_y = _sindy_rmse_y(xi, lib, traces)
-    errors = tuple(float(abs(a - b)) for a, b in zip(theta_est, coeffs_true.values))
-    return model, r_theta, r_y, errors
+    return RecoveryResult(
+        coeffs=Coefficients(theta_est),
+        shifts=np.zeros(0),
+        loss_history=[],
+        rmse_y=_sindy_rmse_y(xi, lib, traces),
+        reconstructions=[],
+        rmse_coeffs=rmse_with_spurious(theta_est, coeffs_true, spurious),
+    )
 
 
 def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok"):
@@ -659,11 +639,9 @@ def _fit_point(cfg, spec, coeffs_true, traces, factor, point, train_cfg) -> Repo
     try:
         windows = _windows_for(traces, mask, factor)
         if cfg.arch == "sindyc":
-            if mask is not None and mask.n_observed != spec.n:
-                raise SpecError("the sparse-regression baseline needs full-state data")
-            _, r_theta, r_y, errors = _fit_sindyc(spec, coeffs_true, windows, cfg)
-            return _row(cfg, point, factor, r_theta, r_y, errors, (), t0)
-        result = _fit_neural(spec, coeffs_true, windows, cfg, train_cfg)
+            result = fit_sindyc(spec, coeffs_true, windows, cfg)
+        else:
+            result = _fit_neural(spec, coeffs_true, windows, cfg, train_cfg)
         errors = tuple(
             float(abs(a - b)) for a, b in zip(result.coeffs.values, coeffs_true.values)
         )

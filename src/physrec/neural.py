@@ -318,6 +318,26 @@ def _initial_state(spec: SystemSpec, trace: Trace, mask: SensingMask) -> np.ndar
     return x0
 
 
+def common_grid(spec: SystemSpec, windows: list[Trace]) -> tuple[SensingMask, int, float]:
+    """Sensing mask, sample count and spacing shared by all ``windows``;
+    raises SpecError naming the first window whose mask, ``k`` or ``dt``
+    (beyond a 1e-9 relative tolerance) differs from window 0's."""
+    mask, k, dt = _window_mask(spec, windows[0]), windows[0].k, windows[0].dt
+    for i, w in enumerate(windows[1:], start=1):
+        w_mask = _window_mask(spec, w)
+        if w_mask != mask:
+            diff = ("sensing mask", w_mask.diag, mask.diag)
+        elif w.k != k:
+            diff = ("k", w.k, k)
+        elif abs(w.dt - dt) > 1e-9 * dt:
+            diff = ("dt", w.dt, dt)
+        else:
+            continue
+        what, mine, first = diff
+        raise SpecError(f"window {i} has {what} {mine} but window 0 has {first}")
+    return mask, k, dt
+
+
 def _shift_inputs(u: np.ndarray, shifts: np.ndarray, channels) -> np.ndarray:
     out = u.copy()
     k = u.shape[1]
@@ -338,17 +358,15 @@ def reconstruction_losses(
     """Losses (and FD gradients) for a batch of per-window candidates.
 
     ``coeff_rows`` is (B, p) and ``d_rows`` is (B, q).  All windows must
-    share their grid and sensing mask.  Returns ``(losses, g_coeff, g_d)``
-    with gradient arrays zero when ``want_grads`` is false or a variant
-    diverged.
+    share their grid and sensing mask (SpecError otherwise).  Returns
+    ``(losses, g_coeff, g_d)`` with gradient arrays zero when
+    ``want_grads`` is false or a variant diverged.
     """
     B = len(windows)
     p, q = spec.p, cfg.n_shift
-    mask = _window_mask(spec, windows[0])
+    mask, k, dt = common_grid(spec, windows)
     if cfg.explicit_loss and mask.n_observed != spec.n:
         raise SpecError("explicit loss mode needs full-state windows")
-    k = windows[0].k
-    dt = windows[0].dt
     obs = list(mask.observed)
 
     nvar = 1 + (2 * p + 2 * q if want_grads else 0)
@@ -415,33 +433,6 @@ def reconstruction_losses(
             g_coeff *= factor[:, None]
             g_d *= factor[:, None]
     return base_loss, g_coeff, g_d
-
-
-def ode_loss(
-    spec: SystemSpec,
-    coeff_est: np.ndarray,
-    d: np.ndarray,
-    trace: Trace,
-    cfg: TrainConfig,
-):
-    """Reconstruction loss for one window plus its gradient callback.
-
-    Returns ``(loss, vjp)`` where ``vjp(cotangent)`` yields the cotangents
-    for (coefficient estimates, shift fractions), ready for splicing into
-    a tape via ``custom_node``.
-    """
-    coeff_est = np.asarray(coeff_est, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(coeff_est)):
-        raise SpecError("coefficient estimates must be finite")
-    losses, g_c, g_d = reconstruction_losses(
-        spec, coeff_est[None, :], d[None, :], [trace], cfg, want_grads=True
-    )
-
-    def vjp(cot):
-        return [cot * g_c[0], cot * g_d[0]]
-
-    return float(losses[0]), vjp
 
 
 # ---------------------------------------------------------------------------
@@ -711,30 +702,6 @@ def _project_signs(spec: SystemSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reconstruct_window(
-    spec: SystemSpec, coeffs: Coefficients, shifts: np.ndarray, w: Trace, cfg: TrainConfig
-) -> tuple[Trace, float]:
-    """Solve one window under the final estimate; returns trace + its RMSE."""
-    mask = _window_mask(spec, w)
-    x0 = _initial_state(spec, w, mask)
-    u = _shift_inputs(w.u, shifts, cfg.shift_channels) if cfg.n_shift else w.u
-    states, diverged, _ = integrate_batch(
-        spec,
-        coeffs.values[None, :],
-        x0[None, :],
-        u[None, :, :],
-        w.k,
-        w.dt,
-        SolverConfig(method="rk4", substeps=cfg.solve_substeps),
-    )
-    y_est = states[0, list(mask.observed), :]
-    rmse = float(np.mean(np.sqrt(np.mean((y_est - w.y) ** 2, axis=1))))
-    if diverged[0]:
-        rmse = float("inf")
-    est = Trace(w.t0, w.dt, y_est, u, w.labels, dict(w.meta))
-    return est, rmse
-
-
 def train(
     arch: str,
     spec: SystemSpec,
@@ -844,12 +811,29 @@ def train(
     shifts = cfg.shift_samples(d_mean) if cfg.n_shift else np.zeros(0)
     coeffs = Coefficients(coeff_est)
 
+    # every eval window solved in one batch; rows are independent
+    windows = [batches.windows[i] for i in eval_idx]
+    mask, k_eval, dt_eval = common_grid(spec, windows)
+    obs = list(mask.observed)
+    u_all = np.stack(
+        [_shift_inputs(w.u, shifts, cfg.shift_channels) if cfg.n_shift else w.u for w in windows]
+    )
+    states, diverged, _ = integrate_batch(
+        spec,
+        np.repeat(coeffs.values[None, :], len(windows), axis=0),
+        np.stack([_initial_state(spec, w, mask) for w in windows]),
+        u_all,
+        k_eval,
+        dt_eval,
+        SolverConfig(method="rk4", substeps=cfg.solve_substeps),
+    )
     recons, rmses = [], []
-    for i in eval_idx:
-        est, rmse = _reconstruct_window(spec, coeffs, shifts, batches.windows[i], cfg)
-        recons.append(est)
-        rmses.append(rmse)
-    rmse_y = float(np.mean(rmses)) if rmses else float("nan")
+    for b, w in enumerate(windows):
+        y_est = states[b, obs, :]
+        rmse = float(np.mean(np.sqrt(np.mean((y_est - w.y) ** 2, axis=1))))
+        rmses.append(float("inf") if diverged[b] else rmse)
+        recons.append(Trace(w.t0, w.dt, y_est, u_all[b], w.labels, dict(w.meta)))
+    rmse_y = float(np.mean(rmses))
 
     rmse_c = None
     if coeffs_true is not None:

@@ -77,28 +77,24 @@ def zoh_value(sig: InputSignal, t: float) -> np.ndarray:
     return sig.channels[:, sig.index_at(t)].copy()
 
 
-def _stage_offsets(method: str) -> tuple[float, ...]:
-    return (0.0, 0.5, 1.0) if method == "rk4" else (0.0, 1.0)
-
-
-def _rk4_stage(rhs, x, c, u0, u_half, u1, h):
-    k1 = rhs.full(x, c, u0)
-    k2 = rhs.full(x + 0.5 * h * k1, c, u_half)
-    k3 = rhs.full(x + 0.5 * h * k2, c, u_half)
-    k4 = rhs.full(x + h * k3, c, u1)
+def _rk4_stage(rhs, x, cols, u0, u_half, u1, h):
+    k1 = rhs.full(x, cols, u0)
+    k2 = rhs.full(x + 0.5 * h * k1, cols, u_half)
+    k3 = rhs.full(x + 0.5 * h * k2, cols, u_half)
+    k4 = rhs.full(x + h * k3, cols, u1)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _euler_stage(rhs, x, c, u0, h):
-    return x + h * rhs.full(x, c, u0)
+def _euler_stage(rhs, x, cols, u0, h):
+    return x + h * rhs.full(x, cols, u0)
 
 
-def _semi_implicit_stage(rhs, x, c, u1, h):
+def _semi_implicit_stage(rhs, x, cols, u1, h):
     # Backward-Euler target solved by two fixed-point sweeps seeded with an
     # explicit predictor; adequate for the mildly stiff systems in scope.
-    x_new = x + h * rhs.full(x, c, u1)
+    x_new = x + h * rhs.full(x, cols, u1)
     for _ in range(2):
-        x_new = x + h * rhs.full(x_new, c, u1)
+        x_new = x + h * rhs.full(x_new, cols, u1)
     return x_new
 
 
@@ -122,8 +118,15 @@ def integrate_batch(
     t_fail)`` where states is (S, n, k_out) and times of failure are
     relative to the grid start; diverged rows are frozen at their last
     finite value so the remaining rows keep integrating.
+
+    Rows are independent: every operation acts row by row, so a row's
+    states, divergence flag and failure time are bit-identical whether it
+    is solved alone or inside any batch.  The coefficient columns are
+    computed once per call (``CompiledRhs.columns``); each stage is one
+    ``CompiledRhs.full`` call.
     """
     rhs = compile_rhs(spec)
+    cols = rhs.columns(coeff_rows)
     S, n = x0_rows.shape
     k_sig = u_rows.shape[2]
     if u_dt is None:
@@ -151,12 +154,12 @@ def integrate_batch(
                 u0 = u_rows[:, :, idx0[q]]
                 if cfg.method == "rk4":
                     x = _rk4_stage(
-                        rhs, x, coeff_rows, u0, u_rows[:, :, idx_half[q]], u_rows[:, :, idx1[q]], h
+                        rhs, x, cols, u0, u_rows[:, :, idx_half[q]], u_rows[:, :, idx1[q]], h
                     )
                 elif cfg.method == "euler":
-                    x = _euler_stage(rhs, x, coeff_rows, u0, h)
+                    x = _euler_stage(rhs, x, cols, u0, h)
                 else:
-                    x = _semi_implicit_stage(rhs, x, coeff_rows, u_rows[:, :, idx1[q]], h)
+                    x = _semi_implicit_stage(rhs, x, cols, u_rows[:, :, idx1[q]], h)
             bad = alive & (
                 ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
             )
@@ -182,11 +185,11 @@ def step_rk4(
         raise SpecError("step size must be positive")
     x = np.asarray(x, dtype=float)
     rhs = compile_rhs(spec)
-    c = coeffs.values[None, :]
+    cols = rhs.columns(coeffs.values[None, :])
     u0 = zoh_value(sig, t)[None, :]
     u_half = zoh_value(sig, t + 0.5 * h)[None, :]
     u1 = zoh_value(sig, t + h)[None, :]
-    out = _rk4_stage(rhs, x[None, :], c, u0, u_half, u1, h)[0]
+    out = _rk4_stage(rhs, x[None, :], cols, u0, u_half, u1, h)[0]
     if not np.all(np.isfinite(out)):
         raise DivergenceError(t + h)
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Coefficients, SpecError, SystemSpec
+from .dynamics import Coefficients, Factor, SpecError, SystemSpec, Term
 from .signals import Trace
 
 
@@ -189,6 +189,33 @@ def sindyc_recover(
     dots = estimate_derivatives(tr)
     xi = np.column_stack([stridge(A, dots[i], lam, threshold, iters) for i in range(tr.y.shape[0])])
     return SparseModel(xi=xi, labels=labels, threshold=threshold)
+
+
+def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpec:
+    """The fitted model ``xdot = build_library(lib, x, u) @ xi`` as a
+    weights-only system spec: each nonzero ``xi[col, state]`` becomes one
+    ``Term`` with that weight and no named coefficient, in column order.
+    Trig columns become ``sin`` / ``cos`` factors, control columns g-terms."""
+    n = xi.shape[1]
+    base = [
+        tuple(Factor(i, e) for i, e in enumerate(expo) if e)
+        for expo in _monomial_exponents(n, lib.poly_degree)
+    ]
+    if lib.include_trig:
+        base += [(Factor(i, 1, func),) for i in range(n) for func in ("sin", "cos")]
+    inputs = range(n_inputs) if lib.include_control else ()
+    columns = [(f, None) for f in base] + [(f, j) for j in inputs for f in base]
+    if len(columns) != xi.shape[0]:
+        raise SpecError(f"xi has {xi.shape[0]} rows but the library has {len(columns)} columns")
+    terms = [
+        Term(state, None, factors, float(xi[col, state]), inp)
+        for col, (factors, inp) in enumerate(columns)
+        for state in range(n)
+        if xi[col, state] != 0.0
+    ]
+    f_terms = tuple(t for t in terms if t.input is None)
+    g_terms = tuple(t for t in terms if t.input is not None)
+    return SystemSpec("sparse_model", n, n_inputs, f_terms, g_terms, (), ())
 
 
 def _term_label(term, n_states: int) -> str:

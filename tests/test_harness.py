@@ -1,0 +1,62 @@
+"""Tests for the experiment harness."""
+
+import numpy as np
+
+from physrec.harness import _sindy_rmse_y, generate_benchmark_data, rmse_signal
+from physrec.sindy import FunctionLibrary, build_library, library_labels, sindyc_recover
+
+
+def reference_sindy_rmse_y(xi, lib, traces):
+    """Plain RK4 per trace, one step per sample, rebuilding the library at
+    every stage; input held at u[j], and u[j+1] for the last stage."""
+
+    def rhs(x, u):
+        return build_library(lib, x[:, None], u[:, None] if u.size else None)[0] @ xi
+
+    rmses = []
+    for tr in traces:
+        x = tr.y[:, 0].copy()
+        est = np.empty_like(tr.y)
+        est[:, 0] = x
+        ok = True
+        with np.errstate(all="ignore"):
+            for j in range(tr.k - 1):
+                u0 = tr.u[:, j]
+                u1 = tr.u[:, min(j + 1, tr.k - 1)]
+                h = tr.dt
+                k1 = rhs(x, u0)
+                k2 = rhs(x + 0.5 * h * k1, u0)
+                k3 = rhs(x + 0.5 * h * k2, u0)
+                k4 = rhs(x + h * k3, u1)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e9:
+                    ok = False
+                    break
+                est[:, j + 1] = x
+        rmses.append(rmse_signal(est, tr.y) if ok else float("inf"))
+    return float(np.mean(rmses))
+
+
+def _lv_traces():
+    _, _, traces, _ = generate_benchmark_data("lotka_volterra", {"n_traces": 3, "k": 300}, seed=4)
+    return traces
+
+
+def test_sindy_rmse_y_matches_plain_rk4():
+    traces = _lv_traces()
+    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    xi = sindyc_recover(traces[0], lib, threshold=0.05).xi
+    got = _sindy_rmse_y(xi, lib, traces)
+    want = reference_sindy_rmse_y(xi, lib, traces)
+    assert np.isfinite(want) and want > 0
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_sindy_rmse_y_divergent_model_is_inf():
+    traces = _lv_traces()
+    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    labels = library_labels(lib, 2, 1)
+    xi = np.zeros((len(labels), 2))
+    xi[labels.index("x1^2"), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
+    assert reference_sindy_rmse_y(xi, lib, traces) == float("inf")
+    assert _sindy_rmse_y(xi, lib, traces) == float("inf")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from physrec.dynamics import SpecError
+from physrec.dynamics import SpecError, compile_rhs
 from physrec.signals import Trace
 from physrec.sindy import (
     FunctionLibrary,
@@ -11,6 +11,7 @@ from physrec.sindy import (
     estimate_derivatives,
     library_labels,
     map_to_coefficients,
+    model_spec,
     sindyc_recover,
     stridge,
 )
@@ -166,3 +167,28 @@ class TestSindycRecover:
         lib = FunctionLibrary(poly_degree=2)
         model = sindyc_recover(partial, lib, threshold=0.02)
         assert model.xi.shape[1] == 1  # fits only what it sees
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("control,trig", [(False, False), (True, False), (True, True)])
+def test_model_spec_matches_library_product(degree, control, trig):
+    lib = FunctionLibrary(poly_degree=degree, include_trig=trig, include_control=control)
+    n, m, S = 3, 2, 40
+    rng = np.random.default_rng(degree)
+    n_cols = len(library_labels(lib, n, m))
+    xi = rng.normal(size=(n_cols, n)) * (rng.uniform(size=(n_cols, n)) < 0.6)
+    x = rng.normal(size=(S, n))
+    u = rng.normal(size=(S, m))
+    spec = model_spec(xi, lib, m)
+    assert (spec.n, spec.m, spec.p) == (n, m, 0)
+    assert len(spec.f_terms) + len(spec.g_terms) == np.count_nonzero(xi)
+    rhs = compile_rhs(spec)
+    got = rhs.full(x, rhs.columns(np.zeros((S, 0))), u)
+    want = build_library(lib, x.T, u.T) @ xi
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_model_spec_rejects_mismatched_xi():
+    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    with pytest.raises(SpecError):
+        model_spec(np.ones((5, 2)), lib, 1)
