@@ -22,18 +22,10 @@ from .harness import (
 from .neural import TrainConfig, recover
 
 
-def _train_config(doc: dict) -> TrainConfig:
-    fields = dict(doc)
-    for key in ("shift_channels", "head_layers"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
-    return TrainConfig(**fields)
-
-
 def _experiment_config(doc: dict) -> ExperimentConfig:
     fields = dict(doc)
     if "train" in fields:
-        fields["train"] = _train_config(fields["train"])
+        fields["train"] = TrainConfig.from_json(fields["train"])
     for key in ("mask", "injected_shifts"):
         if key in fields and fields[key] is not None:
             fields[key] = tuple(fields[key])
@@ -72,7 +64,7 @@ def _cmd_recover(args) -> int:
             traces,
             spec,
             args.arch,
-            _train_config(doc.get("train", {})),
+            TrainConfig.from_json(doc.get("train", {})),
             k_window=int(doc.get("k_window", 200)),
             split_ratio=float(doc.get("split_ratio", 0.75)),
             coeffs_true=coeffs_true,

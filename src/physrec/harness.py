@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .sindy import (
     map_to_coefficients,
     model_spec,
     rmse_with_spurious,
-    sindyc_recover,
     stridge,
 )
 
@@ -485,15 +484,7 @@ class ExperimentConfig:
     sindy_lambda: float = 1e-6
 
     def digest(self) -> str:
-        doc = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in vars(self).items()
-            if k != "train"
-        }
-        doc["train"] = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(self.train).items()
-        }
-        blob = json.dumps(doc, sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -615,11 +606,19 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     )
 
 
+# experiments that fit a fixed preset rather than ``cfg.system``
+_PRESET_SYSTEMS = {"aid": "bergman_aid", "eeg": "eeg_dvdp"}
+
+
+def _fitted_system(cfg: ExperimentConfig) -> str:
+    return _PRESET_SYSTEMS.get(cfg.experiment, cfg.system)
+
+
 def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok"):
     return ReportRow(
         digest=cfg.digest(),
         experiment=cfg.experiment,
-        system=cfg.system,
+        system=_fitted_system(cfg),
         arch=cfg.arch,
         point=point,
         sampling_factor=factor,
@@ -671,9 +670,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     Per-point failures are recorded in their row and the sweep continues.
     """
     gen_overrides = dict(cfg.generation)
-    spec, coeffs_true, traces, _meta = generate_benchmark_data(
-        cfg.system, {**gen_overrides, "perturbation": cfg.perturbation}, seed=cfg.seed
-    )
+    if cfg.experiment in ("single", "c1", "c2"):
+        spec, coeffs_true, traces, _meta = generate_benchmark_data(
+            cfg.system, {**gen_overrides, "perturbation": cfg.perturbation}, seed=cfg.seed
+        )
     rows: list[ReportRow] = []
 
     if cfg.experiment == "single":
@@ -701,7 +701,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         )
 
     elif cfg.experiment in ("c5", "aid"):
-        system = "bergman_aid" if cfg.experiment == "aid" else cfg.system
+        system = _fitted_system(cfg)
         spec, coeffs_true, base_traces, meta = generate_benchmark_data(
             system, gen_overrides, seed=cfg.seed
         )
@@ -727,10 +727,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
 
     elif cfg.experiment == "eeg":
         for kind in ("sine", "wiener"):
-            _, _, tr_k, _ = generate_benchmark_data(
-                "eeg_dvdp", {**gen_overrides, "input_kind": kind}, seed=cfg.seed
+            spec, coeffs_true, traces, _ = generate_benchmark_data(
+                _fitted_system(cfg), {**gen_overrides, "input_kind": kind}, seed=cfg.seed
             )
-            rows.append(_fit_point(cfg, spec, coeffs_true, tr_k, 1, f"input={kind}", cfg.train))
+            rows.append(
+                _fit_point(cfg, spec, coeffs_true, traces, 1, f"input={kind}", cfg.train)
+            )
 
     else:
         raise SpecError(f"unknown experiment {cfg.experiment!r}")

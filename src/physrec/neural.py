@@ -9,12 +9,15 @@ mean-square mismatch.  Network weights are differentiated on the tape;
 sensitivities through the solver are obtained by central finite
 differences over the (coefficients, shifts) head outputs and spliced in
 as a custom tape node.
+
+Each cell has one implementation, the tape loop in ``_cell_forward``; it
+serves training, evaluation and the initialization probe alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,145 +36,7 @@ class TrainingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# cells
-
-
-@dataclass
-class LtcCell:
-    """Liquid-time-constant unit: hdot = -h/tau + f(h, I)(target - h).
-
-    ``f`` is a softplus-wrapped tanh of an affine map, which keeps it
-    positive as the input-dependent-time-constant reading requires.
-    """
-
-    w_in: np.ndarray  # V x C
-    w_rec: np.ndarray  # V x V
-    b: np.ndarray  # V
-    tau: np.ndarray  # V, positive
-    target: np.ndarray  # V
-
-    def __post_init__(self):
-        if np.any(self.tau <= 0):
-            raise SpecError("time constants must be positive")
-
-    @property
-    def width(self):
-        return self.w_rec.shape[0]
-
-
-@dataclass
-class CtRnnCell:
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    b: np.ndarray
-    tau: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.tau <= 0):
-            raise SpecError("time constants must be positive")
-
-    @property
-    def width(self):
-        return self.w_rec.shape[0]
-
-
-@dataclass
-class NodeCell:
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    b: np.ndarray
-
-    @property
-    def width(self):
-        return self.w_rec.shape[0]
-
-
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
-def fused_ltc_update(h, f, target, tau, delta):
-    """One fused semi-implicit step of the liquid-time-constant dynamics."""
-    return (h + delta * f * target) / (1.0 + delta * (1.0 / tau + f))
-
-
-def ltc_step(cell: LtcCell, h, inp, dt: float, substeps: int = 1):
-    """Advance the hidden state by ``dt`` holding the input constant."""
-    if substeps < 1:
-        raise SpecError("substeps must be >= 1")
-    h = np.asarray(h, dtype=float)
-    delta = dt / substeps
-    for _ in range(substeps):
-        f = _softplus(np.tanh(cell.w_in @ inp + cell.w_rec @ h + cell.b))
-        h = fused_ltc_update(h, f, cell.target, cell.tau, delta)
-    if not np.all(np.isfinite(h)):
-        raise TrainingError("hidden state diverged in ltc_step")
-    return h
-
-
-def ctrnn_step(cell: CtRnnCell, h, inp, dt: float, substeps: int = 1):
-    if substeps < 1:
-        raise SpecError("substeps must be >= 1")
-    h = np.asarray(h, dtype=float)
-    delta = dt / substeps
-    for _ in range(substeps):
-        f = np.tanh(cell.w_in @ inp + cell.w_rec @ h + cell.b)
-        h = h + delta * (-h / cell.tau + f)
-    if not np.all(np.isfinite(h)):
-        raise TrainingError("hidden state diverged in ctrnn_step")
-    return h
-
-
-def node_step(cell: NodeCell, h, inp, dt: float, substeps: int = 1):
-    if substeps < 1:
-        raise SpecError("substeps must be >= 1")
-    h = np.asarray(h, dtype=float)
-    delta = dt / substeps
-    for _ in range(substeps):
-        f = np.tanh(cell.w_in @ inp + cell.w_rec @ h + cell.b)
-        h = h + delta * f
-    if not np.all(np.isfinite(h)):
-        raise TrainingError("hidden state diverged in node_step")
-    return h
-
-
-# ---------------------------------------------------------------------------
-# dense head
-
-
-@dataclass
-class DenseHead:
-    """ReLU MLP producing coefficient estimates and shift fractions.
-
-    Coefficient outputs follow ``mode``: "relu_signed" emits a ReLU
-    magnitude times the declared coefficient sign (free coefficients pass
-    through linearly); "linear" passes raw values for every coefficient.
-    Each output is then multiplied by its characteristic scale (see
-    :func:`coefficient_scales`), which preconditions the search so the
-    network always works with O(1) quantities.  Shift outputs go through
-    a sigmoid, so each lands in (0, 1).
-    """
-
-    weights: list[np.ndarray]  # per layer, fan_out x fan_in
-    biases: list[np.ndarray]
-    n_coeff: int
-    n_shift: int
-    dropout_rate: float = 0.2
-    mode: str = "relu_signed"
-    coeff_scales: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.dropout_rate < 1:
-            raise SpecError("dropout rate must be in [0, 1)")
-        if self.mode not in ("relu_signed", "linear"):
-            raise SpecError(f"unknown coefficient output mode {self.mode!r}")
-        if self.weights[-1].shape[0] != self.n_coeff + self.n_shift:
-            raise SpecError("head output width must equal n_coeff + n_shift")
-
-    def scales(self) -> np.ndarray:
-        if self.coeff_scales is None:
-            return np.ones(self.n_coeff)
-        return self.coeff_scales
+# head output scaling
 
 
 def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
@@ -216,37 +81,6 @@ def _sign_split(spec: SystemSpec, mode: str):
     return signs, free
 
 
-def head_forward(
-    head: DenseHead,
-    h_final: np.ndarray,
-    spec: SystemSpec,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-):
-    """Numpy head evaluation: returns (coeff estimates, shift fractions).
-
-    ``h_final`` may be a vector (one element) or V x B matrix.
-    """
-    single = h_final.ndim == 1
-    act = h_final[:, None] if single else h_final
-    for w, b in zip(head.weights[:-1], head.biases[:-1]):
-        act = np.maximum(w @ act + b[:, None], 0.0)
-        if training and head.dropout_rate > 0:
-            if rng is None:
-                raise SpecError("training-mode dropout needs an rng")
-            keep = rng.random(act.shape) >= head.dropout_rate
-            act = act * keep / (1.0 - head.dropout_rate)
-    out = head.weights[-1] @ act + head.biases[-1][:, None]
-    raw = out[: head.n_coeff]
-    d = 1.0 / (1.0 + np.exp(-out[head.n_coeff :]))
-    signed, free = _sign_split(spec, head.mode)
-    coeffs = np.maximum(raw, 0.0) * signed[:, None] + raw * free[:, None]
-    coeffs = coeffs * head.scales()[:, None]
-    if single:
-        return coeffs[:, 0], d[:, 0]
-    return coeffs, d
-
-
 # ---------------------------------------------------------------------------
 # training configuration
 
@@ -284,6 +118,16 @@ class TrainConfig:
             raise SpecError("substeps must be >= 1")
         if self.s_max < 0:
             raise SpecError("s_max must be >= 0")
+
+    @classmethod
+    def from_json(cls, doc: dict) -> TrainConfig:
+        """Config from a decoded JSON object; JSON arrays become the tuple
+        fields.  Used for config files and checkpoints alike."""
+        fields = dict(doc)
+        for key in ("shift_channels", "head_layers"):
+            if key in fields:
+                fields[key] = tuple(fields[key])
+        return cls(**fields)
 
     @property
     def n_shift(self) -> int:
@@ -536,63 +380,35 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     Used once at initialization to normalize the head's first layer:
     explicit-Euler cells carry hidden magnitudes that scale with the
     sample interval, and an unnormalized head would scatter the initial
-    coefficient proposals far off the stability manifold.
+    coefficient proposals far off the stability manifold.  Raises
+    TrainingError when the hidden state diverges.
     """
-    cell = make_cell(arch, params)
-    step = {"ltc": ltc_step, "ctrnn": ctrnn_step, "node": node_step}[arch]
-    finals = []
-    for b in range(tensor.shape[0]):
-        h = np.zeros(cell.width)
-        for t in range(tensor.shape[2]):
-            h = step(cell, h, tensor[b, :, t], dt, cfg.unfold_substeps)
-        finals.append(h)
-    rms = float(np.sqrt(np.mean(np.square(finals))))
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    h = _cell_forward(tape, arch, leaves, tensor, dt, cfg)
+    rms = float(np.sqrt(np.mean(np.square(h.value))))
+    if not np.isfinite(rms):
+        raise TrainingError(f"{arch} hidden state diverged in the initialization probe")
     return max(rms, 1e-3)
 
 
-def make_cell(arch: str, params: dict[str, np.ndarray]):
-    if arch == "ltc":
-        return LtcCell(
-            params["cell.w_in"],
-            params["cell.w_rec"],
-            params["cell.b"],
-            params["cell.tau"],
-            params["cell.target"],
-        )
-    if arch == "ctrnn":
-        return CtRnnCell(
-            params["cell.w_in"], params["cell.w_rec"], params["cell.b"], params["cell.tau"]
-        )
-    return NodeCell(params["cell.w_in"], params["cell.w_rec"], params["cell.b"])
-
-
-def make_head(spec: SystemSpec, cfg: TrainConfig, params: dict[str, np.ndarray]) -> DenseHead:
-    n_layers = len(cfg.head_layers) + 1
-    return DenseHead(
-        weights=[params[f"head.w{i}"] for i in range(n_layers)],
-        biases=[params[f"head.b{i}"] for i in range(n_layers)],
-        n_coeff=spec.p,
-        n_shift=cfg.n_shift,
-        dropout_rate=cfg.dropout,
-        mode=cfg.coeff_mode,
-    )
-
-
-def _forward_tape(
+def _cell_forward(
     tape: Tape,
     arch: str,
-    spec: SystemSpec,
     leaves: dict[str, Var],
     window_tensor: np.ndarray,  # B x C x k
     dt: float,
     cfg: TrainConfig,
-    training: bool,
-    rng: np.random.Generator | None,
-    coeff_scales: np.ndarray | None = None,
-) -> tuple[Var, Var]:
-    """Run the cell over the window and the head on the final state.
+) -> Var:
+    """Unroll the recurrent cell over the window from a zero state, holding
+    each sample's input for ``cfg.unfold_substeps`` steps of ``dt /
+    unfold_substeps``.  Returns the final hidden state (V x B).
 
-    Returns (coeff matrix Var p x B, shift matrix Var q x B).
+    LTC: ``hdot = -h/tau + f (target - h)`` with ``f = softplus(tanh(z))``,
+    advanced by the fused semi-implicit step of Hasani et al. (AAAI 2021),
+    ``h <- (h + delta f target) / (1 + delta (1/tau + f))``.  CT-RNN:
+    explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
+    ``hdot = tanh(z)``.  Here ``z = w_in u + w_rec h + b``.
     """
     B, C, k = window_tensor.shape
     V = leaves["cell.w_rec"].value.shape[0]
@@ -618,6 +434,34 @@ def _forward_tape(
                 h = tape.add(h, tape.scale(tape.sub(f, tape.mulcol(h, inv_tau)), delta))
             else:
                 h = tape.add(h, tape.scale(tape.tanh(z), delta))
+    return h
+
+
+def _forward_tape(
+    tape: Tape,
+    arch: str,
+    spec: SystemSpec,
+    leaves: dict[str, Var],
+    window_tensor: np.ndarray,  # B x C x k
+    dt: float,
+    cfg: TrainConfig,
+    training: bool,
+    rng: np.random.Generator | None,
+    coeff_scales: np.ndarray | None = None,
+) -> tuple[Var, Var]:
+    """Run the cell over the window and the head on the final state.
+
+    The head is a ReLU MLP (dropout while training).  Coefficient outputs
+    follow ``cfg.coeff_mode``: "relu_signed" emits a ReLU magnitude times
+    the declared coefficient sign (free coefficients pass through
+    linearly); "linear" passes raw values.  They are then multiplied by
+    ``coeff_scales`` (see :func:`coefficient_scales`), so the network works
+    with O(1) quantities.  Shift outputs go through a sigmoid into (0, 1).
+
+    Returns (coeff matrix Var p x B, shift matrix Var q x B).
+    """
+    B = window_tensor.shape[0]
+    h = _cell_forward(tape, arch, leaves, window_tensor, dt, cfg)
     act = h
     n_layers = len(cfg.head_layers) + 1
     for li in range(n_layers - 1):
@@ -897,7 +741,7 @@ def save_checkpoint(state: TrainState, path) -> None:
         "adam_v": _arrays_to_lists(state.adam.v),
         "adam_t": state.adam.t,
         "rng_state": state.rng_state,
-        "cfg": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(state.cfg).items()},
+        "cfg": asdict(state.cfg),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -906,10 +750,6 @@ def save_checkpoint(state: TrainState, path) -> None:
 def load_checkpoint(path) -> TrainState:
     with open(path) as fh:
         doc = json.load(fh)
-    cfg_fields = dict(doc["cfg"])
-    for key in ("shift_channels", "head_layers"):
-        cfg_fields[key] = tuple(cfg_fields[key])
-    cfg = TrainConfig(**cfg_fields)
     rng_state = doc["rng_state"]
     # JSON turns ints into arbitrary precision fine, but nested state dicts
     # need their integer leaves restored as python ints
@@ -923,5 +763,5 @@ def load_checkpoint(path) -> TrainState:
         ),
         rng_state=rng_state,
         epoch=int(doc["epoch"]),
-        cfg=cfg,
+        cfg=TrainConfig.from_json(doc["cfg"]),
     )

@@ -40,6 +40,14 @@ class SolverConfig:
             raise SpecError("substeps must be >= 1")
 
 
+def zoh_index(times, t0: float, dt: float, k: int) -> np.ndarray:
+    """Index of the latest sample at or before each of ``times`` on the grid
+    ``t0 + j * dt`` (``j < k``), clipped to the grid's ends."""
+    # Small forward nudge so grid-aligned times land on their own sample.
+    idx = np.floor((times - t0) / dt + 1e-9).astype(int)
+    return np.clip(idx, 0, k - 1)
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """Uniformly sampled input channels, held constant between samples."""
@@ -64,12 +72,13 @@ class InputSignal:
     def k(self) -> int:
         return self.channels.shape[1]
 
-    def index_at(self, t: float) -> int:
-        if t < self.t0 - 1e-9 * max(1.0, abs(self.t0)):
-            raise SpecError(f"t={t} precedes signal start t0={self.t0}")
-        # Small forward nudge so grid-aligned times land on their own sample.
-        idx = int(np.floor((t - self.t0) / self.dt + 1e-9))
-        return min(max(idx, 0), self.k - 1)
+    def index_at(self, t):
+        """Held sample index at time ``t`` (a scalar or an array of times);
+        past the end the last sample is held.  Times before ``t0`` raise."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.t0 - 1e-9 * max(1.0, abs(self.t0))):
+            raise SpecError(f"t={np.min(t)} precedes signal start t0={self.t0}")
+        return zoh_index(t, self.t0, self.dt, self.k)
 
 
 def zoh_value(sig: InputSignal, t: float) -> np.ndarray:
@@ -136,11 +145,9 @@ def integrate_batch(
 
     # Precompute zero-order-hold sample indices for every stage time.
     stage_base = np.arange((k_out - 1) * sub) * h  # start time of each substep
-    def zoh_idx(offset):
-        idx = np.floor((stage_base + offset * h - u_t0_offset) / u_dt + 1e-9).astype(int)
-        return np.clip(idx, 0, k_sig - 1)
-
-    idx0, idx_half, idx1 = zoh_idx(0.0), zoh_idx(0.5), zoh_idx(1.0)
+    idx0, idx_half, idx1 = (
+        zoh_index(stage_base + offset * h, u_t0_offset, u_dt, k_sig) for offset in (0.0, 0.5, 1.0)
+    )
 
     states = np.empty((S, n, k_out))
     states[:, :, 0] = x0_rows
@@ -236,10 +243,7 @@ def solve(
     x_init = _seed_initial_state(spec, x0, mask)
 
     k = t_grid.size
-    u_grid = np.empty((spec.m, k))
-    for j, t in enumerate(t_grid):
-        if spec.m:
-            u_grid[:, j] = zoh_value(sig, t)
+    u_grid = sig.channels[:, sig.index_at(t_grid)] if spec.m else np.empty((0, k))
 
     states, diverged, t_fail = integrate_batch(
         spec,

@@ -249,16 +249,10 @@ class BatchSet:
     def tensor(self, idx) -> np.ndarray:
         return np.stack([np.vstack([self.windows[i].y, self.windows[i].u]) for i in idx])
 
-    def _chunks(self, idx):
-        return [idx[i : i + self.batch_size] for i in range(0, len(idx), self.batch_size)]
-
     @property
     def train_batches(self) -> list[tuple[int, ...]]:
-        return [tuple(c) for c in self._chunks(self.train_idx)]
-
-    @property
-    def test_batches(self) -> list[tuple[int, ...]]:
-        return [tuple(c) for c in self._chunks(self.test_idx)]
+        idx, size = self.train_idx, self.batch_size
+        return [tuple(idx[i : i + size]) for i in range(0, len(idx), size)]
 
 
 def make_batches(

@@ -2,7 +2,19 @@
 
 import numpy as np
 
-from physrec.harness import _sindy_rmse_y, generate_benchmark_data, rmse_signal
+from physrec.harness import (
+    ExperimentConfig,
+    ReportRow,
+    _sindy_rmse_y,
+    emit_report,
+    generate_benchmark_data,
+    read_events_csv,
+    read_report_json,
+    rmse_signal,
+    write_events_csv,
+)
+from physrec.neural import TrainConfig
+from physrec.signals import Event, EventList
 from physrec.sindy import FunctionLibrary, build_library, library_labels, sindyc_recover
 
 
@@ -60,3 +72,37 @@ def test_sindy_rmse_y_divergent_model_is_inf():
     xi[labels.index("x1^2"), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
     assert reference_sindy_rmse_y(xi, lib, traces) == float("inf")
     assert _sindy_rmse_y(xi, lib, traces) == float("inf")
+
+
+def test_experiment_digest_is_stable():
+    # digests label report rows, so a config must keep its digest
+    assert ExperimentConfig().digest() == "6f3b7e772ae9"
+    cfg = ExperimentConfig(
+        experiment="aid",
+        system="bergman_aid",
+        mask=(1, 0, 1),
+        generation=(("injected_shift", 10), ("n_traces", 2)),
+        train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
+    )
+    assert cfg.digest() == "da3e8bd0caf7"
+
+
+def test_report_json_round_trip(tmp_path):
+    rows = [
+        ReportRow("abc", "c5", "lotka_volterra", "ltc", "shift=3/search_on", 1, 0.25, 0.5,
+                  (0.1, 0.2), (3.5,), 1.0, 7),
+        ReportRow("abc", "c5", "lotka_volterra", "ltc", "baseline", 2, 1.5, 2.5, (), (), 2.0,
+                  7, status="error: boom"),
+    ]
+    path = tmp_path / "rows.json"
+    emit_report(rows, "json", path)
+    got = read_report_json(path)
+    want = [{k: v for k, v in vars(r).items() if k != "runtime_s"} for r in rows]
+    assert got == want
+
+
+def test_events_csv_round_trip(tmp_path):
+    events = EventList((Event(0, 0.5, 2.0), Event(1, 1.25, -0.1), Event(0, 3.0, 1e-7)))
+    path = tmp_path / "events.csv"
+    write_events_csv(events, path)
+    assert read_events_csv(path) == events

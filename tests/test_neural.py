@@ -1,11 +1,26 @@
 """Tests for the recurrent recovery module."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from physrec.dynamics import SpecError, builtin_system
-from physrec.neural import TrainConfig, reconstruction_losses
-from physrec.signals import Trace
+from physrec.harness import generate_benchmark_data
+from physrec.neural import (
+    ARCHS,
+    TrainConfig,
+    TrainingError,
+    _cell_forward,
+    _probe_hidden_scale,
+    init_params,
+    load_checkpoint,
+    reconstruction_losses,
+    save_checkpoint,
+    train,
+)
+from physrec.signals import Trace, make_batches
+from physrec.tape import Tape
 
 
 def _window(k=20, dt=0.1, mask=(1, 1)):
@@ -48,3 +63,85 @@ def test_reconstruction_losses_shared_grid_at_equilibrium():
         want_grads=False,
     )
     assert np.all(losses < 1e-20)
+
+
+def reference_final_states(arch, params, tensor, dt, substeps):
+    """Per-sample numpy cell steps, one window at a time: the LTC fused
+    semi-implicit update and the CT-RNN / NODE explicit Euler steps.
+    Returns the final hidden states as V x B."""
+    w_in, w_rec, b = params["cell.w_in"], params["cell.w_rec"], params["cell.b"]
+    delta = dt / substeps
+    finals = []
+    for window in tensor:
+        h = np.zeros(w_rec.shape[0])
+        for inp in window.T:
+            for _ in range(substeps):
+                z = w_in @ inp + w_rec @ h + b
+                if arch == "ltc":
+                    f = np.logaddexp(0.0, np.tanh(z))
+                    tau, target = params["cell.tau"], params["cell.target"]
+                    h = (h + delta * f * target) / (1.0 + delta * (1.0 / tau + f))
+                elif arch == "ctrnn":
+                    h = h + delta * (-h / params["cell.tau"] + np.tanh(z))
+                else:
+                    h = h + delta * np.tanh(z)
+        finals.append(h)
+    return np.stack(finals, axis=1)
+
+
+def _cell_case(arch, seed=3):
+    spec, _ = builtin_system("lotka_volterra")
+    cfg = TrainConfig(hidden_width=5, unfold_substeps=3)
+    rng = np.random.default_rng(seed)
+    dt, k = 0.1, 30
+    params = init_params(arch, spec, 3, cfg, rng, dt, k)
+    tensor = rng.normal(0.0, 2.0, (4, 3, k))
+    return params, tensor, dt, cfg
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_cell_forward_matches_numpy_steps(arch):
+    params, tensor, dt, cfg = _cell_case(arch)
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    got = _cell_forward(tape, arch, leaves, tensor, dt, cfg).value
+    want = reference_final_states(arch, params, tensor, dt, cfg.unfold_substeps)
+    assert got.shape == (5, 4)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    rms = np.sqrt(np.mean(want**2))
+    assert abs(_probe_hidden_scale(arch, params, tensor, dt, cfg) - max(rms, 1e-3)) <= 1e-12 * rms
+
+
+def test_probe_raises_on_diverging_hidden_state():
+    params, tensor, dt, cfg = _cell_case("ctrnn")
+    # delta / tau = 1000: the explicit Euler step overflows within the window
+    params["cell.tau"] = np.full_like(params["cell.tau"], dt / cfg.unfold_substeps / 1000.0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError):
+        _probe_hidden_scale("ctrnn", params, tensor, dt, cfg)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_checkpoint_resume_is_bit_identical(arch, tmp_path):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=1
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=1)
+    cfg = TrainConfig(
+        epochs=3, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
+        shift_channels=(0,), seed=5,
+    )
+    whole = train(arch, spec, batches, cfg, coeffs_true=coeffs)
+
+    first = train(arch, spec, batches, replace(cfg, epochs=1), coeffs_true=coeffs)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(first.state, path)
+    loaded = load_checkpoint(path)
+    assert loaded.cfg == replace(cfg, epochs=1)
+    resumed = train(arch, spec, batches, cfg, coeffs_true=coeffs, state=loaded)
+
+    assert resumed.loss_history == whole.loss_history[1:]
+    assert np.array_equal(resumed.coeffs.values, whole.coeffs.values)
+    assert np.array_equal(resumed.shifts, whole.shifts)
+    assert sorted(resumed.state.params) == sorted(whole.state.params)
+    for key, value in whole.state.params.items():
+        assert np.array_equal(resumed.state.params[key], value), key

@@ -70,6 +70,17 @@ class TestZoh:
         with pytest.raises(SpecError):
             zoh_value(sig, -0.5)
 
+    def test_solve_input_is_the_per_sample_hold(self):
+        # output grid offset from and finer than the signal's, running past its end
+        spec, coeffs = decay_system()
+        sig = InputSignal(0.3, 0.1, (np.arange(12.0) ** 2)[None, :])
+        t_grid = 0.37 + 0.03 * np.arange(60)
+        tr = solve(spec, coeffs, [0.0], sig, t_grid, SolverConfig(substeps=2))
+        want = np.stack([zoh_value(sig, t) for t in t_grid], axis=1)
+        assert np.array_equal(tr.u, want)
+        with pytest.raises(SpecError, match="precedes signal start"):
+            solve(spec, coeffs, [0.0], sig, t_grid - 0.1)
+
 
 class TestStepRk4:
     def test_decay_step_matches_stability_polynomial(self):

@@ -34,6 +34,11 @@ class TestEncodeEvents:
     def test_empty_list(self):
         assert np.all(encode_events(EventList(), 0.0, 0.1, 5, m=2) == 0.0)
 
+    def test_for_channel_keeps_order(self):
+        ev = EventList((Event(1, 0.1, 1.0), Event(0, 0.2, 2.0), Event(1, 0.3, 3.0)))
+        assert ev.for_channel(1) == (Event(1, 0.1, 1.0), Event(1, 0.3, 3.0))
+        assert ev.for_channel(2) == ()
+
     def test_coincident_events_sum(self):
         ev = EventList((Event(0, 0.2, 3.0), Event(0, 0.21, 4.0)))
         row = encode_events(ev, 0.0, 0.1, 5)
