@@ -19,19 +19,7 @@ from .harness import (
     run_experiment,
     save_dataset,
 )
-from .neural import TrainConfig, recover
-
-
-def _experiment_config(doc: dict) -> ExperimentConfig:
-    fields = dict(doc)
-    if "train" in fields:
-        fields["train"] = TrainConfig.from_json(fields["train"])
-    for key in ("mask", "injected_shifts"):
-        if key in fields and fields[key] is not None:
-            fields[key] = tuple(fields[key])
-    if "generation" in fields:
-        fields["generation"] = tuple(sorted(dict(fields["generation"]).items()))
-    return ExperimentConfig(**fields)
+from .neural import recover
 
 
 def _cmd_generate(args) -> int:
@@ -48,25 +36,23 @@ def _cmd_generate(args) -> int:
 
 def _cmd_recover(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
+        cfg = ExperimentConfig.from_json(json.load(fh))
     spec, coeffs_true, traces, _ = load_dataset(args.data)
-    mask = doc.get("mask")
-    if mask is not None:
+    if cfg.mask is not None:
         from .dynamics import SensingMask
         from .harness import apply_mask_to_traces
 
-        traces = apply_mask_to_traces(traces, SensingMask(tuple(mask)))
+        traces = apply_mask_to_traces(traces, SensingMask(cfg.mask))
     if args.arch == "sindyc":
-        sindy_cfg = ExperimentConfig(**{k: v for k, v in doc.items() if k.startswith("sindy_")})
-        result = fit_sindyc(spec, coeffs_true, traces, sindy_cfg)
+        result = fit_sindyc(spec, coeffs_true, traces, cfg)
     else:
         result = recover(
             traces,
             spec,
             args.arch,
-            TrainConfig.from_json(doc.get("train", {})),
-            k_window=int(doc.get("k_window", 200)),
-            split_ratio=float(doc.get("split_ratio", 0.75)),
+            cfg.train,
+            k_window=cfg.k_window,
+            split_ratio=cfg.split_ratio,
             coeffs_true=coeffs_true,
         )
     out = {
@@ -90,7 +76,7 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     doc["experiment"] = args.experiment
-    cfg = _experiment_config(doc)
+    cfg = ExperimentConfig.from_json(doc)
     rows = run_experiment(cfg)
     fmt = "json" if str(args.out).endswith(".json") else "csv"
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)
@@ -123,7 +109,10 @@ def main(argv=None) -> int:
     p_rec = sub.add_parser("recover", help="fit coefficients to a dataset directory")
     p_rec.add_argument("--arch", required=True, choices=("ltc", "ctrnn", "node", "sindyc"))
     p_rec.add_argument("--data", required=True)
-    p_rec.add_argument("--config", required=True, help="JSON file of training settings")
+    p_rec.add_argument(
+        "--config", required=True,
+        help="JSON experiment config (train, k_window, split_ratio, mask, sindy_*)",
+    )
     p_rec.add_argument("--out", required=True)
     p_rec.set_defaults(fn=_cmd_recover)
 

@@ -483,6 +483,23 @@ class ExperimentConfig:
     sindy_threshold: float = 0.05
     sindy_lambda: float = 1e-6
 
+    @classmethod
+    def from_json(cls, doc: dict) -> ExperimentConfig:
+        """Config from a decoded JSON object: ``mask`` and ``injected_shifts``
+        arrays become tuples, ``generation`` (an object or a list of pairs)
+        sorted ``(key, value)`` pairs, and ``train`` a TrainConfig through
+        ``TrainConfig.from_json``.  Inverts ``asdict`` after a JSON round
+        trip, so the digest survives it."""
+        fields = dict(doc)
+        if "train" in fields:
+            fields["train"] = TrainConfig.from_json(fields["train"])
+        for key in ("mask", "injected_shifts"):
+            if fields.get(key) is not None:
+                fields[key] = tuple(fields[key])
+        if "generation" in fields:
+            fields["generation"] = tuple(sorted(dict(fields["generation"]).items()))
+        return cls(**fields)
+
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -702,6 +719,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
 
     elif cfg.experiment in ("c5", "aid"):
         system = _fitted_system(cfg)
+        # the bergman_aid preset has no perturbation switch and ignores it
+        gen_overrides["perturbation"] = cfg.perturbation
         spec, coeffs_true, base_traces, meta = generate_benchmark_data(
             system, gen_overrides, seed=cfg.seed
         )

@@ -5,13 +5,14 @@ reads each (observed + input)-channel window; a dense head maps the final
 hidden state to coefficient estimates and per-channel input-shift
 fractions; the loss reconstructs the observed trace by integrating the
 candidate model from the window's first observation and penalizes the
-mean-square mismatch.  Network weights are differentiated on the tape;
-sensitivities through the solver are obtained by central finite
-differences over the (coefficients, shifts) head outputs and spliced in
-as a custom tape node.
+mean-square mismatch.  The head is differentiated on the tape, one
+primitive at a time.  The cell's whole window unroll is a single tape
+node with a hand-written backward-through-time; sensitivities through the
+solver are obtained by central finite differences over the (coefficients,
+shifts) head outputs and spliced in as another custom tape node.
 
-Each cell has one implementation, the tape loop in ``_cell_forward``; it
-serves training, evaluation and the initialization probe alike.
+Each cell has one implementation, ``_cell_forward``; it serves training,
+evaluation and the initialization probe alike.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .signals import BatchSet, Trace, shift_signed
 from .tape import Tape, Var
 
 ARCHS = ("ltc", "ctrnn", "node")
+
+# recurrent-cell parameters, in the order of the cell's tape node parents
+CELL_LEAVES = ("cell.w_in", "cell.w_rec", "cell.b", "cell.tau", "cell.target")
 
 DIVERGED_LOSS = 1e6
 
@@ -392,6 +396,11 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     return max(rms, 1e-3)
 
 
+def _acc(total, part):
+    """Running gradient sum, started from the first part as the tape does."""
+    return part if total is None else total + part
+
+
 def _cell_forward(
     tape: Tape,
     arch: str,
@@ -402,39 +411,95 @@ def _cell_forward(
 ) -> Var:
     """Unroll the recurrent cell over the window from a zero state, holding
     each sample's input for ``cfg.unfold_substeps`` steps of ``dt /
-    unfold_substeps``.  Returns the final hidden state (V x B).
+    unfold_substeps``.  Returns the final hidden state (V x B) as one tape
+    node over the cell leaves.
 
     LTC: ``hdot = -h/tau + f (target - h)`` with ``f = softplus(tanh(z))``,
     advanced by the fused semi-implicit step of Hasani et al. (AAAI 2021),
     ``h <- (h + delta f target) / (1 + delta (1/tau + f))``.  CT-RNN:
     explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
     ``hdot = tanh(z)``.  Here ``z = w_in u + w_rec h + b``.
+
+    The unroll runs in plain numpy and keeps the per-substep values its
+    backward-through-time needs.  Both passes are bit-identical to
+    recording every substep on the tape with its primitives: the forward
+    repeats their numpy operations in their order, and the backward
+    applies each primitive's backward expression and adds every fan-out
+    and every per-substep weight contribution in ``Tape.backward``'s order
+    (reverse recording order, first contribution first).
     """
-    B, C, k = window_tensor.shape
-    V = leaves["cell.w_rec"].value.shape[0]
-    w_in, w_rec, b = leaves["cell.w_in"], leaves["cell.w_rec"], leaves["cell.b"]
-    delta = dt / cfg.unfold_substeps
-    h = tape.leaf(np.zeros((V, B)))
+    names = [key for key in CELL_LEAVES if key in leaves]
+    w_in, w_rec, b = (leaves[key].value for key in CELL_LEAVES[:3])
+    B, _, k = window_tensor.shape
+    n_sub = cfg.unfold_substeps
+    delta = dt / n_sub
+    b_col = b[:, None]
     if arch in ("ltc", "ctrnn"):
-        inv_tau = tape.div(1.0, leaves["cell.tau"])
+        tau = leaves["cell.tau"].value
+        inv_tau = 1.0 / tau
+        inv_col = inv_tau[:, None]
+    if arch == "ltc":
+        target_col = leaves["cell.target"].value[:, None]
+        leak_col = (inv_tau * delta)[:, None]
+    h = np.zeros((w_rec.shape[0], B))
+    inputs, states, tanhs, ltc_parts = [], [], [], []
     for t in range(k):
         inp = np.ascontiguousarray(window_tensor[:, :, t].T)  # C x B
-        drive = tape.matmul(w_in, inp)
-        for _ in range(cfg.unfold_substeps):
-            z = tape.addcol(tape.add(drive, tape.matmul(w_rec, h)), b)
+        inputs.append(inp)
+        drive = w_in @ inp
+        for _ in range(n_sub):
+            states.append(h)
+            th = np.tanh(drive + w_rec @ h + b_col)
+            tanhs.append(th)
             if arch == "ltc":
-                f = tape.softplus(tape.tanh(z))
-                num = tape.add(h, tape.scale(tape.mulcol(f, leaves["cell.target"]), delta))
-                den = tape.add(
-                    tape.addcol(tape.scale(f, delta), tape.scale(inv_tau, delta)), 1.0
-                )
-                h = tape.div(num, den)
+                f = np.logaddexp(0.0, th)
+                num = h + f * target_col * delta
+                den = f * delta + leak_col + 1.0
+                ltc_parts.append((f, num, den))
+                h = num / den
             elif arch == "ctrnn":
-                f = tape.tanh(z)
-                h = tape.add(h, tape.scale(tape.sub(f, tape.mulcol(h, inv_tau)), delta))
+                h = h + (th - h * inv_col) * delta
             else:
-                h = tape.add(h, tape.scale(tape.tanh(z), delta))
-    return h
+                h = h + th * delta
+
+    def vjp(g):
+        g_w_in = g_w_rec = g_b = g_inv_tau = g_target = None
+        for t in reversed(range(k)):
+            g_drive = None
+            for i in reversed(range(t * n_sub, (t + 1) * n_sub)):
+                h_prev, th = states[i], tanhs[i]
+                if arch == "ltc":
+                    f, num, den = ltc_parts[i]
+                    g_num = g / den
+                    g_den = -g * num / (den * den)
+                    g_inv_tau = _acc(g_inv_tau, np.sum(g_den, axis=1) * delta)
+                    g_ft = g_num * delta
+                    g_target = _acc(g_target, np.sum(g_ft * f, axis=1))
+                    g_f = g_den * delta + g_ft * target_col
+                    g_z = g_f / (1.0 + np.exp(-th)) * (1.0 - th * th)
+                    g_h = g_num
+                elif arch == "ctrnn":
+                    g_d = g * delta
+                    g_leak = -g_d
+                    g_inv_tau = _acc(g_inv_tau, np.sum(g_leak * h_prev, axis=1))
+                    g_z = g_d * (1.0 - th * th)
+                    g_h = g + g_leak * inv_col
+                else:
+                    g_z = g * delta * (1.0 - th * th)
+                    g_h = g
+                g_b = _acc(g_b, np.sum(g_z, axis=1))
+                g_drive = _acc(g_drive, g_z)
+                g_w_rec = _acc(g_w_rec, g_z @ h_prev.T)
+                g = g_h + w_rec.T @ g_z
+            g_w_in = _acc(g_w_in, g_drive @ inputs[t].T)
+        grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_b}
+        if arch in ("ltc", "ctrnn"):
+            grads["cell.tau"] = -g_inv_tau / (tau * tau)
+        if arch == "ltc":
+            grads["cell.target"] = g_target
+        return [grads[key] for key in names]
+
+    return tape.custom_node([leaves[key] for key in names], h, vjp)
 
 
 def _forward_tape(

@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Define-by-run: every operation appends a node to a Tape, backward() walks
-the recording in reverse.  Shapes are scalars, vectors and matrices; the
-only broadcasting is scalar-with-array plus the explicit column-broadcast
-helpers addcol/mulcol used by the recurrent cells.
+the recording in reverse and returns the leaves' gradients.  Shapes are
+scalars, vectors and matrices; the only broadcasting is scalar-with-array
+plus the explicit column-broadcast helpers addcol/mulcol.
 """
 
 from __future__ import annotations
@@ -319,10 +319,14 @@ class Tape:
     # -- reverse pass -----------------------------------------------------------
 
     def backward(self, loss: Var) -> dict[int, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every recorded node.
+        """Gradients of a scalar loss w.r.t. every leaf.
 
-        Returns a table mapping node handle to gradient array; nodes that
-        do not influence the loss get zeros.
+        Walks the recording in reverse from ``loss``; each node's
+        cotangents are added into its parents' gradients (the first one
+        copied, later ones summed) and its own gradient is dropped once
+        passed on.  Returns a table mapping each leaf's handle to its
+        gradient; leaves that do not influence the loss get zeros.
+        Interior nodes are not in the table.
         """
         if loss.value.shape != ():
             raise TapeError("backward expects a scalar loss")
@@ -335,6 +339,7 @@ class Tape:
             backward_fn, parents, value = self.nodes[idx]
             if backward_fn is None:
                 continue
+            grads[idx] = None
             cots = backward_fn(g, value)
             for p_idx, cot in zip(parents, cots):
                 if grads[p_idx] is None:
@@ -343,6 +348,8 @@ class Tape:
                     grads[p_idx] = grads[p_idx] + cot
         out = {}
         for idx, (backward_fn, parents, value) in enumerate(self.nodes):
+            if backward_fn is not None:
+                continue
             g = grads[idx]
             out[idx] = np.zeros_like(value) if g is None else np.broadcast_to(g, value.shape).astype(float)
         return out

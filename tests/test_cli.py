@@ -52,6 +52,9 @@ def test_generate_then_recover_neural(arch, tmp_path):
         ("eeg", "ltc", "eeg_dvdp", 2),
         ("eeg", "sindyc", "eeg_dvdp", 2),
         ("aid", "ltc", "bergman_aid", 3),
+        ("c1", "ltc", "lotka_volterra", 4),
+        ("c2", "ltc", "lotka_volterra", 2),
+        ("c5", "ltc", "lotka_volterra", 3),
     ],
 )
 def test_sweep_fits_the_preset_system(experiment, arch, system, n_rows, tmp_path):

@@ -1,7 +1,11 @@
 """Tests for the experiment harness."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
+from physrec import harness
 from physrec.harness import (
     ExperimentConfig,
     ReportRow,
@@ -11,6 +15,7 @@ from physrec.harness import (
     read_events_csv,
     read_report_json,
     rmse_signal,
+    run_experiment,
     write_events_csv,
 )
 from physrec.neural import TrainConfig
@@ -85,6 +90,58 @@ def test_experiment_digest_is_stable():
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
     assert cfg.digest() == "da3e8bd0caf7"
+
+
+def test_experiment_config_json_round_trip():
+    pinned = {
+        "6f3b7e772ae9": ExperimentConfig(),
+        "da3e8bd0caf7": ExperimentConfig(
+            experiment="aid",
+            system="bergman_aid",
+            mask=(1, 0, 1),
+            generation=(("injected_shift", 10), ("n_traces", 2)),
+            train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
+        ),
+    }
+    for digest, cfg in pinned.items():
+        back = ExperimentConfig.from_json(json.loads(json.dumps(asdict(cfg))))
+        assert back == cfg
+        assert back.digest() == digest
+
+
+def test_experiment_config_from_json_normalizes_arrays():
+    cfg = ExperimentConfig.from_json({
+        "mask": [1, 0],
+        "injected_shifts": [5],
+        "generation": {"n_traces": 2, "k": 300},
+        "train": {"epochs": 2, "head_layers": [8]},
+    })
+    assert cfg.mask == (1, 0) and cfg.injected_shifts == (5,)
+    assert cfg.generation == (("k", 300), ("n_traces", 2))
+    assert cfg.train == TrainConfig(epochs=2, head_layers=(8,))
+
+
+def test_c5_generation_honours_perturbation(monkeypatch):
+    seen = []
+    generate = harness.generate_benchmark_data
+
+    def spy(system, overrides=None, seed=0):
+        seen.append(dict(overrides or {}))
+        return generate(system, overrides, seed=seed)
+
+    monkeypatch.setattr(harness, "generate_benchmark_data", spy)
+    cfg = ExperimentConfig(
+        experiment="c5",
+        perturbation=False,
+        injected_shifts=(3,),
+        k_window=50,
+        generation=(("k", 200), ("n_traces", 1)),
+        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+    )
+    rows = run_experiment(cfg)
+    assert [r.status for r in rows] == ["ok"] * 3
+    assert len(seen) == 2
+    assert all(overrides.get("perturbation") is False for overrides in seen), seen
 
 
 def test_report_json_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from physrec.dynamics import SpecError, builtin_system
 from physrec.harness import generate_benchmark_data
 from physrec.neural import (
     ARCHS,
+    CELL_LEAVES,
     TrainConfig,
     TrainingError,
     _cell_forward,
@@ -20,7 +21,7 @@ from physrec.neural import (
     train,
 )
 from physrec.signals import Trace, make_batches
-from physrec.tape import Tape
+from physrec.tape import Tape, grad_check
 
 
 def _window(k=20, dt=0.1, mask=(1, 1)):
@@ -89,6 +90,37 @@ def reference_final_states(arch, params, tensor, dt, substeps):
     return np.stack(finals, axis=1)
 
 
+def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
+    """The cell unroll recorded primitive by primitive on the tape, about a
+    dozen nodes per substep; ``_cell_forward``'s forward values and
+    gradients must equal this graph's bit for bit."""
+    B, C, k = tensor.shape
+    V = leaves["cell.w_rec"].value.shape[0]
+    w_in, w_rec, b = leaves["cell.w_in"], leaves["cell.w_rec"], leaves["cell.b"]
+    delta = dt / cfg.unfold_substeps
+    h = tape.leaf(np.zeros((V, B)))
+    if arch in ("ltc", "ctrnn"):
+        inv_tau = tape.div(1.0, leaves["cell.tau"])
+    for t in range(k):
+        inp = np.ascontiguousarray(tensor[:, :, t].T)  # C x B
+        drive = tape.matmul(w_in, inp)
+        for _ in range(cfg.unfold_substeps):
+            z = tape.addcol(tape.add(drive, tape.matmul(w_rec, h)), b)
+            if arch == "ltc":
+                f = tape.softplus(tape.tanh(z))
+                num = tape.add(h, tape.scale(tape.mulcol(f, leaves["cell.target"]), delta))
+                den = tape.add(
+                    tape.addcol(tape.scale(f, delta), tape.scale(inv_tau, delta)), 1.0
+                )
+                h = tape.div(num, den)
+            elif arch == "ctrnn":
+                f = tape.tanh(z)
+                h = tape.add(h, tape.scale(tape.sub(f, tape.mulcol(h, inv_tau)), delta))
+            else:
+                h = tape.add(h, tape.scale(tape.tanh(z), delta))
+    return h
+
+
 def _cell_case(arch, seed=3):
     spec, _ = builtin_system("lotka_volterra")
     cfg = TrainConfig(hidden_width=5, unfold_substeps=3)
@@ -110,6 +142,57 @@ def test_cell_forward_matches_numpy_steps(arch):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     rms = np.sqrt(np.mean(want**2))
     assert abs(_probe_hidden_scale(arch, params, tensor, dt, cfg) - max(rms, 1e-3)) <= 1e-12 * rms
+
+
+def _cell_grads(cell, arch, params, tensor, dt, cfg, cot):
+    """Final state and cell-leaf gradients of ``sum(h * cot)``."""
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    h = cell(tape, arch, leaves, tensor, dt, cfg)
+    table = tape.backward(tape.sum(tape.mul(h, cot)))
+    return h.value, {key: table[leaves[key].idx] for key in CELL_LEAVES if key in leaves}
+
+
+@pytest.mark.parametrize("batch", [1, 4, 32])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_fused_cell_is_bit_identical_to_tape_graph(arch, batch):
+    spec, _ = builtin_system("lotka_volterra")
+    cfg = TrainConfig(hidden_width=6, unfold_substeps=3)
+    rng = np.random.default_rng(11)
+    dt, k = 0.1, 25
+    params = init_params(arch, spec, 3, cfg, rng, dt, k)
+    tensor = rng.normal(0.0, 2.0, (batch, 3, k))
+    cot = rng.normal(0.0, 1.0, (6, batch))
+
+    h_ref, g_ref = _cell_grads(reference_tape_cell, arch, params, tensor, dt, cfg, cot)
+    h, g = _cell_grads(_cell_forward, arch, params, tensor, dt, cfg, cot)
+    assert np.array_equal(h, h_ref)
+    assert sorted(g) == sorted(g_ref) and len(g) == {"ltc": 5, "ctrnn": 4, "node": 3}[arch]
+    for key, want in g_ref.items():
+        assert np.any(want != 0.0), key
+        assert np.array_equal(g[key], want), key
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_fused_cell_gradients_match_central_differences(arch):
+    spec, _ = builtin_system("lotka_volterra")
+    cfg = TrainConfig(hidden_width=3, unfold_substeps=2)
+    rng = np.random.default_rng(12)
+    dt, k = 0.1, 6
+    params = init_params(arch, spec, 2, cfg, rng, dt, k)
+    tensor = rng.normal(0.0, 2.0, (2, 2, k))
+    cot = rng.normal(0.0, 1.0, (3, 2))
+    for key in CELL_LEAVES:
+        if key not in params:
+            continue
+
+        def loss(var, key=key):
+            tape = var.tape
+            leaves = {name: var if name == key else tape.leaf(v) for name, v in params.items()}
+            h = _cell_forward(tape, arch, leaves, tensor, dt, cfg)
+            return tape.sum(tape.mul(h, cot))
+
+        assert grad_check(loss, params[key]) < 1e-6, key
 
 
 def test_probe_raises_on_diverging_hidden_state():
@@ -145,3 +228,24 @@ def test_checkpoint_resume_is_bit_identical(arch, tmp_path):
     assert sorted(resumed.state.params) == sorted(whole.state.params)
     for key, value in whole.state.params.items():
         assert np.array_equal(resumed.state.params[key], value), key
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_is_deterministic_under_a_seed(arch):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=2
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
+    cfg = TrainConfig(
+        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
+        shift_channels=(0,), seed=9,
+    )
+    first = train(arch, spec, batches, cfg, coeffs_true=coeffs)
+    second = train(arch, spec, batches, cfg, coeffs_true=coeffs)
+    assert first.loss_history == second.loss_history and len(first.loss_history) == 2
+    assert np.array_equal(first.coeffs.values, second.coeffs.values)
+    assert np.array_equal(first.shifts, second.shifts)
+    assert first.rmse_y == second.rmse_y
+    assert sorted(first.state.params) == sorted(second.state.params)
+    for key, value in first.state.params.items():
+        assert np.array_equal(second.state.params[key], value), key

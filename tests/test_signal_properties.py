@@ -1,0 +1,65 @@
+"""Property tests of the signal helpers: shift mass, decimation, event grids."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from physrec.signals import Event, EventList, Trace, decimate, encode_events, fractional_shift
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+@FAST
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_fractional_shift_conserves_mass_without_spill(values, frac):
+    row = np.array(values)
+    k = row.size
+    s = frac * (k - 1)
+    # zero every sample whose ceil(s) target would fall past the end
+    row[k - math.ceil(s) :] = 0.0
+    out = fractional_shift(row, s)
+    scale = max(1.0, float(np.sum(np.abs(row))))
+    assert abs(np.sum(out) - np.sum(row)) <= 1e-12 * scale
+
+
+@FAST
+@given(
+    a=st.integers(1, 6),
+    b=st.integers(1, 6),
+    extra=st.integers(0, 30),
+    dt=st.floats(1e-3, 10.0),
+)
+def test_decimate_composes(a, b, extra, dt):
+    k = a * b + 1 + extra
+    rng = np.random.default_rng(k)
+    tr = Trace(0.0, dt, rng.normal(size=(2, k)), rng.normal(size=(1, k)))
+    twice = decimate(decimate(tr, a), b)
+    once = decimate(tr, a * b)
+    assert np.array_equal(twice.y, once.y)
+    assert np.array_equal(twice.u, once.u)
+    assert twice.meta.get("decimation", 1) == once.meta.get("decimation", 1)
+    assert abs(twice.dt - once.dt) <= 1e-12 * once.dt
+
+
+@FAST
+@given(
+    t0=st.floats(0.0, 100.0),
+    dt=st.floats(1e-3, 10.0),
+    k=st.integers(1, 30),
+    picks=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 29), st.floats(-1e3, 1e3)),
+        max_size=12,
+    ),
+)
+def test_encode_events_places_on_grid_events(t0, dt, k, picks):
+    events = [Event(ch, t0 + (idx % k) * dt, mag) for ch, idx, mag in picks]
+    out = encode_events(EventList(tuple(events)), t0, dt, k, m=3)
+    want = np.zeros((3, k))
+    for ch, idx, mag in picks:
+        want[ch, idx % k] += mag  # coincident events sum in event order
+    assert np.array_equal(out, want)

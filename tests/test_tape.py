@@ -51,6 +51,21 @@ def test_unreachable_leaf_gets_zero():
     assert np.array_equal(g[x.idx], [0.0, 0.0])
 
 
+def test_backward_table_holds_leaves_only():
+    t = Tape()
+    x = t.leaf(np.array([1.0, 2.0]))
+    w = t.leaf(np.array([[1.0, 0.5], [-1.0, 2.0]]))
+    unused = t.leaf(np.array(4.0))
+    h = t.tanh(t.matmul(w, t.leaf(np.ones((2, 1)))))
+    y = t.custom_node([x], x.value * 3.0, lambda g: [3.0 * g])
+    loss = t.add(t.sum(h), t.sum(y))
+    g = t.backward(loss)
+    leaves = [i for i, (fn, _, _) in enumerate(t.nodes) if fn is None]
+    assert sorted(g) == leaves == [x.idx, w.idx, unused.idx, 3]
+    assert np.array_equal(g[x.idx], [3.0, 3.0])
+    assert g[unused.idx] == 0.0 and g[3].shape == (2, 1)
+
+
 def test_backward_requires_scalar():
     t = Tape()
     x = t.leaf(np.array([1.0, 2.0]))
