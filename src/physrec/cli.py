@@ -81,7 +81,11 @@ def _cmd_sweep(args) -> int:
     fmt = "json" if str(args.out).endswith(".json") else "csv"
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)
     print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    failed = [r for r in rows if r.status != "ok"]
+    for r in failed:
+        print(f"physrec: {r.point}: {r.status}", file=sys.stderr)
+    print(f"physrec: {len(rows) - len(failed)} ok, {len(failed)} failed", file=sys.stderr)
+    return 1 if len(failed) == len(rows) else 0
 
 
 def _cmd_nyquist(args) -> int:

@@ -4,6 +4,12 @@ Define-by-run: every operation appends a node to a Tape, backward() walks
 the recording in reverse and returns the leaves' gradients.  Shapes are
 scalars, vectors and matrices; the only broadcasting is scalar-with-array
 plus the explicit column-broadcast helpers addcol/mulcol.
+
+The recording holds no reference cycle: a Var holds its tape, the tape
+holds its nodes, and a node's backward closure holds only shapes, floats
+and value arrays, never the tape or a Var.  A tape and every array its
+nodes saved are therefore freed by reference counting as soon as its last
+Var is dropped, without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -18,6 +24,13 @@ class TapeError(ValueError):
 def _as_array(value):
     a = np.asarray(value, dtype=float)
     return a
+
+
+def _reduce_to(grad, shape):
+    # gradients for scalar operands of broadcast elementwise ops
+    if shape == () and grad.shape != ():
+        return np.sum(grad)
+    return grad
 
 
 class Var:
@@ -91,36 +104,33 @@ class Tape:
         if a_shape != b_shape and a_shape != () and b_shape != ():
             raise TapeError(f"{op}: shape mismatch {a_shape} vs {b_shape}")
 
-    @staticmethod
-    def _reduce_to(grad, shape):
-        # gradients for scalar operands of broadcast elementwise ops
-        if shape == () and grad.shape != ():
-            return np.sum(grad)
-        return grad
-
     # -- elementwise primitives --------------------------------------------
 
     def add(self, a: Var, b):
         b, b_is_var = self._coerce(b)
+        a_shape = a.shape
         if b_is_var:
-            self._match(a.shape, b.shape, "add")
+            b_shape = b.shape
+            self._match(a_shape, b_shape, "add")
 
             def back(g, out):
-                return (self._reduce_to(g, a.shape), self._reduce_to(g, b.value.shape))
+                return (_reduce_to(g, a_shape), _reduce_to(g, b_shape))
 
             return self._record(a.value + b.value, (a, b), back)
-        return self._record(a.value + b, (a,), lambda g, out: (self._reduce_to(g, a.shape),))
+        return self._record(a.value + b, (a,), lambda g, out: (_reduce_to(g, a_shape),))
 
     def sub(self, a: Var, b):
         b, b_is_var = self._coerce(b)
+        a_shape = a.shape
         if b_is_var:
-            self._match(a.shape, b.shape, "sub")
+            b_shape = b.shape
+            self._match(a_shape, b_shape, "sub")
 
             def back(g, out):
-                return (self._reduce_to(g, a.shape), self._reduce_to(-g, b.value.shape))
+                return (_reduce_to(g, a_shape), _reduce_to(-g, b_shape))
 
             return self._record(a.value - b.value, (a, b), back)
-        return self._record(a.value - b, (a,), lambda g, out: (self._reduce_to(g, a.shape),))
+        return self._record(a.value - b, (a,), lambda g, out: (_reduce_to(g, a_shape),))
 
     def mul(self, a: Var, b):
         b, b_is_var = self._coerce(b)
@@ -129,10 +139,11 @@ class Tape:
             av, bv = a.value, b.value
 
             def back(g, out):
-                return (self._reduce_to(g * bv, av.shape), self._reduce_to(g * av, bv.shape))
+                return (_reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape))
 
             return self._record(av * bv, (a, b), back)
-        return self._record(a.value * b, (a,), lambda g, out: (self._reduce_to(g * b, a.shape),))
+        a_shape = a.shape
+        return self._record(a.value * b, (a,), lambda g, out: (_reduce_to(g * b, a_shape),))
 
     def div(self, a: Var, b):
         if isinstance(a, Var):
@@ -143,22 +154,23 @@ class Tape:
 
                 def back(g, out):
                     return (
-                        self._reduce_to(g / bv, av.shape),
-                        self._reduce_to(-g * av / (bv * bv), bv.shape),
+                        _reduce_to(g / bv, av.shape),
+                        _reduce_to(-g * av / (bv * bv), bv.shape),
                     )
 
                 return self._record(av / bv, (a, b2), back)
+            a_shape = a.shape
             return self._record(
-                a.value / b2, (a,), lambda g, out: (self._reduce_to(g / b2, a.shape),)
+                a.value / b2, (a,), lambda g, out: (_reduce_to(g / b2, a_shape),)
             )
         # constant numerator / Var denominator
         a_const = _as_array(a)
-        bv = b
+        bv = b.value
 
         def back(g, out):
-            return (self._reduce_to(-g * a_const / (bv.value * bv.value), bv.value.shape),)
+            return (_reduce_to(-g * a_const / (bv * bv), bv.shape),)
 
-        return self._record(a_const / bv.value, (bv,), back)
+        return self._record(a_const / bv, (b,), back)
 
     def scale(self, a: Var, c: float):
         c = float(c)
@@ -231,13 +243,13 @@ class Tape:
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, a: Var):
-        return self._record(np.sum(a.value), (a,), lambda g, out: (g * np.ones_like(a.value),))
+        av = a.value
+        return self._record(np.sum(av), (a,), lambda g, out: (g * np.ones_like(av),))
 
     def mean(self, a: Var):
-        n = a.value.size
-        return self._record(
-            np.mean(a.value), (a,), lambda g, out: (g * np.ones_like(a.value) / n,)
-        )
+        av = a.value
+        n = av.size
+        return self._record(np.mean(av), (a,), lambda g, out: (g * np.ones_like(av) / n,))
 
     def concat(self, parts: list[Var]):
         vals = [p.value for p in parts]
@@ -247,7 +259,7 @@ class Tape:
         offs = np.cumsum([0] + sizes)
 
         def back(g, out):
-            return tuple(g[offs[i] : offs[i + 1]] for i in range(len(parts)))
+            return tuple(g[offs[i] : offs[i + 1]] for i in range(len(sizes)))
 
         return self._record(np.concatenate(vals), tuple(parts), back)
 
@@ -267,7 +279,8 @@ class Tape:
     # -- nonlinearities -------------------------------------------------------
 
     def square(self, a: Var):
-        return self._record(a.value**2, (a,), lambda g, out: (2.0 * g * a.value,))
+        av = a.value
+        return self._record(av**2, (a,), lambda g, out: (2.0 * g * av,))
 
     def exp(self, a: Var):
         return self._record(np.exp(a.value), (a,), lambda g, out: (g * out,))
@@ -281,15 +294,15 @@ class Tape:
 
     def relu(self, a: Var):
         # derivative at exactly 0 is taken as 0
-        return self._record(
-            np.maximum(a.value, 0.0), (a,), lambda g, out: (g * (a.value > 0.0),)
-        )
+        av = a.value
+        return self._record(np.maximum(av, 0.0), (a,), lambda g, out: (g * (av > 0.0),))
 
     def softplus(self, a: Var):
-        out_val = np.logaddexp(0.0, a.value)
+        av = a.value
+        out_val = np.logaddexp(0.0, av)
 
         def back(g, out):
-            return (g / (1.0 + np.exp(-a.value)),)
+            return (g / (1.0 + np.exp(-av)),)
 
         return self._record(out_val, (a,), back)
 
@@ -300,13 +313,16 @@ class Tape:
         vector-Jacobian callback.
 
         ``vjp(cotangent)`` must return one cotangent array per parent, in
-        order and with matching shapes.
+        order and with matching shapes.  ``vjp`` must not hold the tape or
+        a Var (close over their ``.value`` arrays instead): the tape keeps
+        ``vjp`` alive, so either would make the recording a reference cycle
+        that only the cyclic garbage collector frees.
         """
         parent_shapes = [p.value.shape for p in parents]
 
         def back(g, out):
             cots = vjp(g)
-            if len(cots) != len(parents):
+            if len(cots) != len(parent_shapes):
                 raise TapeError("custom_node callback returned wrong arity")
             cots = tuple(_as_array(c) for c in cots)
             for c, s in zip(cots, parent_shapes):

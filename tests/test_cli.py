@@ -46,6 +46,22 @@ def test_generate_then_recover_neural(arch, tmp_path):
     assert math.isfinite(doc["loss_history"][0]) and doc["rmse_y"] >= 0
 
 
+def _sweep(tmp_path, experiment, arch, out_name, *flags, **fields):
+    """Run ``physrec sweep`` on a tiny config; return its exit code and report path."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "arch": arch,
+        "injected_shifts": [3],
+        "generation": {"n_traces": 2, "k": 200},
+        "train": {"epochs": 1, "hidden_width": 4, "unfold_substeps": 2, "solve_substeps": 2},
+        **fields,
+    }))
+    out = tmp_path / out_name
+    code = cli.main(["sweep", "--experiment", experiment, "--config", str(config),
+                     "--out", str(out), *flags])
+    return code, out
+
+
 @pytest.mark.parametrize(
     "experiment,arch,system,n_rows",
     [
@@ -58,18 +74,36 @@ def test_generate_then_recover_neural(arch, tmp_path):
     ],
 )
 def test_sweep_fits_the_preset_system(experiment, arch, system, n_rows, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "arch": arch,
-        "injected_shifts": [3],
-        "generation": {"n_traces": 2, "k": 200},
-        "train": {"epochs": 1, "hidden_width": 4, "unfold_substeps": 2, "solve_substeps": 2},
-    }))
-    out = tmp_path / "rows.json"
-    assert cli.main(["sweep", "--experiment", experiment, "--config", str(config),
-                     "--out", str(out)]) == 0
+    code, out = _sweep(tmp_path, experiment, arch, "rows.json")
+    assert code == 0
     rows = json.loads(out.read_text())
     assert len(rows) == n_rows
     for row in rows:
         assert row["status"] == "ok", row["status"]
         assert row["system"] == system and row["experiment"] == experiment
+
+
+def test_sweep_fails_loudly_when_every_row_fails(tmp_path, capsys):
+    # one observed state: every point fails the baseline's full-state check
+    code, out = _sweep(tmp_path, "c1", "sindyc", "rows.json", mask=[1, 0])
+    assert code == 1
+    rows = json.loads(out.read_text())
+    assert len(rows) == 4
+    assert all(row["status"].startswith("error: ") for row in rows)
+    err = capsys.readouterr().err
+    assert "0 ok, 4 failed" in err
+    assert err.count("needs full-state data") == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_identical_sweeps_write_identical_reports(fmt, tmp_path):
+    reports = []
+    for name in (f"a.{fmt}", f"b.{fmt}"):
+        code, out = _sweep(tmp_path, "c1", "ltc", name)
+        assert code == 0
+        reports.append(out.read_bytes())
+    code, timed = _sweep(tmp_path, "c1", "ltc", f"timed.{fmt}", "--include-runtime")
+    assert code == 0
+    assert reports[0] == reports[1]
+    assert b"runtime_s" not in reports[0]
+    assert b"runtime_s" in timed.read_bytes()

@@ -1,15 +1,18 @@
 """Tests for the recurrent recovery module."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from physrec import neural
 from physrec.dynamics import SpecError, builtin_system
 from physrec.harness import generate_benchmark_data
 from physrec.neural import (
     ARCHS,
     CELL_LEAVES,
+    AdamState,
     TrainConfig,
     TrainingError,
     _cell_forward,
@@ -249,3 +252,35 @@ def test_train_is_deterministic_under_a_seed(arch):
     assert sorted(first.state.params) == sorted(second.state.params)
     for key, value in first.state.params.items():
         assert np.array_equal(second.state.params[key], value), key
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_frees_each_tape_before_the_next_step(arch, monkeypatch, gc_disabled):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=2
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
+    cfg = TrainConfig(
+        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
+        shift_channels=(0,), seed=9,
+    )
+    tapes, live_at_update = [], []
+
+    class CountedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    update = AdamState.update
+
+    def counted_update(self, *args, **kwargs):
+        live_at_update.append(sum(ref() is not None for ref in tapes))
+        return update(self, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "Tape", CountedTape)
+    monkeypatch.setattr(AdamState, "update", counted_update)
+    train(arch, spec, batches, cfg, coeffs_true=coeffs)
+    n_steps = cfg.epochs * len(batches.train_batches)
+    assert n_steps > cfg.epochs
+    assert live_at_update == [1] * n_steps
+    assert len(tapes) > n_steps and not any(ref() is not None for ref in tapes)

@@ -1,5 +1,7 @@
 """Tests for the reverse-mode tape."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,36 @@ def test_backward_table_holds_leaves_only():
     assert sorted(g) == leaves == [x.idx, w.idx, unused.idx, 3]
     assert np.array_equal(g[x.idx], [3.0, 3.0])
     assert g[unused.idx] == 0.0 and g[3].shape == (2, 1)
+
+
+def _record_every_primitive():
+    """Record and differentiate a graph using every primitive and a custom
+    node; return a weak reference to its tape and the gradient table."""
+    t = Tape()
+    x = t.leaf(np.array([0.5, -1.0, 2.0]))
+    m = t.leaf(np.arange(6.0).reshape(3, 2) / 6.0)
+    s = t.leaf(np.array(1.5))
+    mat = t.matmul(t.matmul(m, t.leaf(np.ones((2, 3)))), np.eye(3))
+    vecs = [
+        t.add(x, x), t.add(x, 1.0), t.add(x, s), t.sub(x, x), t.sub(x, 1.0), t.sub(s, x),
+        t.mul(x, x), t.mul(x, 2.0), t.mul(s, x), t.div(x, t.exp(x)), t.div(x, 2.0),
+        t.div(1.0, t.softplus(x)), t.scale(x, -1.0), -x, t.sigmoid(x), t.tanh(x),
+        t.relu(x), t.square(x), t.matvec(mat, x), t.matvec(np.eye(3), x),
+        t.matvec(mat, np.ones(3)),
+    ]
+    xv, sv = x.value, s.value
+    custom = t.custom_node(
+        [x, s], np.sum(xv) * sv, lambda g: [g * sv * np.ones_like(xv), g * np.sum(xv)]
+    )
+    cols = t.mulcol(t.mulcol(t.addcol(mat, x), x), np.ones(3))
+    loss = t.add(t.add(t.sum(t.concat(vecs)), t.mean(t.vslice(cols, 0, 2))), custom)
+    return weakref.ref(t), t.backward(loss)
+
+
+def test_recording_is_freed_by_reference_counting(gc_disabled):
+    tape_ref, grads = _record_every_primitive()
+    assert len(grads) == 4
+    assert tape_ref() is None
 
 
 def test_backward_requires_scalar():
