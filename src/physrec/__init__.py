@@ -16,12 +16,11 @@ from .dynamics import (
     SensingMask,
     SystemSpec,
     apply_sensing,
-    bilinearize,
     builtin_system,
     eval_rhs,
     load_system_config,
 )
-from .odesolve import InputSignal, SolverConfig, solve, step_rk4, zoh_value
+from .odesolve import InputSignal, solve
 from .signals import (
     EventList,
     Trace,

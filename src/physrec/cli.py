@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    EXPERIMENTS,
     ExperimentConfig,
     emit_report,
     generate_benchmark_data,
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     p_rec.set_defaults(fn=_cmd_recover)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment sweep")
-    p_sweep.add_argument("--experiment", required=True, choices=("c1", "c2", "c5", "aid", "eeg"))
+    p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--include-runtime", action="store_true")

@@ -30,10 +30,6 @@ class ConfigError(ValueError):
     """Raised when a system config file does not parse; carries a field path."""
 
 
-class NumericalError(RuntimeError):
-    """Raised when a numerical routine produces non-finite values."""
-
-
 @dataclass(frozen=True)
 class Factor:
     """One factor ``func(x[var]) ** power`` of a term."""
@@ -75,7 +71,6 @@ class SystemSpec:
     g_terms: tuple[Term, ...]
     coeff_names: tuple[str, ...]
     coeff_signs: tuple[str, ...]
-    rho: float | None = None
     resting: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -113,8 +108,6 @@ class SystemSpec:
             raise SpecError(f"coefficients never used in any term: {sorted(missing)}")
         if self.resting is not None and len(self.resting) != self.n:
             raise SpecError("resting vector length must equal n")
-        if self.rho is not None and not self.rho > 0:
-            raise SpecError("rho must be positive when declared")
 
     @property
     def p(self) -> int:
@@ -210,8 +203,8 @@ class CompiledRhs:
 
     Operates on batches: ``x`` is (S, n) and ``u`` is (S, m); results are
     (S, n).  ``columns(coeff_rows)`` turns (S, p) coefficient rows into one
-    weight×coefficient column per term and runs once per solve; ``full``
-    then multiplies each column by the term's factors in order and then by
+    weight×coefficient column per term and runs once per solve; ``full``,
+    the one evaluation path, walks the term table and multiplies each column by the term's factors in order and then by
     its input, and adds it to its equation, f-terms before g-terms and each
     in term order.  Every row therefore sees the same floating-point
     operations as summing the terms one by one, whatever else is in the
@@ -221,7 +214,6 @@ class CompiledRhs:
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         terms = (*spec.f_terms, *spec.g_terms)
-        self._n_f = len(spec.f_terms)
         self._scales = [
             (t.weight, None if t.coeff is None else spec.coeff_index(t.coeff)) for t in terms
         ]
@@ -237,10 +229,10 @@ class CompiledRhs:
             for w, ci in self._scales
         ]
 
-    @staticmethod
-    def _accumulate(table, x, cols, u):
+    def full(self, x, cols, u):
+        """``f(x, c) + g(x, c) u`` for every row; ``cols`` from ``columns``."""
         out = np.zeros_like(x)
-        for (state, factors, inp), v in zip(table, cols):
+        for (state, factors, inp), v in zip(self._table, cols):
             for var, power, func in factors:
                 col = x[:, var]
                 if func == "sin":
@@ -252,15 +244,6 @@ class CompiledRhs:
                 v = v * u[:, inp]
             out[:, state] += v
         return out
-
-    def drift(self, x, cols):
-        return self._accumulate(self._table[: self._n_f], x, cols[: self._n_f], None)
-
-    def input_effect(self, x, cols, u):
-        return self._accumulate(self._table[self._n_f :], x, cols[self._n_f :], u)
-
-    def full(self, x, cols, u):
-        return self._accumulate(self._table, x, cols, u)
 
 
 @lru_cache(maxsize=64)
@@ -286,122 +269,6 @@ def eval_rhs(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarray:
     return rhs.full(x[None, :], rhs.columns(c[None, :]), u[None, :])[0]
 
 
-def input_effect(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarray:
-    """Evaluate only the input-dependent part ``g(x, c) u``."""
-    x = _check_vec("x", x, spec.n)
-    u = _check_vec("u_total", u_total, spec.m)
-    c = _check_vec("coeffs", coeffs.values, spec.p)
-    rhs = compile_rhs(spec)
-    return rhs.input_effect(x[None, :], rhs.columns(c[None, :]), u[None, :])[0]
-
-
-def split_time_constant(spec: SystemSpec, coeffs: Coefficients, x) -> tuple[float, np.ndarray]:
-    """Split the drift into ``-x / tau`` plus a residual.
-
-    Returns ``(tau, residual)`` with ``residual = f(x) + x / tau`` so that
-    ``-x / tau + residual`` reproduces the drift exactly.
-    """
-    if spec.rho is None:
-        raise SpecError(f"system {spec.name!r} declares no time constant")
-    x = _check_vec("x", x, spec.n)
-    c = _check_vec("coeffs", coeffs.values, spec.p)
-    rhs = compile_rhs(spec)
-    f = rhs.drift(x[None, :], rhs.columns(c[None, :]))[0]
-    return spec.rho, f + x / spec.rho
-
-
-# ---------------------------------------------------------------------------
-# bilinear approximation of the input effect
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """First-order expansion of ``g(x) u`` around an operating point.
-
-    ``g(x) u ~= state_jac @ x + input_jac @ u + sum_j u[j] * cross_jac[j] @ x
-    + offset`` with the offset chosen so the expansion is exact at the
-    expansion point.
-    """
-
-    state_jac: np.ndarray  # n x n
-    input_jac: np.ndarray  # n x m
-    cross_jac: tuple[np.ndarray, ...]  # m arrays, each n x n
-    offset: np.ndarray  # n
-    tau: float | None
-
-    def evaluate(self, x, u) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = self.state_jac @ x + self.offset
-        if u.size:
-            out = out + self.input_jac @ u
-            for j, d in enumerate(self.cross_jac):
-                out = out + u[j] * (d @ x)
-        return out
-
-
-def bilinearize(
-    spec: SystemSpec,
-    coeffs: Coefficients,
-    x0,
-    u0,
-    h: float | None = None,
-) -> BilinearForm:
-    """Bilinear approximation of the input effect by central differences.
-
-    ``h`` defaults to ``1e-5 * max(1, |x0|_inf)`` (and the analogous value
-    for input perturbations), balancing truncation against rounding error.
-    """
-    x0 = _check_vec("x0", x0, spec.n)
-    u0 = _check_vec("u0", u0, spec.m)
-    rhs = compile_rhs(spec)
-    cols = rhs.columns(coeffs.values[None, :])
-
-    def gu(x, u):
-        return rhs.input_effect(x[None, :], cols, u[None, :])[0]
-
-    hx = h if h is not None else 1e-5 * max(1.0, np.max(np.abs(x0), initial=0.0))
-    hu = h if h is not None else 1e-5 * max(1.0, np.max(np.abs(u0), initial=0.0))
-    if not (hx > 0 and hu > 0):
-        raise SpecError("finite-difference step must be positive")
-
-    n, m = spec.n, spec.m
-    state_jac = np.zeros((n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = hx
-        state_jac[:, a] = (gu(x0 + e, u0) - gu(x0 - e, u0)) / (2 * hx)
-    input_jac = np.zeros((n, m))
-    cross = []
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = hu
-        input_jac[:, j] = (gu(x0, u0 + ej) - gu(x0, u0 - ej)) / (2 * hu)
-        dj = np.zeros((n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = hx
-            dj[:, a] = (
-                gu(x0 + e, u0 + ej)
-                - gu(x0 - e, u0 + ej)
-                - gu(x0 + e, u0 - ej)
-                + gu(x0 - e, u0 - ej)
-            ) / (4 * hx * hu)
-        cross.append(dj)
-
-    base = gu(x0, u0)
-    offset = base - state_jac @ x0
-    if m:
-        offset = offset - input_jac @ u0
-        for j in range(m):
-            offset = offset - u0[j] * (cross[j] @ x0)
-    form = BilinearForm(state_jac, input_jac, tuple(cross), offset, spec.rho)
-    for arr in (state_jac, input_jac, offset, *cross):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("non-finite entries in bilinear expansion")
-    return form
-
-
 # ---------------------------------------------------------------------------
 # built-in systems
 
@@ -421,7 +288,6 @@ def _lotka_volterra():
         g_terms=(Term(1, None, (), 1.0, input=0),),
         coeff_names=("a", "b", "c", "d"),
         coeff_signs=("nonneg",) * 4,
-        rho=2.0,
         resting=(100.0, 20.0),
     )
     return spec, spec.coefficients([0.5, 0.025, 0.5, 0.005])
@@ -445,7 +311,6 @@ def _lorenz():
         g_terms=(Term(0, "u_gain", (), 1.0, input=0),),
         coeff_names=("sigma", "rho", "beta", "u_gain"),
         coeff_signs=("nonneg",) * 4,
-        rho=1.0,
         resting=(0.0, 0.0, 0.0),
     )
     return spec, spec.coefficients([10.0, 28.0, 8.0 / 3.0, 1.0])
@@ -479,7 +344,6 @@ def _bergman_aid():
         ),
         coeff_names=("p1", "p2", "p3", "p4", "n", "inv_voi", "i_b", "g_b", "k_ctrl"),
         coeff_signs=("nonneg",) * 9,
-        rho=20.0,
         resting=(1.0, 0.0, 1.0),
     )
     # Time unit: minutes.  Glucose is carried in units of 100 mg/dL and
@@ -533,7 +397,6 @@ def _eeg_dvdp():
         g_terms=(Term(3, None, (), 1.0, input=0),),
         coeff_names=("k1", "k2", "b1", "b2", "eps1", "eps2"),
         coeff_signs=("nonneg",) * 6,
-        rho=1.0,
         resting=(0.1, 0.0, 0.1, 0.0),
     )
     return spec, spec.coefficients([1.0, 0.5, 1.0, 0.5, 0.2, 0.2])
@@ -591,7 +454,6 @@ def dump_system_config(spec: SystemSpec, coeffs: Coefficients, path) -> None:
         ],
         "f_terms": [_term_to_dict(t) for t in spec.f_terms],
         "g_terms": [_term_to_dict(t) for t in spec.g_terms],
-        "rho": spec.rho,
     }
     if spec.resting is not None:
         doc["resting"] = list(spec.resting)
@@ -628,7 +490,10 @@ def _parse_term(d: dict, path: str, want_input: bool) -> Term:
 
 
 def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
-    """Load a system spec + coefficient values from a JSON config file."""
+    """Load a system spec + coefficient values from a JSON config file.
+
+    Unknown top-level fields are ignored; dataset files written with a
+    ``"rho"`` time-constant field therefore still load."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -661,7 +526,6 @@ def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
             g_terms=g_terms,
             coeff_names=tuple(names),
             coeff_signs=tuple(signs),
-            rho=doc.get("rho"),
             resting=tuple(doc["resting"]) if "resting" in doc else None,
         )
         return spec, spec.coefficients(values)

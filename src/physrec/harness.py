@@ -30,7 +30,7 @@ from .dynamics import (
     load_system_config,
 )
 from .neural import RecoveryResult, TrainConfig, common_grid, recover
-from .odesolve import SolverConfig, integrate_batch
+from .odesolve import integrate_batch
 from .signals import Event, EventList, Trace, decimate, nyquist_rate
 from .sindy import (
     FunctionLibrary,
@@ -79,7 +79,6 @@ def scalar_decay_system() -> tuple[SystemSpec, Coefficients]:
         g_terms=(Term(0, None, (), 1.0, input=0),),
         coeff_names=("a",),
         coeff_signs=("nonneg",),
-        rho=1.0,
         resting=(0.0,),
     )
     return spec, spec.coefficients([1.0])
@@ -110,8 +109,7 @@ def _simulate_traces(spec, coeffs, x0_rows, u_rows, dt, substeps=10) -> np.ndarr
     T = x0_rows.shape[0]
     coeff_rows = np.repeat(coeffs.values[None, :], T, axis=0)
     states, diverged, t_fail = integrate_batch(
-        spec, coeff_rows, x0_rows, u_rows, u_rows.shape[2], dt,
-        SolverConfig(method="rk4", substeps=substeps),
+        spec, coeff_rows, x0_rows, u_rows, u_rows.shape[2], dt, substeps
     )
     if np.any(diverged):
         bad = int(np.nonzero(diverged)[0][0])
@@ -222,7 +220,6 @@ def lv_unit_system() -> tuple[SystemSpec, Coefficients]:
         g_terms=raw.g_terms,
         coeff_names=raw.coeff_names,
         coeff_signs=raw.coeff_signs,
-        rho=raw.rho,
         resting=(1.0, 1.0),
     )
     return spec, spec.coefficients([0.5, 0.5, 0.5, 0.5])
@@ -463,10 +460,12 @@ def apply_mask_to_traces(traces: list[Trace], mask: SensingMask) -> list[Trace]:
 # ---------------------------------------------------------------------------
 # experiment configuration and rows
 
+EXPERIMENTS = ("c1", "c2", "c5", "aid", "eeg", "single")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "c1"  # c1 | c2 | c5 | aid | eeg | single
+    experiment: str = "c1"  # one of EXPERIMENTS
     system: str = "lotka_volterra"
     arch: str = "ltc"  # ltc | ctrnn | node | sindyc
     seed: int = 0
@@ -579,7 +578,7 @@ def _sindy_rmse_y(xi, lib, traces) -> float:
         np.stack([tr.u for tr in traces]),
         k,
         dt,
-        SolverConfig(method="rk4", substeps=1),
+        substeps=1,
     )
     rmses = [
         float("inf") if bad else rmse_signal(est, tr.y)
@@ -861,6 +860,10 @@ def load_real_csv(trace_path, events_path=None, schema: dict | None = None):
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{trace_path}:{ln}: {len(row)} values for {len(header)} columns"
+                )
             try:
                 rows.append((ln, [float(v) for v in row]))
             except ValueError:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import Coefficients, SensingMask, SpecError, SystemSpec
-from .odesolve import SolverConfig, integrate_batch
+from .odesolve import integrate_batch
 from .signals import BatchSet, Trace, shift_signed
 from .tape import Tape, Var
 
@@ -248,7 +248,7 @@ def reconstruction_losses(
         u_all,
         k,
         dt,
-        SolverConfig(method="rk4", substeps=cfg.solve_substeps),
+        cfg.solve_substeps,
     )
 
     est = states[:, obs, 1:].reshape(B, nvar, len(obs), k - 1)
@@ -734,7 +734,7 @@ def train(
         u_all,
         k_eval,
         dt_eval,
-        SolverConfig(method="rk4", substeps=cfg.solve_substeps),
+        cfg.solve_substeps,
     )
     recons, rmses = [], []
     for b, w in enumerate(windows):

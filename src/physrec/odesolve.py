@@ -15,8 +15,6 @@ import numpy as np
 from .dynamics import Coefficients, SensingMask, SpecError, SystemSpec, compile_rhs
 from .signals import Trace
 
-METHODS = ("rk4", "euler", "semi_implicit_euler")
-
 DIVERGENCE_LIMIT = 1e9
 
 
@@ -26,18 +24,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float):
         super().__init__(f"state diverged at t={t:.6g}")
         self.t = t
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    method: str = "rk4"
-    substeps: int = 10
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise SpecError(f"unknown method {self.method!r}; supported: {METHODS}")
-        if self.substeps < 1:
-            raise SpecError("substeps must be >= 1")
 
 
 def zoh_index(times, t0: float, dt: float, k: int) -> np.ndarray:
@@ -81,30 +67,12 @@ class InputSignal:
         return zoh_index(t, self.t0, self.dt, self.k)
 
 
-def zoh_value(sig: InputSignal, t: float) -> np.ndarray:
-    """Channel values of the latest sample at or before ``t`` (held past the end)."""
-    return sig.channels[:, sig.index_at(t)].copy()
-
-
 def _rk4_stage(rhs, x, cols, u0, u_half, u1, h):
     k1 = rhs.full(x, cols, u0)
     k2 = rhs.full(x + 0.5 * h * k1, cols, u_half)
     k3 = rhs.full(x + 0.5 * h * k2, cols, u_half)
     k4 = rhs.full(x + h * k3, cols, u1)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _euler_stage(rhs, x, cols, u0, h):
-    return x + h * rhs.full(x, cols, u0)
-
-
-def _semi_implicit_stage(rhs, x, cols, u1, h):
-    # Backward-Euler target solved by two fixed-point sweeps seeded with an
-    # explicit predictor; adequate for the mildly stiff systems in scope.
-    x_new = x + h * rhs.full(x, cols, u1)
-    for _ in range(2):
-        x_new = x + h * rhs.full(x_new, cols, u1)
-    return x_new
 
 
 def integrate_batch(
@@ -114,7 +82,7 @@ def integrate_batch(
     u_rows: np.ndarray,
     k_out: int,
     dt: float,
-    cfg: SolverConfig,
+    substeps: int,
     u_dt: float | None = None,
     u_t0_offset: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +91,9 @@ def integrate_batch(
     ``coeff_rows`` is (S, p), ``x0_rows`` is (S, n) and ``u_rows`` is
     (S, m, k_sig): each trajectory carries its own coefficients and its
     own input samples (zero-order held, grid spacing ``u_dt`` which
-    defaults to the output spacing).  Returns ``(states, diverged,
+    defaults to the output spacing).  Each output interval ``dt`` takes
+    ``substeps`` classical RK4 steps, the stage inputs held at the
+    step's start, midpoint and end.  Returns ``(states, diverged,
     t_fail)`` where states is (S, n, k_out) and times of failure are
     relative to the grid start; diverged rows are frozen at their last
     finite value so the remaining rows keep integrating.
@@ -134,17 +104,18 @@ def integrate_batch(
     computed once per call (``CompiledRhs.columns``); each stage is one
     ``CompiledRhs.full`` call.
     """
+    if substeps < 1:
+        raise SpecError("substeps must be >= 1")
     rhs = compile_rhs(spec)
     cols = rhs.columns(coeff_rows)
     S, n = x0_rows.shape
     k_sig = u_rows.shape[2]
     if u_dt is None:
         u_dt = dt
-    sub = cfg.substeps
-    h = dt / sub
+    h = dt / substeps
 
     # Precompute zero-order-hold sample indices for every stage time.
-    stage_base = np.arange((k_out - 1) * sub) * h  # start time of each substep
+    stage_base = np.arange((k_out - 1) * substeps) * h  # start time of each substep
     idx0, idx_half, idx1 = (
         zoh_index(stage_base + offset * h, u_t0_offset, u_dt, k_sig) for offset in (0.0, 0.5, 1.0)
     )
@@ -156,17 +127,12 @@ def integrate_batch(
     t_fail = np.full(S, np.nan)
     with np.errstate(all="ignore"):
         for j in range(k_out - 1):
-            for s in range(sub):
-                q = j * sub + s
-                u0 = u_rows[:, :, idx0[q]]
-                if cfg.method == "rk4":
-                    x = _rk4_stage(
-                        rhs, x, cols, u0, u_rows[:, :, idx_half[q]], u_rows[:, :, idx1[q]], h
-                    )
-                elif cfg.method == "euler":
-                    x = _euler_stage(rhs, x, cols, u0, h)
-                else:
-                    x = _semi_implicit_stage(rhs, x, cols, u_rows[:, :, idx1[q]], h)
+            for s in range(substeps):
+                q = j * substeps + s
+                x = _rk4_stage(
+                    rhs, x, cols, u_rows[:, :, idx0[q]], u_rows[:, :, idx_half[q]],
+                    u_rows[:, :, idx1[q]], h,
+                )
             bad = alive & (
                 ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
             )
@@ -177,29 +143,6 @@ def integrate_batch(
                 x = np.where(alive[:, None], x, states[:, :, j])  # freeze dead rows
             states[:, :, j + 1] = x
     return states, ~alive, t_fail
-
-
-def step_rk4(
-    spec: SystemSpec,
-    coeffs: Coefficients,
-    x,
-    t: float,
-    h: float,
-    sig: InputSignal,
-) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step from ``t`` to ``t + h``."""
-    if not h > 0:
-        raise SpecError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    rhs = compile_rhs(spec)
-    cols = rhs.columns(coeffs.values[None, :])
-    u0 = zoh_value(sig, t)[None, :]
-    u_half = zoh_value(sig, t + 0.5 * h)[None, :]
-    u1 = zoh_value(sig, t + h)[None, :]
-    out = _rk4_stage(rhs, x[None, :], cols, u0, u_half, u1, h)[0]
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(t + h)
-    return out
 
 
 def _seed_initial_state(spec: SystemSpec, x0: np.ndarray, mask: SensingMask | None) -> np.ndarray:
@@ -220,15 +163,16 @@ def solve(
     x0,
     sig: InputSignal,
     t_grid,
-    cfg: SolverConfig = SolverConfig(),
+    substeps: int = 10,
     mask: SensingMask | None = None,
     return_full_state: bool = False,
 ) -> Trace:
     """Integrate and return the (masked) observation sequence on ``t_grid``.
 
-    ``t_grid`` must be strictly increasing and uniform.  When only the
-    observed part of the initial state is supplied, unobserved components
-    are seeded from the system's declared resting values.
+    ``t_grid`` must be strictly increasing and uniform; each of its
+    intervals takes ``substeps`` RK4 steps of ``integrate_batch``.  When
+    only the observed part of the initial state is supplied, unobserved
+    components are seeded from the system's declared resting values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -252,7 +196,7 @@ def solve(
         sig.channels[None, :, :],
         k,
         float(dt),
-        cfg,
+        substeps,
         u_dt=sig.dt,
         u_t0_offset=sig.t0 - float(t_grid[0]),
     )

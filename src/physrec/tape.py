@@ -192,28 +192,6 @@ class Tape:
             return self._record(av @ bv, (a, b), back)
         return self._record(av @ bv, (a,), lambda g, out: (g @ bv.T,))
 
-    def matvec(self, a, v):
-        a, a_is_var = self._coerce(a)
-        v, v_is_var = self._coerce(v)
-        av = a.value if a_is_var else a
-        vv = v.value if v_is_var else v
-        if av.ndim != 2 or vv.ndim != 1 or av.shape[1] != vv.shape[0]:
-            raise TapeError(f"matvec: incompatible shapes {av.shape} @ {vv.shape}")
-        parents, grads = [], []
-        if a_is_var:
-            parents.append(a)
-            grads.append(lambda g: np.outer(g, vv))
-        if v_is_var:
-            parents.append(v)
-            grads.append(lambda g: av.T @ g)
-        if not parents:
-            raise TapeError("matvec needs at least one Var operand")
-
-        def back(g, out):
-            return tuple(fn(g) for fn in grads)
-
-        return self._record(av @ vv, tuple(parents), back)
-
     def addcol(self, mat: Var, vec: Var):
         """Matrix plus column-broadcast vector."""
         mv, vv = mat.value, vec.value
@@ -250,18 +228,6 @@ class Tape:
         av = a.value
         n = av.size
         return self._record(np.mean(av), (a,), lambda g, out: (g * np.ones_like(av) / n,))
-
-    def concat(self, parts: list[Var]):
-        vals = [p.value for p in parts]
-        if any(v.ndim != 1 for v in vals):
-            raise TapeError("concat expects 1-D vectors")
-        sizes = [v.shape[0] for v in vals]
-        offs = np.cumsum([0] + sizes)
-
-        def back(g, out):
-            return tuple(g[offs[i] : offs[i + 1]] for i in range(len(sizes)))
-
-        return self._record(np.concatenate(vals), tuple(parts), back)
 
     def vslice(self, a: Var, start: int, stop: int):
         """Slice of the leading axis (rows of a matrix, span of a vector)."""

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from physrec import cli
+from physrec.harness import data_nyquist_rate, load_real_csv
 
 
 def test_generate_then_recover_sindyc(tmp_path):
@@ -71,6 +73,7 @@ def _sweep(tmp_path, experiment, arch, out_name, *flags, **fields):
         ("c1", "ltc", "lotka_volterra", 4),
         ("c2", "ltc", "lotka_volterra", 2),
         ("c5", "ltc", "lotka_volterra", 3),
+        ("single", "sindyc", "lotka_volterra", 1),
     ],
 )
 def test_sweep_fits_the_preset_system(experiment, arch, system, n_rows, tmp_path):
@@ -107,3 +110,16 @@ def test_identical_sweeps_write_identical_reports(fmt, tmp_path):
     assert reports[0] == reports[1]
     assert b"runtime_s" not in reports[0]
     assert b"runtime_s" in timed.read_bytes()
+
+
+def test_nyquist_prints_the_rate_of_the_loaded_traces(tmp_path, capsys):
+    # a pure 2 Hz tone sampled at 50 Hz: the 90%-power rate is twice the tone
+    path = tmp_path / "tone.csv"
+    t = np.arange(500) / 50.0
+    path.write_text("t,y1\n" + "".join(
+        f"{ti!r},{yi!r}\n" for ti, yi in zip(t.tolist(), np.sin(2 * np.pi * 2.0 * t).tolist())
+    ))
+    assert cli.main(["nyquist", "--data", str(path)]) == 0
+    rate = data_nyquist_rate(load_real_csv(path)[0])
+    assert capsys.readouterr().out == f"{rate:.6g}\n"
+    assert rate == pytest.approx(4.0)

@@ -1,5 +1,7 @@
 """Tests for the control-affine term-library module."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,11 @@ from physrec.dynamics import (
     SystemSpec,
     Term,
     apply_sensing,
-    bilinearize,
     builtin_system,
     compile_rhs,
     dump_system_config,
     eval_rhs,
-    input_effect,
     load_system_config,
-    split_time_constant,
 )
 
 
@@ -88,18 +87,6 @@ def test_linearity_in_coefficients():
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_time_constant_split_is_exact():
-    rng = np.random.default_rng(3)
-    for name in BUILTIN_NAMES:
-        spec, coeffs = builtin_system(name)
-        x = rng.normal(0.5, 0.3, spec.n)
-        tau, residual = split_time_constant(spec, coeffs, x)
-        drift = eval_rhs(spec, coeffs, x, np.zeros(spec.m)) - input_effect(
-            spec, coeffs, x, np.zeros(spec.m)
-        )
-        assert np.max(np.abs(-x / tau + residual - drift)) < 1e-12
-
-
 def test_sensing_mask():
     m = SensingMask((1, 1, 1))
     assert np.array_equal(apply_sensing(m, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
@@ -120,66 +107,6 @@ def test_sign_constraint_validation():
     spec.coefficients([0.0, 0.5, 0.5, 0.5])  # boundary allowed
 
 
-class TestBilinearize:
-    def test_constant_unit_input_effect(self):
-        # g(x) u = u: pure input feedthrough
-        spec = SystemSpec(
-            name="feed",
-            n=1,
-            m=1,
-            f_terms=(Term(0, "a", (Factor(0),), -1.0),),
-            g_terms=(Term(0, None, (), 1.0, input=0),),
-            coeff_names=("a",),
-            coeff_signs=("nonneg",),
-        )
-        coeffs = spec.coefficients([1.0])
-        form = bilinearize(spec, coeffs, [0.7], [0.3], h=1e-5)
-        assert abs(form.state_jac[0, 0]) < 1e-9
-        assert abs(form.input_jac[0, 0] - 1.0) < 1e-9
-        assert abs(form.cross_jac[0][0, 0]) < 1e-9
-
-    def test_scalar_bilinear_product(self):
-        # g(x) u = x u at (2, 3): dg/dx = 3, dg/du = 2, d2g/dxdu = 1
-        spec = SystemSpec(
-            name="prod",
-            n=1,
-            m=1,
-            f_terms=(Term(0, "a", (Factor(0),), -1.0),),
-            g_terms=(Term(0, "g", (Factor(0),), 1.0, input=0),),
-            coeff_names=("a", "g"),
-            coeff_signs=("nonneg", "nonneg"),
-        )
-        coeffs = spec.coefficients([1.0, 1.0])
-        form = bilinearize(spec, coeffs, [2.0], [3.0], h=1e-5)
-        assert abs(form.state_jac[0, 0] - 3.0) < 1e-6
-        assert abs(form.input_jac[0, 0] - 2.0) < 1e-6
-        assert abs(form.cross_jac[0][0, 0] - 1.0) < 1e-4
-
-    def test_bergman_meal_channel(self):
-        spec, coeffs = builtin_system("bergman_aid")
-        inv_voi = coeffs.values[spec.coeff_index("inv_voi")]
-        x0 = np.array([1.0, 0.2, 1.1])
-        u0 = np.array([0.5, 3.0])
-        form = bilinearize(spec, coeffs, x0, u0)
-        g_state = spec.n - 1  # glucose equation
-        assert abs(form.input_jac[g_state, 1] - inv_voi) < 1e-9
-        assert np.max(np.abs(form.state_jac[g_state])) < 1e-9
-        assert np.max(np.abs(form.cross_jac[1][g_state])) < 1e-9
-
-    def test_exact_at_expansion_point(self):
-        rng = np.random.default_rng(11)
-        for name in BUILTIN_NAMES:
-            spec, coeffs = builtin_system(name)
-            x0 = rng.normal(0.8, 0.3, spec.n)
-            u0 = rng.normal(0.0, 1.0, spec.m)
-            h = 1e-5 * max(1.0, np.max(np.abs(x0)))
-            form = bilinearize(spec, coeffs, x0, u0)
-            truth = input_effect(spec, coeffs, x0, u0)
-            approx = form.evaluate(x0, u0)
-            scale = max(1.0, float(np.max(np.abs(truth))))
-            assert np.max(np.abs(approx - truth)) <= 10 * h**2 * scale
-
-
 class TestConfigFiles:
     def test_minimal_decay_config(self, tmp_path):
         path = tmp_path / "sys.json"
@@ -198,6 +125,19 @@ class TestConfigFiles:
         spec, coeffs = builtin_system("lorenz")
         path = tmp_path / "lorenz.json"
         dump_system_config(spec, coeffs, path)
+        spec2, coeffs2 = load_system_config(path)
+        assert spec2 == spec
+        assert np.array_equal(coeffs2.values, coeffs.values)
+
+    def test_rho_field_is_ignored(self, tmp_path):
+        # dataset files may carry a "rho" time-constant field; it loads and
+        # is not written back
+        spec, coeffs = builtin_system("bergman_aid")
+        path = tmp_path / "system.json"
+        dump_system_config(spec, coeffs, path)
+        doc = json.loads(path.read_text())
+        assert "rho" not in doc
+        path.write_text(json.dumps({**doc, "rho": 20.0}))
         spec2, coeffs2 = load_system_config(path)
         assert spec2 == spec
         assert np.array_equal(coeffs2.values, coeffs.values)

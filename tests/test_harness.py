@@ -4,14 +4,17 @@ import json
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from physrec import harness
+from physrec.dynamics import ConfigError
 from physrec.harness import (
     ExperimentConfig,
     ReportRow,
     _sindy_rmse_y,
     emit_report,
     generate_benchmark_data,
+    load_real_csv,
     read_events_csv,
     read_report_json,
     rmse_signal,
@@ -163,3 +166,28 @@ def test_events_csv_round_trip(tmp_path):
     path = tmp_path / "events.csv"
     write_events_csv(events, path)
     assert read_events_csv(path) == events
+
+
+def test_load_real_csv_splits_at_gaps_and_reads_events(tmp_path):
+    # dt = 0.5; the 2.0 gap after t=1.5 is longer than 2 dt
+    trace_path = tmp_path / "trace.csv"
+    times = [0.0, 0.5, 1.0, 1.5, 3.5, 4.0, 4.5]
+    trace_path.write_text(
+        "t,u1,y1\n" + "".join(f"{t},{i % 2},{10.0 + i}\n" for i, t in enumerate(times))
+    )
+    events = EventList((Event(0, 0.75, 2.0), Event(0, 4.0, -1.0)))
+    events_path = tmp_path / "events.csv"
+    write_events_csv(events, events_path)
+    traces, got = load_real_csv(trace_path, events_path, schema={"y": ["y1"], "u": ["u1"]})
+    assert got == events
+    assert [(tr.t0, tr.dt, tr.k) for tr in traces] == [(0.0, 0.5, 4), (3.5, 0.5, 3)]
+    assert np.array_equal(traces[0].y, [[10.0, 11.0, 12.0, 13.0]])
+    assert np.array_equal(traces[1].u, [[0.0, 1.0, 0.0]])
+    assert traces[1].labels == ("y1", "u1")
+
+
+def test_load_real_csv_names_a_ragged_row(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,y1,y2\n0.0,1.0,2.0\n0.1,1.0\n0.2,1.0,2.0\n")
+    with pytest.raises(ConfigError, match=r"trace\.csv:3: 2 values for 3 columns"):
+        load_real_csv(path)

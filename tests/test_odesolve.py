@@ -15,11 +15,8 @@ from physrec.dynamics import (
 from physrec.odesolve import (
     DivergenceError,
     InputSignal,
-    SolverConfig,
     integrate_batch,
     solve,
-    step_rk4,
-    zoh_value,
 )
 
 
@@ -55,28 +52,42 @@ def zero_signal(m=1, k=2, dt=1.0):
     return InputSignal(0.0, dt, np.zeros((m, k)))
 
 
+def held(sig, t):
+    return sig.channels[:, sig.index_at(t)]
+
+
+def rk4_steps(spec, coeffs, x, h, steps):
+    """``steps`` RK4 steps of size ``h`` from ``x`` with a zero input."""
+    x = np.asarray(x, dtype=float)
+    states, diverged, _ = integrate_batch(
+        spec, coeffs.values[None, :], x[None, :], np.zeros((1, spec.m, 1)), steps + 1, h, 1
+    )
+    assert not diverged[0]
+    return states[0, :, -1]
+
+
 class TestZoh:
     def test_hold_within_interval(self):
         sig = InputSignal(0.0, 1.0, np.array([[0.0, 5.0, 0.0]]))
-        assert zoh_value(sig, 1.5)[0] == 5.0
+        assert held(sig, 1.5)[0] == 5.0
 
     def test_start_and_past_end(self):
         sig = InputSignal(0.0, 1.0, np.array([[3.0, 5.0, 7.0]]))
-        assert zoh_value(sig, 0.0)[0] == 3.0
-        assert zoh_value(sig, 99.0)[0] == 7.0
+        assert held(sig, 0.0)[0] == 3.0
+        assert held(sig, 99.0)[0] == 7.0
 
     def test_before_start_rejected(self):
         sig = zero_signal()
         with pytest.raises(SpecError):
-            zoh_value(sig, -0.5)
+            held(sig, -0.5)
 
     def test_solve_input_is_the_per_sample_hold(self):
         # output grid offset from and finer than the signal's, running past its end
         spec, coeffs = decay_system()
         sig = InputSignal(0.3, 0.1, (np.arange(12.0) ** 2)[None, :])
         t_grid = 0.37 + 0.03 * np.arange(60)
-        tr = solve(spec, coeffs, [0.0], sig, t_grid, SolverConfig(substeps=2))
-        want = np.stack([zoh_value(sig, t) for t in t_grid], axis=1)
+        tr = solve(spec, coeffs, [0.0], sig, t_grid, substeps=2)
+        want = np.stack([held(sig, t) for t in t_grid], axis=1)
         assert np.array_equal(tr.u, want)
         with pytest.raises(SpecError, match="precedes signal start"):
             solve(spec, coeffs, [0.0], sig, t_grid - 0.1)
@@ -89,29 +100,26 @@ class TestStepRk4:
         spec, coeffs = decay_system()
         z = -0.1
         expect = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        out = step_rk4(spec, coeffs, [1.0], 0.0, 0.1, zero_signal())
+        out = rk4_steps(spec, coeffs, [1.0], 0.1, 1)
         assert abs(out[0] - expect) < 1e-12
         # the 4th-order truncation gap to the true exponential is ~8.2e-8
         assert abs(out[0] - np.exp(-0.1)) < 1.2e-7
 
     def test_zero_rhs_leaves_state(self):
         spec, coeffs = decay_system(a=0.0)
-        out = step_rk4(spec, coeffs, [3.5], 0.0, 0.25, zero_signal())
+        out = rk4_steps(spec, coeffs, [3.5], 0.25, 1)
         assert out[0] == 3.5
 
     def test_harmonic_oscillator_period(self):
         spec, coeffs = oscillator_system()
-        h = 2 * np.pi / 1000
-        sig = zero_signal()
-        x = np.array([1.0, 0.0])
-        for i in range(1000):
-            x = step_rk4(spec, coeffs, x, i * h, h, sig)
+        x = rk4_steps(spec, coeffs, [1.0, 0.0], 2 * np.pi / 1000, 1000)
         assert np.max(np.abs(x - [1.0, 0.0])) < 1e-9
 
     def test_nonpositive_step_rejected(self):
         spec, coeffs = decay_system()
-        with pytest.raises(SpecError):
-            step_rk4(spec, coeffs, [1.0], 0.0, 0.0, zero_signal())
+        x0, u = np.ones((1, 1)), np.zeros((1, 1, 2))
+        with pytest.raises(SpecError, match="substeps"):
+            integrate_batch(spec, coeffs.values[None, :], x0, u, 2, 0.1, 0)
 
 
 class TestSolve:
@@ -177,24 +185,15 @@ class TestSolve:
 
 
 class TestConvergenceOrder:
-    def _endpoint_errors(self, method, substeps_list):
+    def test_rk4_fourth_order(self):
         spec, coeffs = decay_system()
         grid = np.arange(11) * 0.1
-        errs = []
-        for sub in substeps_list:
-            tr = solve(spec, coeffs, [1.0], zero_signal(), grid, SolverConfig(method, sub))
-            errs.append(abs(tr.y[0, -1] - np.exp(-1.0)))
-        return errs
-
-    def test_rk4_fourth_order(self):
-        errs = self._endpoint_errors("rk4", [1, 2, 4, 8])
+        errs = [
+            abs(solve(spec, coeffs, [1.0], zero_signal(), grid, sub).y[0, -1] - np.exp(-1.0))
+            for sub in (1, 2, 4, 8)
+        ]
         for a, b in zip(errs, errs[1:]):
             assert 12.0 <= a / b <= 20.0
-
-    def test_euler_first_order(self):
-        errs = self._endpoint_errors("euler", [1, 2, 4, 8])
-        for a, b in zip(errs, errs[1:]):
-            assert 1.8 <= a / b <= 2.2
 
     def test_substep_refinement_consistency(self):
         # doubling substeps moves the solution by less than the Richardson
@@ -207,16 +206,15 @@ class TestConvergenceOrder:
             x0 = spec.resting_state() + 0.05
             sols = {}
             for sub in (2, 4, 8):
-                sols[sub] = solve(spec, coeffs, x0, sig, grid, SolverConfig("rk4", sub)).y
+                sols[sub] = solve(spec, coeffs, x0, sig, grid, sub).y
             d_coarse = np.max(np.abs(sols[4] - sols[2]))
             d_fine = np.max(np.abs(sols[8] - sols[4]))
             richardson = d_coarse / 15.0
             assert d_fine <= max(richardson * 2.0, 1e-14)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler", "semi_implicit_euler"])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_integrate_batch_rows_are_independent(name, method):
+def test_integrate_batch_rows_are_independent(name):
     # a row solved alone equals the same row inside a batch bit for bit,
     # also next to a row that diverges
     spec, coeffs = builtin_system(name)
@@ -226,12 +224,11 @@ def test_integrate_batch_rows_are_independent(name, method):
     x0_rows = spec.resting_state()[None, :] + rng.uniform(-0.1, 0.1, size=(S, spec.n))
     x0_rows[2] = 2e9  # past the divergence limit after the first step
     u_rows = rng.uniform(0.0, 0.5, size=(S, spec.m, k))
-    cfg = SolverConfig(method, substeps=2)
-    states, diverged, t_fail = integrate_batch(spec, coeff_rows, x0_rows, u_rows, k, dt, cfg)
+    states, diverged, t_fail = integrate_batch(spec, coeff_rows, x0_rows, u_rows, k, dt, 2)
     assert diverged.tolist() == [False, False, True, False, False]
     for r in range(S):
         alone = integrate_batch(
-            spec, coeff_rows[r : r + 1], x0_rows[r : r + 1], u_rows[r : r + 1], k, dt, cfg
+            spec, coeff_rows[r : r + 1], x0_rows[r : r + 1], u_rows[r : r + 1], k, dt, 2
         )
         assert np.array_equal(alone[0][0], states[r])
         assert alone[1][0] == diverged[r]

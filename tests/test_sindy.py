@@ -132,7 +132,7 @@ class TestStridge:
 class TestSindycRecover:
     def _lv_unit_trace(self, k=3000, dt=0.05):
         from physrec.harness import lv_unit_system
-        from physrec.odesolve import SolverConfig, integrate_batch
+        from physrec.odesolve import integrate_batch
 
         spec, coeffs = lv_unit_system()
         rng = np.random.default_rng(4)
@@ -143,7 +143,7 @@ class TestSindycRecover:
         )[None, :]
         x0 = np.array([[1.0, 1.1]])
         states, div, _ = integrate_batch(
-            spec, coeffs.values[None, :], x0, u[None, :, :], k, dt, SolverConfig("rk4", 10)
+            spec, coeffs.values[None, :], x0, u[None, :, :], k, dt, 10
         )
         assert not div[0]
         return spec, coeffs, Trace(0.0, dt, states[0], u, ("x1", "x2", "u1"))
