@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
 
+from .dynamics import ConfigError
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -23,12 +25,24 @@ from .harness import (
 from .neural import recover
 
 
+def _preset_overrides(preset: str) -> dict:
+    """Generation overrides of ``--preset``: default | unperturbed |
+    shifted[:N], an input reported N >= 0 samples early (10 by default)."""
+    if preset == "default":
+        return {}
+    if preset == "unperturbed":
+        return {"perturbation": False}
+    match = re.fullmatch(r"shifted(?::([0-9]+))?", preset)
+    if match is None:
+        raise ConfigError(
+            f"unknown preset {preset!r}; expected default, unperturbed or shifted[:N]"
+        )
+    return {"injected_shift": int(match.group(1) or 10)}
+
+
 def _cmd_generate(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
-    if args.preset == "unperturbed":
-        overrides["perturbation"] = False
-    elif args.preset.startswith("shifted"):
-        overrides["injected_shift"] = int(args.preset.split(":", 1)[1]) if ":" in args.preset else 10
+    overrides.update(_preset_overrides(args.preset))
     spec, coeffs, traces, meta = generate_benchmark_data(args.system, overrides, seed=args.seed)
     save_dataset(args.out, spec, coeffs, traces, meta)
     print(f"wrote {len(traces)} traces for {spec.name} to {args.out}")

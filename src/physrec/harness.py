@@ -835,7 +835,12 @@ def read_events_csv(path) -> EventList:
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
-            t, ch, mag = float(row[0]), int(row[1]), float(row[2])
+            if len(row) != len(header):
+                raise ConfigError(f"{path}:{ln}: {len(row)} values for {len(header)} columns")
+            try:
+                t, ch, mag = float(row[0]), int(row[1]), float(row[2])
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: non-numeric value") from None
             if t < 0:
                 raise ConfigError(f"{path}:{ln}: negative event time {t}")
             events.append(Event(ch, t, mag))

@@ -420,13 +420,18 @@ def _cell_forward(
     explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
     ``hdot = tanh(z)``.  Here ``z = w_in u + w_rec h + b``.
 
-    The unroll runs in plain numpy and keeps the per-substep values its
-    backward-through-time needs.  Both passes are bit-identical to
-    recording every substep on the tape with its primitives: the forward
-    repeats their numpy operations in their order, and the backward
-    applies each primitive's backward expression and adds every fan-out
-    and every per-substep weight contribution in ``Tape.backward``'s order
-    (reverse recording order, first contribution first).
+    The unroll runs in plain numpy.  For its backward-through-time it keeps
+    each sample's input column and, per substep, the state it started from
+    and ``tanh(z)``; LTC also keeps ``f``, since recomputing ``logaddexp``
+    would double its backward.  The LTC backward rebuilds the step's
+    numerator and denominator from these with the forward's own
+    expressions, so it sees the same values bit for bit.  Both passes are
+    bit-identical to recording every substep on the tape with its
+    primitives: the forward repeats their numpy operations in their order,
+    and the backward applies each primitive's backward expression and adds
+    every fan-out and every per-substep weight contribution in
+    ``Tape.backward``'s order (reverse recording order, first contribution
+    first).
     """
     names = [key for key in CELL_LEAVES if key in leaves]
     w_in, w_rec, b = (leaves[key].value for key in CELL_LEAVES[:3])
@@ -442,7 +447,7 @@ def _cell_forward(
         target_col = leaves["cell.target"].value[:, None]
         leak_col = (inv_tau * delta)[:, None]
     h = np.zeros((w_rec.shape[0], B))
-    inputs, states, tanhs, ltc_parts = [], [], [], []
+    inputs, states, tanhs, fs = [], [], [], []
     for t in range(k):
         inp = np.ascontiguousarray(window_tensor[:, :, t].T)  # C x B
         inputs.append(inp)
@@ -453,9 +458,9 @@ def _cell_forward(
             tanhs.append(th)
             if arch == "ltc":
                 f = np.logaddexp(0.0, th)
+                fs.append(f)
                 num = h + f * target_col * delta
                 den = f * delta + leak_col + 1.0
-                ltc_parts.append((f, num, den))
                 h = num / den
             elif arch == "ctrnn":
                 h = h + (th - h * inv_col) * delta
@@ -469,7 +474,9 @@ def _cell_forward(
             for i in reversed(range(t * n_sub, (t + 1) * n_sub)):
                 h_prev, th = states[i], tanhs[i]
                 if arch == "ltc":
-                    f, num, den = ltc_parts[i]
+                    f = fs[i]
+                    num = h_prev + f * target_col * delta
+                    den = f * delta + leak_col + 1.0
                     g_num = g / den
                     g_den = -g * num / (den * den)
                     g_inv_tau = _acc(g_inv_tau, np.sum(g_den, axis=1) * delta)
@@ -611,6 +618,52 @@ def _project_signs(spec: SystemSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, lr_scale):
+    """One optimizer step on the training windows ``group``: forward, FD
+    solver loss, backward, clipped Adam update of ``params`` in place.
+    Returns the per-window losses.  The batch's tape, its ``Var``s and the
+    cell's saved arrays are locals here and die on return."""
+    windows = [batches.windows[i] for i in group]
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    coeff_var, d_var = _forward_tape(
+        tape, arch, spec, leaves, batches.tensor(group), dt, cfg, training=True, rng=rng,
+        coeff_scales=scales,
+    )
+    losses, g_c, g_d = reconstruction_losses(
+        spec, coeff_var.value.T, d_var.value.T, windows, cfg, want_grads=True
+    )
+    B = len(group)
+
+    def vjp(cot):
+        return [cot * g_c.T / B, cot * g_d.T / B]
+
+    loss_var = tape.custom_node([coeff_var, d_var], np.mean(losses), vjp)
+    grads_table = tape.backward(loss_var)
+    grads = {key: grads_table[leaf.idx] for key, leaf in leaves.items()}
+    if cfg.weight_grad_clip > 0:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if total > cfg.weight_grad_clip:
+            factor = cfg.weight_grad_clip / total
+            grads = {key: g * factor for key, g in grads.items()}
+    adam.update(params, grads, cfg, lr_scale)
+    if "cell.tau" in params:
+        np.clip(params["cell.tau"], 1e-3 * dt, None, out=params["cell.tau"])
+    return losses
+
+
+def _evaluate(arch, spec, params, tensor, dt, cfg, scales):
+    """Head outputs (coefficients p x B, shift fractions q x B) with dropout
+    off; the recording dies on return."""
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    coeff_var, d_var = _forward_tape(
+        tape, arch, spec, leaves, tensor, dt, cfg, training=False, rng=None,
+        coeff_scales=scales,
+    )
+    return coeff_var.value, d_var.value
+
+
 def train(
     arch: str,
     spec: SystemSpec,
@@ -625,6 +678,11 @@ def train(
     coefficient and shift estimates are the means of the per-window head
     outputs over the test split (train split when no test windows exist),
     evaluated without dropout.  Deterministic for a given seed.
+
+    Each training step and each evaluation group records on its own tape
+    inside a helper (``_train_step``, ``_evaluate``), and only arrays leave
+    it: one recording, with the cell's saved per-substep arrays, is alive
+    at a time.
     """
     if arch not in ARCHS:
         raise SpecError(f"unknown architecture {arch!r}")
@@ -665,33 +723,9 @@ def train(
         epoch_losses = []
         any_alive = False
         for group in train_groups:
-            tensor = batches.tensor(group)
-            windows = [batches.windows[i] for i in group]
-            tape = Tape()
-            leaves = {key: tape.leaf(v) for key, v in params.items()}
-            coeff_var, d_var = _forward_tape(
-                tape, arch, spec, leaves, tensor, dt, cfg, training=True, rng=rng,
-                coeff_scales=scales,
+            losses = _train_step(
+                arch, spec, batches, group, params, adam, dt, cfg, rng, scales, lr_scale
             )
-            losses, g_c, g_d = reconstruction_losses(
-                spec, coeff_var.value.T, d_var.value.T, windows, cfg, want_grads=True
-            )
-            B = len(group)
-
-            def vjp(cot, g_c=g_c, g_d=g_d, B=B):
-                return [cot * g_c.T / B, cot * g_d.T / B]
-
-            loss_var = tape.custom_node([coeff_var, d_var], np.mean(losses), vjp)
-            grads_table = tape.backward(loss_var)
-            grads = {key: grads_table[leaf.idx] for key, leaf in leaves.items()}
-            if cfg.weight_grad_clip > 0:
-                total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                if total > cfg.weight_grad_clip:
-                    factor = cfg.weight_grad_clip / total
-                    grads = {key: g * factor for key, g in grads.items()}
-            adam.update(params, grads, cfg, lr_scale)
-            if "cell.tau" in params:
-                np.clip(params["cell.tau"], 1e-3 * dt, None, out=params["cell.tau"])
             epoch_losses.append(float(np.mean(losses)))
             if np.any(losses < DIVERGED_LOSS):
                 any_alive = True
@@ -703,16 +737,12 @@ def train(
     eval_idx = batches.test_idx if batches.test_idx else batches.train_idx
     coeff_cols, d_cols = [], []
     for start in range(0, len(eval_idx), cfg.batch_size):
-        group = eval_idx[start : start + cfg.batch_size]
-        tensor = batches.tensor(group)
-        tape = Tape()
-        leaves = {key: tape.leaf(v) for key, v in params.items()}
-        coeff_var, d_var = _forward_tape(
-            tape, arch, spec, leaves, tensor, dt, cfg, training=False, rng=None,
-            coeff_scales=scales,
+        coeff_col, d_col = _evaluate(
+            arch, spec, params, batches.tensor(eval_idx[start : start + cfg.batch_size]),
+            dt, cfg, scales,
         )
-        coeff_cols.append(coeff_var.value)
-        d_cols.append(d_var.value)
+        coeff_cols.append(coeff_col)
+        d_cols.append(d_col)
     coeff_mat = np.hstack(coeff_cols)
     d_mat = np.hstack(d_cols)
     coeff_est = _project_signs(spec, np.mean(coeff_mat, axis=1))

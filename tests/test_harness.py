@@ -191,3 +191,20 @@ def test_load_real_csv_names_a_ragged_row(tmp_path):
     path.write_text("t,y1,y2\n0.0,1.0,2.0\n0.1,1.0\n0.2,1.0,2.0\n")
     with pytest.raises(ConfigError, match=r"trace\.csv:3: 2 values for 3 columns"):
         load_real_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [("0.5,0", r"events\.csv:3: 2 values for 3 columns"),
+     ("0.5,x,1", r"events\.csv:3: non-numeric value")],
+    ids=["short", "non-numeric"],
+)
+def test_events_csv_names_a_bad_row(row, message, tmp_path):
+    events_path = tmp_path / "events.csv"
+    events_path.write_text(f"t,channel,magnitude\n0.25,0,1.0\n{row}\n")
+    with pytest.raises(ConfigError, match=message):
+        read_events_csv(events_path)
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t,y1\n0.0,1.0\n0.5,2.0\n1.0,3.0\n")
+    with pytest.raises(ConfigError, match=message):
+        load_real_csv(trace_path, events_path)

@@ -1,5 +1,6 @@
 """Tests for the recurrent recovery module."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -284,3 +285,59 @@ def test_train_frees_each_tape_before_the_next_step(arch, monkeypatch, gc_disabl
     assert n_steps > cfg.epochs
     assert live_at_update == [1] * n_steps
     assert len(tapes) > n_steps and not any(ref() is not None for ref in tapes)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_holds_one_recording_at_each_cell_forward(arch, monkeypatch, gc_disabled):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=2
+    )
+    batches = make_batches(traces, batch_size=3, k_window=25, split_ratio=0.75, seed=2)
+    cfg = TrainConfig(
+        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
+        shift_channels=(0,), seed=9, batch_size=3,
+    )
+    tapes, live_at_cell = [], []
+
+    class CountedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    cell = neural._cell_forward
+
+    def counted_cell(*args, **kwargs):
+        live_at_cell.append(sum(ref() is not None for ref in tapes))
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "Tape", CountedTape)
+    monkeypatch.setattr(neural, "_cell_forward", counted_cell)
+    train(arch, spec, batches, cfg, coeffs_true=coeffs)
+    n_eval = -(-len(batches.test_idx) // cfg.batch_size)
+    n_steps = cfg.epochs * len(batches.train_batches)
+    assert n_eval > 1 and n_steps > cfg.epochs
+    # the initialization probe, every training step, every evaluation group
+    assert live_at_cell == [1] * (1 + n_steps + n_eval)
+    assert not any(ref() is not None for ref in tapes)
+
+
+def test_ltc_cell_saves_three_arrays_per_substep():
+    spec, _ = builtin_system("lotka_volterra")
+    cfg = TrainConfig(hidden_width=32, unfold_substeps=6)
+    rng = np.random.default_rng(4)
+    dt, k, B = 0.1, 200, 32
+    params = init_params("ltc", spec, 3, cfg, rng, dt, k)
+    tensor = rng.normal(0.0, 1.0, (B, 3, k))
+    tape = Tape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    tracemalloc.start()
+    try:
+        h = _cell_forward(tape, "ltc", leaves, tensor, dt, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.value.shape == (32, B)
+    # the state each substep starts from, tanh(z) and f: three (V, B)
+    # arrays, plus the per-sample inputs and bookkeeping
+    saved = 32 * B * 8 * k * cfg.unfold_substeps
+    assert peak < 3.2 * saved, peak / saved
