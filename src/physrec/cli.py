@@ -118,11 +118,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="simulate a benchmark dataset")
-    p_gen.add_argument("--system", required=True, help="preset name or system config path")
+    p_gen.add_argument(
+        "--system", required=True,
+        help="benchmark preset: scalar | lorenz | lotka_volterra | bergman_aid | eeg_dvdp",
+    )
     p_gen.add_argument("--preset", default="default", help="default | unperturbed | shifted[:N]")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--overrides", help="JSON dict of generation overrides")
+    p_gen.add_argument(
+        "--overrides",
+        help="JSON dict of generation overrides; the keys each preset reads are listed in "
+        "the docstring of physrec.harness.generate_benchmark_data",
+    )
     p_gen.set_defaults(fn=_cmd_generate)
 
     p_rec = sub.add_parser("recover", help="fit coefficients to a dataset directory")

@@ -4,7 +4,8 @@ Benchmark presets simulate the built-in systems under scripted forcing
 (smooth random pulses for the oscillator benchmarks, scheduled meals and
 boluses for the insulin system) and keep generation-time ground truth in
 trace metadata so timing-error experiments can score recovered shifts
-exactly.
+exactly.  A preset's truth is simulated once and can be reported with its
+input timestamps shifted by any number of samples.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import csv
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,111 +101,6 @@ def get_system(name_or_path: str) -> tuple[SystemSpec, Coefficients]:
 # benchmark data generation
 
 
-def _gauss_pulse_row(times: np.ndarray, centers, widths, amps) -> np.ndarray:
-    row = np.zeros_like(times)
-    for c, w, a in zip(centers, widths, amps):
-        row += a * np.exp(-0.5 * ((times - c) / w) ** 2)
-    return row
-
-
-def _simulate_traces(spec, coeffs, x0_rows, u_rows, dt, substeps=10) -> np.ndarray:
-    T = x0_rows.shape[0]
-    coeff_rows = np.repeat(coeffs.values[None, :], T, axis=0)
-    states, diverged, t_fail = integrate_batch(
-        spec, coeff_rows, x0_rows, u_rows, u_rows.shape[2], dt, substeps
-    )
-    if np.any(diverged):
-        bad = int(np.nonzero(diverged)[0][0])
-        raise SpecError(f"generation diverged on trace {bad} at t={t_fail[bad]:.3g}")
-    return states
-
-
-_PULSE_DEFAULTS = {
-    # pulse-train forcing presets
-    "scalar": dict(n_traces=64, k=200, dt=0.1, pulses=4, width=(0.25, 0.5), amp=(0.8, 2.0)),
-    "lorenz": dict(n_traces=8, k=4000, dt=0.002, pulses=6, width=(0.01, 0.03), amp=(20.0, 60.0)),
-}
-
-_LV_DEFAULTS = dict(
-    # The benchmark works in unit-normalized state coordinates (levels
-    # divided by the canonical resting stocks), which puts every
-    # coefficient at the same 0.5 magnitude.  Forcing is a sparse train of
-    # slow, gentle pulses: slow enough that a zero-order hold at the
-    # spectral sampling rate still represents them and that the
-    # conservative oscillation mode stays quiet, strong enough that the
-    # forced excursion pins the coefficient ratios.
-    n_traces=64,
-    k=2420,
-    dt=0.1,
-    pulses=5,
-    width=(5.0, 8.0),
-    amp=(0.015, 0.045),
-    x0_jitter=0.05,
-    x0_jitter_perturbed=0.0,
-)
-
-
-def _generate_pulsed(name, seed, perturbation=True, injected_shift=0, overrides=None):
-    cfg = dict(_PULSE_DEFAULTS[name])
-    if overrides:
-        cfg.update(overrides)
-    spec, coeffs = get_system(name)
-    rng = np.random.default_rng(seed)
-    T, k, dt = cfg["n_traces"], cfg["k"], cfg["dt"]
-    times = dt * np.arange(k)
-    horizon = times[-1]
-
-    x0_rows = np.repeat(spec.resting_state()[None, :], T, axis=0)
-    if name == "lorenz":
-        x0_rows += rng.normal(0.0, 1.0, x0_rows.shape) + np.array([1.0, 1.0, 25.0])
-
-    u_true = np.zeros((T, spec.m, k))
-    u_reported = np.zeros_like(u_true)
-    pulse_meta = []
-    for t_i in range(T):
-        n_p = cfg["pulses"]
-        centers = np.sort(rng.uniform(0.05 * horizon, 0.9 * horizon, n_p))
-        widths = rng.uniform(*cfg["width"], n_p)
-        amps = rng.uniform(*cfg["amp"], n_p) * rng.choice([-1.0, 1.0], n_p)
-        if not perturbation:
-            centers, widths, amps = centers[:0], widths[:0], amps[:0]
-        u_true[t_i, 0] = _gauss_pulse_row(times, centers, widths, amps)
-        u_reported[t_i, 0] = _gauss_pulse_row(
-            times, centers - injected_shift * dt, widths, amps
-        )
-        pulse_meta.append(
-            {"centers": centers.tolist(), "widths": widths.tolist(), "amps": amps.tolist()}
-        )
-    if not perturbation:
-        # unperturbed runs need initial-condition excitation instead
-        x0_rows[:, 0] = rng.uniform(0.5, 2.0, T)
-
-    states = _simulate_traces(spec, coeffs, x0_rows, u_true, dt)
-    labels = tuple(f"x{i+1}" for i in range(spec.n)) + tuple(f"u{j+1}" for j in range(spec.m))
-    traces = []
-    for t_i in range(T):
-        meta = {
-            "system": spec.name,
-            "coeffs_true": coeffs.values.tolist(),
-            "mask": (1,) * spec.n,
-            "injected_shift": injected_shift,
-            "pulses": pulse_meta[t_i],
-            "ext_channels": (0,),
-        }
-        traces.append(Trace(0.0, dt, states[t_i], u_reported[t_i], labels, meta))
-    meta = {
-        "system": spec.name,
-        "preset": name,
-        "seed": seed,
-        "coeffs_true": coeffs.values.tolist(),
-        "injected_shift": injected_shift,
-        "perturbation": perturbation,
-        "ext_channels": (0,),
-        "dt": dt,
-    }
-    return spec, coeffs, traces, meta
-
-
 def lv_unit_system() -> tuple[SystemSpec, Coefficients]:
     """The predator-prey benchmark in unit-normalized state coordinates.
 
@@ -225,198 +123,292 @@ def lv_unit_system() -> tuple[SystemSpec, Coefficients]:
     return spec, spec.coefficients([0.5, 0.5, 0.5, 0.5])
 
 
-def _generate_lv(seed, perturbation=True, injected_shift=0, overrides=None):
-    cfg = dict(_LV_DEFAULTS)
-    if overrides:
-        cfg.update(overrides)
-    spec, coeffs = lv_unit_system()
-    rng = np.random.default_rng(seed)
-    T, k, dt = cfg["n_traces"], cfg["k"], cfg["dt"]
+# A forcing rule ``forcing(cfg, x0_rows, rng) -> report`` draws the initial
+# states, displacing the resting ``x0_rows`` in place, and the true input
+# of every trace from ``rng``.  ``report(shift) -> (u, trace_meta,
+# dataset_meta)`` is the input as it is reported ``shift`` samples early,
+# with the metadata that depends on it; ``report(0)`` is the true input.
+# ``generate_benchmark_data`` lists the rule of each preset.
 
-    times = dt * np.arange(k)
-    x0_rows = np.repeat(spec.resting_state()[None, :], T, axis=0)
-    u_true = np.zeros((T, 1, k))
-    u_reported = np.zeros_like(u_true)
-    kick_meta = []
-    for t_i in range(T):
-        n_p = cfg["pulses"]
-        centers = np.sort(rng.uniform(0.05 * times[-1], 0.92 * times[-1], n_p))
+
+def _gauss_pulse_row(times: np.ndarray, centers, widths, amps) -> np.ndarray:
+    row = np.zeros_like(times)
+    for c, w, a in zip(centers, widths, amps):
+        row += a * np.exp(-0.5 * ((times - c) / w) ** 2)
+    return row
+
+
+def _draw_pulses(cfg, times, rng, last) -> list:
+    """Per trace, the sorted centers (in 5% to ``last`` of the horizon),
+    widths and signed amplitudes of ``cfg["pulses"]`` Gaussian pulses."""
+    n_p, horizon = cfg["pulses"], times[-1]
+    pulses = []
+    for _ in range(cfg["n_traces"]):
+        centers = np.sort(rng.uniform(0.05 * horizon, last * horizon, n_p))
         widths = rng.uniform(*cfg["width"], n_p)
         amps = rng.uniform(*cfg["amp"], n_p) * rng.choice([-1.0, 1.0], n_p)
-        if perturbation:
-            u_true[t_i, 0] = _gauss_pulse_row(times, centers, widths, amps)
-            u_reported[t_i, 0] = _gauss_pulse_row(
-                times, centers - injected_shift * dt, widths, amps
-            )
-        kick_meta.append(
-            {"centers": centers.tolist(), "widths": widths.tolist(), "amps": amps.tolist()}
-        )
+        pulses.append((centers, widths, amps))
+    return pulses
+
+
+def _pulse_report(pulses, times, dt, key, applied=True, dataset_meta=None):
+    def report(shift):
+        u = np.zeros((len(pulses), 1, times.size))
+        if applied:
+            for row, (centers, widths, amps) in zip(u, pulses):
+                row[0] = _gauss_pulse_row(times, centers - shift * dt, widths, amps)
+        trace_meta = [
+            {key: {"centers": c.tolist(), "widths": w.tolist(), "amps": a.tolist()}}
+            for c, w, a in pulses
+        ]
+        return u, trace_meta, dataset_meta or {}
+
+    return report
+
+
+def _pulsed_forcing(cfg, x0_rows, rng, x0_offset=None):
+    T, times = cfg["n_traces"], cfg["dt"] * np.arange(cfg["k"])
+    if x0_offset is not None:
+        x0_rows += rng.normal(0.0, 1.0, x0_rows.shape) + np.array(x0_offset)
+    pulses = _draw_pulses(cfg, times, rng, 0.9)
+    if not cfg["perturbation"]:
+        # unperturbed runs need initial-condition excitation instead
+        pulses = [(c[:0], w[:0], a[:0]) for c, w, a in pulses]
+        x0_rows[:, 0] = rng.uniform(0.5, 2.0, T)
+    return _pulse_report(pulses, times, cfg["dt"], "pulses")
+
+
+def _lv_forcing(cfg, x0_rows, rng):
+    T, times = cfg["n_traces"], cfg["dt"] * np.arange(cfg["k"])
+    kicks = _draw_pulses(cfg, times, rng, 0.92)
     # free-oscillation content comes from displacing the observed prey
     # stock; the hidden channel keeps its declared resting value so
     # hidden-state seeding stays exact
-    jitter = cfg["x0_jitter_perturbed"] if perturbation else cfg["x0_jitter"]
+    jitter = cfg["x0_jitter_perturbed"] if cfg["perturbation"] else cfg["x0_jitter"]
     if jitter:
         x0_rows[:, 1] += rng.uniform(-jitter, jitter, T)
-
-    states = _simulate_traces(spec, coeffs, x0_rows, u_true, dt)
-    labels = ("x1", "x2", "u1")
-    traces = []
-    for t_i in range(T):
-        meta = {
-            "system": spec.name,
-            "coeffs_true": coeffs.values.tolist(),
-            "mask": (1, 1),
-            "injected_shift": injected_shift,
-            "kicks": kick_meta[t_i],
-            "ext_channels": (0,),
-        }
-        traces.append(Trace(0.0, dt, states[t_i], u_reported[t_i], labels, meta))
-    meta = {
-        "system": spec.name,
-        "preset": "lotka_volterra",
-        "seed": seed,
-        "coeffs_true": coeffs.values.tolist(),
-        "injected_shift": injected_shift,
-        "perturbation": perturbation,
-        "ext_channels": (0,),
-        "dt": dt,
-        "units": "states per resting level",
-    }
-    return spec, coeffs, traces, meta
+    units = {"units": "states per resting level"}
+    return _pulse_report(kicks, times, cfg["dt"], "kicks", cfg["perturbation"], units)
 
 
-def _generate_bergman(seed, injected_shift=0, overrides=None):
-    cfg = dict(n_traces=14, k=200, dt=5.0, basal=0.25)
-    if overrides:
-        cfg.update(overrides)
-    spec, coeffs = get_system("bergman_aid")
-    rng = np.random.default_rng(seed)
+def _meal_forcing(cfg, x0_rows, rng):
     T, k, dt = cfg["n_traces"], cfg["k"], cfg["dt"]
-
-    u_true = np.zeros((T, 2, k))
-    u_reported = np.zeros_like(u_true)
-    u_true[:, 0, :] = cfg["basal"]
-    u_reported[:, 0, :] = cfg["basal"]
-    events_true, events_reported = [], []
-    for t_i in range(T):
+    if round(400.0 / dt) > k - 1:
+        raise ConfigError(
+            f"preset 'bergman_aid': meals fall up to 400 min, past the last sample "
+            f"at {(k - 1) * dt:g} min of a k={k}, dt={dt} grid"
+        )
+    insulin = np.zeros((T, 2, k))
+    insulin[:, 0, :] = cfg["basal"]
+    meals = []
+    for row in insulin:
         meal_t = rng.uniform(15.0, 400.0)
         carbs = rng.uniform(0.0, 28.0)
         bolus = rng.uniform(0.0, 40.0)
         meal_idx = int(round(meal_t / dt))
-        bolus_idx = min(meal_idx + rng.integers(0, 3), k - 1)
-        u_true[t_i, 1, meal_idx] += carbs
-        u_true[t_i, 0, bolus_idx] += bolus / 4.0
-        u_reported[t_i, 0, bolus_idx] += bolus / 4.0
-        reported_idx = max(meal_idx - injected_shift, 0)
-        u_reported[t_i, 1, reported_idx] += carbs
-        events_true.append((1, meal_idx * dt, carbs))
-        events_reported.append((1, reported_idx * dt, carbs))
+        row[0, min(meal_idx + rng.integers(0, 3), k - 1)] += bolus / 4.0
+        meals.append((meal_idx, carbs))
 
-    x0_rows = np.repeat(spec.resting_state()[None, :], T, axis=0)
-    states = _simulate_traces(spec, coeffs, x0_rows, u_true, dt)
-    labels = ("i", "i_s", "g", "insulin", "meal")
-    traces = []
-    for t_i in range(T):
-        meta = {
-            "system": spec.name,
-            "coeffs_true": coeffs.values.tolist(),
-            "mask": (1, 1, 1),
-            "injected_shift": injected_shift,
-            "event_true": events_true[t_i],
-            "event_reported": events_reported[t_i],
-            "ext_channels": (1,),
-        }
-        traces.append(Trace(0.0, dt, states[t_i], u_reported[t_i], labels, meta))
-    meta = {
-        "system": spec.name,
-        "preset": "bergman_aid",
-        "seed": seed,
-        "coeffs_true": coeffs.values.tolist(),
-        "injected_shift": injected_shift,
-        "ext_channels": (1,),
-        "dt": dt,
-        "events_true": events_true,
-        "events_reported": events_reported,
-    }
-    return spec, coeffs, traces, meta
+    def report(shift):
+        u = insulin.copy()
+        events_true, events_reported = [], []
+        for row, (meal_idx, carbs) in zip(u, meals):
+            reported_idx = max(meal_idx - shift, 0)
+            row[1, reported_idx] += carbs
+            events_true.append((1, meal_idx * dt, carbs))
+            events_reported.append((1, reported_idx * dt, carbs))
+        trace_meta = [
+            {"event_true": e, "event_reported": r} for e, r in zip(events_true, events_reported)
+        ]
+        return u, trace_meta, {"events_true": events_true, "events_reported": events_reported}
+
+    return report
 
 
-def _generate_eeg(seed, input_kind="sine", injected_shift=0, overrides=None):
-    cfg = dict(n_traces=16, k=1200, dt=0.02, amp=0.6, freq=0.35, wiener_scale=0.8)
-    if overrides:
-        cfg.update(overrides)
-    spec, coeffs = get_system("eeg_dvdp")
-    rng = np.random.default_rng(seed)
-    T, k, dt = cfg["n_traces"], cfg["k"], cfg["dt"]
+def _eeg_forcing(cfg, x0_rows, rng):
+    T, k, dt, kind = cfg["n_traces"], cfg["k"], cfg["dt"], cfg["input_kind"]
+    if kind not in ("sine", "wiener"):
+        raise ConfigError(f"preset 'eeg_dvdp': unknown input_kind {kind!r}; use sine or wiener")
     times = dt * np.arange(k)
-
     u_true = np.zeros((T, 1, k))
-    for t_i in range(T):
-        if input_kind == "sine":
+    for row in u_true:
+        if kind == "sine":
             phase = rng.uniform(0.0, 2 * np.pi)
-            u_true[t_i, 0] = cfg["amp"] * np.sin(2 * np.pi * cfg["freq"] * times + phase)
-        elif input_kind == "wiener":
-            # pre-sampled Wiener increments per grid cell, held between samples
-            u_true[t_i, 0] = cfg["wiener_scale"] * rng.normal(0.0, 1.0, k) * np.sqrt(dt) / dt
+            row[0] = cfg["amp"] * np.sin(2 * np.pi * cfg["freq"] * times + phase)
         else:
-            raise SpecError(f"unknown eeg input kind {input_kind!r}")
-    u_reported = np.roll(u_true, -injected_shift, axis=2) if injected_shift else u_true.copy()
-    if injected_shift:
-        u_reported[:, :, -injected_shift:] = 0.0
-
-    x0_rows = np.repeat(spec.resting_state()[None, :], T, axis=0)
+            # pre-sampled Wiener increments per grid cell, held between samples
+            row[0] = cfg["wiener_scale"] * rng.normal(0.0, 1.0, k) * np.sqrt(dt) / dt
     x0_rows[:, 0] += rng.uniform(-0.2, 0.2, T)
     x0_rows[:, 2] += rng.uniform(-0.2, 0.2, T)
-    states = _simulate_traces(spec, coeffs, x0_rows, u_true, dt)
-    labels = ("x1", "v1", "x2", "v2", "u1")
-    traces = []
-    for t_i in range(T):
-        meta = {
+
+    def report(shift):
+        u = np.roll(u_true, -shift, axis=2) if shift else u_true.copy()
+        if shift:
+            u[:, :, -shift:] = 0.0
+        return u, [{"input_kind": kind}] * T, {"input_kind": kind}
+
+    return report
+
+
+@dataclass(frozen=True)
+class _Preset:
+    system: Callable[[], tuple[SystemSpec, Coefficients]]
+    labels: tuple[str, ...]
+    ext_channels: tuple[int, ...]  # inputs whose reported timing can be wrong
+    forcing: Callable
+    defaults: dict  # every override key the preset reads but injected_shift
+
+
+_PRESETS = {
+    "scalar": _Preset(
+        scalar_decay_system, ("x1", "u1"), (0,), _pulsed_forcing,
+        dict(n_traces=64, k=200, dt=0.1, pulses=4, width=(0.25, 0.5), amp=(0.8, 2.0),
+             perturbation=True),
+    ),
+    "lorenz": _Preset(
+        partial(builtin_system, "lorenz"), ("x1", "x2", "x3", "u1"), (0,),
+        partial(_pulsed_forcing, x0_offset=(1.0, 1.0, 25.0)),
+        dict(n_traces=8, k=4000, dt=0.002, pulses=6, width=(0.01, 0.03), amp=(20.0, 60.0),
+             perturbation=True),
+    ),
+    # The benchmark works in unit-normalized state coordinates (levels
+    # divided by the canonical resting stocks), which puts every
+    # coefficient at the same 0.5 magnitude.  Forcing is a sparse train of
+    # slow, gentle pulses: slow enough that a zero-order hold at the
+    # spectral sampling rate still represents them and that the
+    # conservative oscillation mode stays quiet, strong enough that the
+    # forced excursion pins the coefficient ratios.
+    "lotka_volterra": _Preset(
+        lv_unit_system, ("x1", "x2", "u1"), (0,), _lv_forcing,
+        dict(n_traces=64, k=2420, dt=0.1, pulses=5, width=(5.0, 8.0), amp=(0.015, 0.045),
+             x0_jitter=0.05, x0_jitter_perturbed=0.0, perturbation=True),
+    ),
+    "bergman_aid": _Preset(
+        partial(builtin_system, "bergman_aid"), ("i", "i_s", "g", "insulin", "meal"), (1,),
+        _meal_forcing, dict(n_traces=14, k=200, dt=5.0, basal=0.25),
+    ),
+    "eeg_dvdp": _Preset(
+        partial(builtin_system, "eeg_dvdp"), ("x1", "v1", "x2", "v2", "u1"), (0,), _eeg_forcing,
+        dict(n_traces=16, k=1200, dt=0.02, amp=0.6, freq=0.35, wiener_scale=0.8,
+             input_kind="sine"),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Truth:
+    """A preset simulated once: its merged config, the true states of every
+    trace and the forcing's report rule."""
+
+    preset: str
+    seed: int
+    cfg: dict
+    spec: SystemSpec
+    coeffs: Coefficients
+    states: np.ndarray  # traces x n x k
+    report: Callable
+
+
+def _shift_samples(value) -> int:
+    shift = int(value)
+    if shift < 0:
+        raise ConfigError(f"injected_shift must be >= 0 samples, got {shift}")
+    return shift
+
+
+def _simulate(preset: str, overrides: dict, seed: int) -> _Truth:
+    """Merge ``overrides`` into the preset's defaults, draw the forcing and
+    integrate the true input, once for every ``injected_shift``."""
+    if preset not in _PRESETS:
+        raise SpecError(f"no generation preset for system {preset!r}")
+    row = _PRESETS[preset]
+    # a preset without a perturbation default has no unperturbed variant
+    cfg = {"injected_shift": 0, "perturbation": True, **row.defaults}
+    for key in overrides:
+        if key not in cfg:
+            raise ConfigError(
+                f"preset {preset!r} reads no override {key!r}; it reads {', '.join(cfg)}"
+            )
+    cfg.update(overrides)
+    cfg["injected_shift"] = _shift_samples(cfg["injected_shift"])
+    cfg["perturbation"] = bool(cfg["perturbation"])
+    if not cfg["perturbation"] and "perturbation" not in row.defaults:
+        raise ConfigError(f"preset {preset!r} has no unperturbed variant (perturbation: false)")
+    spec, coeffs = row.system()
+    x0_rows = np.repeat(spec.resting_state()[None, :], cfg["n_traces"], axis=0)
+    report = row.forcing(cfg, x0_rows, np.random.default_rng(seed))
+    u_true = report(0)[0]
+    coeff_rows = np.repeat(coeffs.values[None, :], cfg["n_traces"], axis=0)
+    states, diverged, t_fail = integrate_batch(
+        spec, coeff_rows, x0_rows, u_true, u_true.shape[2], cfg["dt"], 10
+    )
+    if np.any(diverged):
+        bad = int(np.nonzero(diverged)[0][0])
+        raise SpecError(f"generation diverged on trace {bad} at t={t_fail[bad]:.3g}")
+    return _Truth(preset, seed, cfg, spec, coeffs, states, report)
+
+
+def _package(truth: _Truth, injected_shift: int):
+    """(spec, coeffs, traces, meta) of the truth with its external input
+    reported ``injected_shift`` samples early."""
+    row, spec, coeffs, dt = _PRESETS[truth.preset], truth.spec, truth.coeffs, truth.cfg["dt"]
+    u_reported, trace_meta, dataset_meta = truth.report(injected_shift)
+    traces = [
+        Trace(0.0, dt, y, u, row.labels, {
             "system": spec.name,
             "coeffs_true": coeffs.values.tolist(),
-            "mask": (1, 1, 1, 1),
+            "mask": (1,) * spec.n,
             "injected_shift": injected_shift,
-            "input_kind": input_kind,
-            "ext_channels": (0,),
-        }
-        traces.append(Trace(0.0, dt, states[t_i], u_reported[t_i], labels, meta))
+            **items,
+            "ext_channels": row.ext_channels,
+        })
+        for y, u, items in zip(truth.states, u_reported, trace_meta)
+    ]
     meta = {
         "system": spec.name,
-        "preset": "eeg_dvdp",
-        "seed": seed,
-        "input_kind": input_kind,
+        "preset": truth.preset,
+        "seed": truth.seed,
         "coeffs_true": coeffs.values.tolist(),
         "injected_shift": injected_shift,
-        "ext_channels": (0,),
-        "dt": dt,
     }
+    if "perturbation" in row.defaults:
+        meta["perturbation"] = truth.cfg["perturbation"]
+    meta.update(ext_channels=row.ext_channels, dt=dt, **dataset_meta)
     return spec, coeffs, traces, meta
 
 
 def generate_benchmark_data(system: str, cfg: dict | None = None, seed: int = 0):
     """Simulate a benchmark preset; returns (spec, coeffs, traces, meta).
 
-    ``cfg`` overrides preset fields (counts, rates, forcing scales) and the
-    common keys ``perturbation``, ``injected_shift`` and, for the EEG
-    preset, ``input_kind``.  Deterministic per seed.
+    ``cfg`` overrides the preset keys listed below; a key the preset does
+    not read is a ConfigError naming it.  Every preset also reads
+    ``injected_shift`` (samples, >= 0, default 0): the traces then report
+    the external input that many samples early, and their states are the
+    same as at shift 0.  Deterministic per seed.
+
+    - ``scalar`` (xdot = -a x + u) and ``lorenz``: ``n_traces``, ``k``,
+      ``dt``, ``pulses``, ``width``, ``amp``, ``perturbation``.  Gaussian
+      pulse trains on u1, each pulse reported ``injected_shift * dt``
+      early.  ``perturbation: false`` applies no pulses and starts x1 at
+      U(0.5, 2).
+    - ``lotka_volterra`` (unit-normalized): the ``scalar`` keys plus
+      ``x0_jitter`` and ``x0_jitter_perturbed``, the x2 displacement of
+      unperturbed and perturbed runs.  Kicks on u1, reported as for
+      ``scalar``; ``perturbation: false`` draws them and applies none.
+    - ``bergman_aid``: ``n_traces``, ``k``, ``dt``, ``basal``.  One meal
+      per trace on the ``meal`` input at U(15, 400) min, reported at sample
+      ``max(idx - injected_shift, 0)``; the insulin bolus is reported on
+      time.  The grid must reach 400 min.
+    - ``eeg_dvdp``: ``n_traces``, ``k``, ``dt``, ``amp``, ``freq``,
+      ``wiener_scale``, ``input_kind`` (``sine`` or ``wiener``).  The input
+      is reported rolled ``injected_shift`` samples early, its last
+      ``injected_shift`` samples zero.
+
+    ``bergman_aid`` and ``eeg_dvdp`` have no unperturbed variant:
+    ``perturbation: false`` is a ConfigError there.
     """
-    cfg = dict(cfg or {})
-    injected = int(cfg.pop("injected_shift", 0))
-    perturbation = bool(cfg.pop("perturbation", True))
-    input_kind = cfg.pop("input_kind", "sine")
-    if system == "lotka_volterra":
-        return _generate_lv(
-            seed, perturbation=perturbation, injected_shift=injected, overrides=cfg
-        )
-    if system in ("scalar", "lorenz"):
-        return _generate_pulsed(
-            system, seed, perturbation=perturbation, injected_shift=injected, overrides=cfg
-        )
-    if system == "bergman_aid":
-        return _generate_bergman(seed, injected_shift=injected, overrides=cfg)
-    if system == "eeg_dvdp":
-        return _generate_eeg(seed, input_kind=input_kind, injected_shift=injected, overrides=cfg)
-    raise SpecError(f"no generation preset for system {system!r}")
+    truth = _simulate(system, cfg or {}, seed)
+    return _package(truth, truth.cfg["injected_shift"])
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +675,14 @@ def _fit_point(cfg, spec, coeffs_true, traces, factor, point, train_cfg) -> Repo
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     """Execute one experiment sweep; one row per sweep point.
 
-    Per-point failures are recorded in their row and the sweep continues.
+    ``c5`` and ``aid`` simulate their preset once per seed and report that
+    one truth at the baseline and at every injected shift.  Per-point
+    failures, and ``c2``'s unperturbed data of a preset without that
+    variant, are recorded in their row and the sweep continues.
     """
-    gen_overrides = dict(cfg.generation)
+    gen_overrides = {**dict(cfg.generation), "perturbation": cfg.perturbation}
     if cfg.experiment in ("single", "c1", "c2"):
-        spec, coeffs_true, traces, _meta = generate_benchmark_data(
-            cfg.system, {**gen_overrides, "perturbation": cfg.perturbation}, seed=cfg.seed
-        )
+        spec, coeffs_true, traces, _ = generate_benchmark_data(cfg.system, gen_overrides, cfg.seed)
     rows: list[ReportRow] = []
 
     if cfg.experiment == "single":
@@ -709,38 +702,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         rows.append(
             _fit_point(cfg, spec, coeffs_true, traces, factor, "perturbed", cfg.train)
         )
-        spec2, coeffs2, traces_np, _ = generate_benchmark_data(
-            cfg.system, {**gen_overrides, "perturbation": False}, seed=cfg.seed
-        )
-        rows.append(
-            _fit_point(cfg, spec2, coeffs2, traces_np, factor, "unperturbed", cfg.train)
-        )
+        t0 = time.perf_counter()
+        try:
+            spec2, coeffs2, traces_np, _ = generate_benchmark_data(
+                cfg.system, {**gen_overrides, "perturbation": False}, seed=cfg.seed
+            )
+        except ConfigError as e:
+            nan = float("nan")
+            rows.append(_row(cfg, "unperturbed", factor, nan, nan, (), (), t0, f"error: {e}"))
+        else:
+            rows.append(
+                _fit_point(cfg, spec2, coeffs2, traces_np, factor, "unperturbed", cfg.train)
+            )
 
     elif cfg.experiment in ("c5", "aid"):
-        system = _fitted_system(cfg)
-        # the bergman_aid preset has no perturbation switch and ignores it
-        gen_overrides["perturbation"] = cfg.perturbation
-        spec, coeffs_true, base_traces, meta = generate_benchmark_data(
-            system, gen_overrides, seed=cfg.seed
-        )
-        ext = tuple(meta["ext_channels"])
-        factor = 1
+        shifts = [_shift_samples(s) for s in cfg.injected_shifts]
+        truth = _simulate(_fitted_system(cfg), gen_overrides, cfg.seed)
+        spec, coeffs_true, base_traces, meta = _package(truth, truth.cfg["injected_shift"])
         off = replace(cfg.train, shift_channels=())
-        rows.append(_fit_point(cfg, spec, coeffs_true, base_traces, factor, "baseline", off))
-        for s in cfg.injected_shifts:
-            _, _, shifted, _ = generate_benchmark_data(
-                system, {**gen_overrides, "injected_shift": int(s)}, seed=cfg.seed
+        on = replace(cfg.train, shift_channels=tuple(meta["ext_channels"]))
+        rows.append(_fit_point(cfg, spec, coeffs_true, base_traces, 1, "baseline", off))
+        for s, shift in zip(cfg.injected_shifts, shifts):
+            traces = _package(truth, shift)[2]
+            rows.append(
+                _fit_point(cfg, spec, coeffs_true, traces, 1, f"shift={s}/search_off", off)
             )
             rows.append(
-                _fit_point(
-                    cfg, spec, coeffs_true, shifted, factor, f"shift={s}/search_off", off
-                )
-            )
-            on = replace(cfg.train, shift_channels=ext)
-            rows.append(
-                _fit_point(
-                    cfg, spec, coeffs_true, shifted, factor, f"shift={s}/search_on", on
-                )
+                _fit_point(cfg, spec, coeffs_true, traces, 1, f"shift={s}/search_on", on)
             )
 
     elif cfg.experiment == "eeg":

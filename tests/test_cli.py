@@ -153,3 +153,23 @@ def test_generate_applies_each_preset(preset, meta, tmp_path):
     assert code == 0
     saved = load_dataset(out)[3]
     assert {key: saved[key] for key in meta} == meta
+
+
+@pytest.mark.parametrize(
+    "system,overrides,message",
+    [
+        ("lotka_volterra", {"n_trace": 2}, "preset 'lotka_volterra' reads no override 'n_trace'"),
+        ("scalar", {"input_kind": "sine"}, "preset 'scalar' reads no override 'input_kind'"),
+        ("bergman_aid", {"perturbation": False}, "preset 'bergman_aid' has no unperturbed"),
+        ("eeg_dvdp", {"perturbation": False}, "preset 'eeg_dvdp' has no unperturbed variant"),
+        ("bergman_aid", {"dt": 1.0}, "meals fall up to 400 min"),
+        ("bergman_aid", {"injected_shift": -150}, "injected_shift must be >= 0 samples"),
+        ("eeg_dvdp", {"injected_shift": -5}, "injected_shift must be >= 0 samples"),
+    ],
+)
+def test_generate_rejects_what_the_preset_cannot_do(system, overrides, message, tmp_path, capsys):
+    out = tmp_path / "data"
+    code = cli.main(["generate", "--system", system, "--out", str(out),
+                     "--overrides", json.dumps(overrides)])
+    assert code == 1 and not out.exists()
+    assert message in capsys.readouterr().err

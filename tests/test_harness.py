@@ -1,7 +1,7 @@
 """Tests for the experiment harness."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -126,13 +126,13 @@ def test_experiment_config_from_json_normalizes_arrays():
 
 def test_c5_generation_honours_perturbation(monkeypatch):
     seen = []
-    generate = harness.generate_benchmark_data
+    simulate = harness._simulate
 
-    def spy(system, overrides=None, seed=0):
-        seen.append(dict(overrides or {}))
-        return generate(system, overrides, seed=seed)
+    def spy(preset, overrides, seed):
+        seen.append(dict(overrides))
+        return simulate(preset, overrides, seed)
 
-    monkeypatch.setattr(harness, "generate_benchmark_data", spy)
+    monkeypatch.setattr(harness, "_simulate", spy)
     cfg = ExperimentConfig(
         experiment="c5",
         perturbation=False,
@@ -143,8 +143,135 @@ def test_c5_generation_honours_perturbation(monkeypatch):
     )
     rows = run_experiment(cfg)
     assert [r.status for r in rows] == ["ok"] * 3
-    assert len(seen) == 2
-    assert all(overrides.get("perturbation") is False for overrides in seen), seen
+    assert len(seen) == 1
+    assert seen[0].get("perturbation") is False, seen
+
+
+@pytest.mark.parametrize("experiment", ["c5", "aid"])
+def test_shift_sweeps_make_one_generation_solve(experiment, monkeypatch):
+    solves = []
+    integrate = harness.integrate_batch
+
+    def spy(*args, **kwargs):
+        solves.append(args[1].shape[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate_batch", spy)
+    cfg = ExperimentConfig(
+        experiment=experiment,
+        injected_shifts=(3, 10, 20),
+        k_window=50,
+        generation=(("k", 200), ("n_traces", 2)),
+        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+    )
+    rows = run_experiment(cfg)
+    assert [r.status for r in rows] == ["ok"] * 7
+    assert solves == [2]  # the ltc fits solve through neural's own binding
+    with pytest.raises(ConfigError, match=r"injected_shift must be >= 0 samples, got -1"):
+        run_experiment(replace(cfg, injected_shifts=(3, -1)))
+    assert solves == [2]
+
+
+TINY_PRESETS = [
+    ("scalar", {"n_traces": 2, "k": 100}),
+    ("scalar", {"n_traces": 2, "k": 100, "perturbation": False}),
+    ("lorenz", {"n_traces": 2, "k": 200}),
+    ("lorenz", {"n_traces": 2, "k": 200, "perturbation": False}),
+    ("lotka_volterra", {"n_traces": 2, "k": 300}),
+    ("lotka_volterra", {"n_traces": 2, "k": 300, "perturbation": False}),
+    ("bergman_aid", {"n_traces": 3, "k": 120}),
+    ("eeg_dvdp", {"n_traces": 2, "k": 100}),
+    ("eeg_dvdp", {"n_traces": 2, "k": 100, "input_kind": "wiener"}),
+]
+
+
+def _rendered_pulses(times, pulses, lead):
+    return sum(
+        a * np.exp(-0.5 * ((times - (c - lead)) / w) ** 2)
+        for c, w, a in zip(pulses["centers"], pulses["widths"], pulses["amps"])
+    ) + np.zeros_like(times)
+
+
+@pytest.mark.parametrize("system,overrides", TINY_PRESETS)
+def test_presets_report_one_truth_at_any_shift(system, overrides):
+    _, _, base, meta = generate_benchmark_data(system, overrides, seed=3)
+    assert meta["injected_shift"] == 0 and len(base) == overrides["n_traces"]
+    for shift in (3, 10):
+        _, _, shifted, meta = generate_benchmark_data(
+            system, {**overrides, "injected_shift": shift}, seed=3
+        )
+        assert meta["injected_shift"] == shift
+        for tr0, tr in zip(base, shifted):
+            assert np.array_equal(tr.y, tr0.y) and tr.labels == tr0.labels
+            assert tr.meta["injected_shift"] == shift
+            times, u0, u = tr.dt * np.arange(tr.k), tr0.u, tr.u
+            if system == "bergman_aid":
+                # the insulin input is reported on time, the meal early
+                assert np.array_equal(u[0], u0[0])
+                (_, t_true, carbs), (_, t_rep, carbs_rep) = (
+                    tr.meta["event_true"], tr.meta["event_reported"]
+                )
+                idx = round(t_true / tr.dt)
+                assert carbs_rep == carbs and t_rep == max(idx - shift, 0) * tr.dt
+                assert u0[1, idx] == u[1, max(idx - shift, 0)] == carbs
+                assert np.count_nonzero(u[1]) == 1
+            elif system == "eeg_dvdp":
+                assert np.array_equal(u[:, :-shift], u0[:, shift:])
+                assert not np.any(u[:, -shift:])
+            else:
+                key = "kicks" if system == "lotka_volterra" else "pulses"
+                if overrides.get("perturbation", True):
+                    np.testing.assert_allclose(
+                        u[0], _rendered_pulses(times, tr.meta[key], shift * tr.dt),
+                        rtol=1e-12, atol=1e-12,
+                    )
+                    np.testing.assert_allclose(
+                        u0[0], _rendered_pulses(times, tr.meta[key], 0.0), rtol=1e-12, atol=1e-12
+                    )
+                    assert np.any(u0)
+                else:
+                    assert not np.any(u) and not np.any(u0)
+
+
+BAD_GENERATION = [
+    ("lotka_volterra", {"n_trace": 2}, r"preset 'lotka_volterra' reads no override 'n_trace'"),
+    ("scalar", {"input_kind": "wiener"}, r"preset 'scalar' reads no override 'input_kind'"),
+    ("bergman_aid", {"perturbation": False}, r"preset 'bergman_aid' has no unperturbed variant"),
+    ("eeg_dvdp", {"perturbation": False}, r"preset 'eeg_dvdp' has no unperturbed variant"),
+    ("bergman_aid", {"k": 50}, r"bergman_aid.*400 min"),
+    ("bergman_aid", {"k": 80}, r"bergman_aid.*400 min"),
+    ("bergman_aid", {"dt": 1.0}, r"bergman_aid.*400 min"),
+    ("bergman_aid", {"injected_shift": -150}, r"injected_shift must be >= 0"),
+    ("eeg_dvdp", {"injected_shift": -5}, r"injected_shift must be >= 0"),
+    ("eeg_dvdp", {"input_kind": "pink"}, r"unknown input_kind 'pink'"),
+]
+
+
+@pytest.mark.parametrize("system,overrides,message", BAD_GENERATION)
+def test_generation_rejects_what_a_preset_cannot_do(system, overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        generate_benchmark_data(system, {"n_traces": 1, "k": 100, **overrides}, seed=0)
+
+
+@pytest.mark.parametrize("experiment", ["aid", "eeg"])
+def test_shift_and_eeg_sweeps_reject_an_unperturbed_preset(experiment):
+    cfg = ExperimentConfig(experiment=experiment, perturbation=False)
+    with pytest.raises(ConfigError, match=r"has no unperturbed variant"):
+        run_experiment(cfg)
+
+
+def test_c2_records_a_preset_without_an_unperturbed_variant():
+    cfg = ExperimentConfig(
+        experiment="c2",
+        system="bergman_aid",
+        k_window=50,
+        generation=(("n_traces", 2),),
+        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+    )
+    rows = run_experiment(cfg)
+    assert [r.point for r in rows] == ["perturbed", "unperturbed"]
+    assert rows[0].status == "ok"
+    assert rows[1].status.startswith("error: preset 'bergman_aid' has no unperturbed variant")
 
 
 def test_report_json_round_trip(tmp_path):
