@@ -3,7 +3,8 @@
 The package is organized as a small numpy library:
 
 - ``dynamics``   control-affine systems as sparse term libraries
-- ``odesolve``   fixed-step integration (the reconstruction "SOLVE" box)
+- ``odesolve``   ``integrate_batch``, the one solver: batched fixed-step
+                 RK4 (the reconstruction "SOLVE" box)
 - ``signals``    traces, events, spectral rate estimation, batching
 - ``tape``       minimal reverse-mode autodiff over dense arrays
 - ``neural``     LTC / CT-RNN / NODE recovery architectures and training
@@ -15,24 +16,21 @@ from .dynamics import (
     Coefficients,
     SensingMask,
     SystemSpec,
-    apply_sensing,
     builtin_system,
     eval_rhs,
     load_system_config,
 )
-from .odesolve import InputSignal, solve
 from .signals import (
     EventList,
     Trace,
     decimate,
     encode_events,
-    fractional_shift,
     make_batches,
     nyquist_rate,
     periodogram,
 )
 from .neural import RecoveryResult, TrainConfig, recover, train
-from .sindy import FunctionLibrary, SparseModel, sindyc_recover, stridge
+from .sindy import FunctionLibrary, SparseModel, stridge
 from .harness import (
     ExperimentConfig,
     generate_benchmark_data,

@@ -185,15 +185,6 @@ class SensingMask:
         return sum(self.diag)
 
 
-def apply_sensing(mask: SensingMask, x: np.ndarray) -> np.ndarray:
-    """Select the observed components of a state vector (or of rows of a
-    state-by-time array), preserving order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != len(mask.diag):
-        raise SpecError(f"state length {x.shape[0]} != mask length {len(mask.diag)}")
-    return x[list(mask.observed)]
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation
 

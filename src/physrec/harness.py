@@ -32,13 +32,14 @@ from .dynamics import (
     dump_system_config,
     load_system_config,
 )
-from .neural import RecoveryResult, TrainConfig, common_grid, recover
+from .neural import RecoveryResult, TrainConfig, common_grid, recover, reject_unknown_keys
 from .odesolve import integrate_batch
 from .signals import Event, EventList, Trace, decimate, nyquist_rate
 from .sindy import (
     FunctionLibrary,
     SparseModel,
     build_library,
+    estimate_derivatives,
     library_labels,
     map_to_coefficients,
     model_spec,
@@ -439,9 +440,15 @@ def rate_sweep_factors(traces: list[Trace], points: int = 4) -> list[int]:
 
 
 def apply_mask_to_traces(traces: list[Trace], mask: SensingMask) -> list[Trace]:
-    """Restrict traces to the observed channels (recording the mask)."""
+    """Restrict full-state traces to the observed channels (recording the
+    mask); a mask whose length is not the state count is a ConfigError."""
     out = []
     for tr in traces:
+        if len(mask.diag) != tr.y.shape[0]:
+            raise ConfigError(
+                f"sensing mask {mask.diag} has {len(mask.diag)} entries "
+                f"but the traces have {tr.y.shape[0]} states"
+            )
         meta = dict(tr.meta)
         meta["mask"] = tuple(mask.diag)
         labels = tuple(tr.y_labels[i] for i in mask.observed) + tr.u_labels
@@ -480,16 +487,18 @@ class ExperimentConfig:
         arrays become tuples, ``generation`` (an object or a list of pairs)
         sorted ``(key, value)`` pairs, and ``train`` a TrainConfig through
         ``TrainConfig.from_json``.  Inverts ``asdict`` after a JSON round
-        trip, so the digest survives it."""
-        fields = dict(doc)
-        if "train" in fields:
-            fields["train"] = TrainConfig.from_json(fields["train"])
+        trip, so the digest survives it.  A key that names no field is a
+        ConfigError."""
+        reject_unknown_keys(cls, doc)
+        kwargs = dict(doc)
+        if "train" in kwargs:
+            kwargs["train"] = TrainConfig.from_json(kwargs["train"])
         for key in ("mask", "injected_shifts"):
-            if fields.get(key) is not None:
-                fields[key] = tuple(fields[key])
-        if "generation" in fields:
-            fields["generation"] = tuple(sorted(dict(fields["generation"]).items()))
-        return cls(**fields)
+            if kwargs.get(key) is not None:
+                kwargs[key] = tuple(kwargs[key])
+        if "generation" in kwargs:
+            kwargs["generation"] = tuple(sorted(dict(kwargs["generation"]).items()))
+        return cls(**kwargs)
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -588,9 +597,7 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     lib = FunctionLibrary(poly_degree=cfg.sindy_degree, include_control=True)
     pooled_y = np.hstack([tr.y for tr in traces])
     pooled_u = np.hstack([tr.u for tr in traces])
-    pooled_dots = np.hstack(
-        [np.gradient(tr.y, tr.dt, axis=1, edge_order=2) for tr in traces]
-    )
+    pooled_dots = np.hstack([estimate_derivatives(tr) for tr in traces])
     A = build_library(lib, pooled_y, pooled_u if traces[0].m else None)
     xi = np.column_stack(
         [

@@ -18,11 +18,11 @@ evaluation and the initialization probe alike.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import Coefficients, SensingMask, SpecError, SystemSpec
+from .dynamics import Coefficients, ConfigError, SensingMask, SpecError, SystemSpec
 from .odesolve import integrate_batch
 from .signals import BatchSet, Trace, shift_signed
 from .tape import Tape, Var
@@ -76,17 +76,16 @@ def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
     )
 
 
-def _sign_split(spec: SystemSpec, mode: str):
-    """(signed, free): per-coefficient multipliers for the two head paths."""
-    signs = spec.sign_vector()
-    if mode == "linear":
-        return np.zeros_like(signs), np.ones_like(signs)
-    free = (signs == 0.0).astype(float)
-    return signs, free
-
-
 # ---------------------------------------------------------------------------
 # training configuration
+
+
+def reject_unknown_keys(cls, doc: dict) -> None:
+    """ConfigError naming every key of ``doc`` that is not a field of the
+    dataclass ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +99,11 @@ class TrainConfig:
     unfold_substeps: int = 6
     solve_substeps: int = 6
     s_max: float = 25.0
-    signed_shift: bool = False
     shift_channels: tuple[int, ...] = ()
-    explicit_loss: bool = False
     seed: int = 0
     hidden_width: int = 32
     head_layers: tuple[int, ...] = (64,)
     dropout: float = 0.2
-    coeff_mode: str = "relu_signed"
     fd_eps: float = 1e-4
     grad_clip: float = 1e3
     weight_grad_clip: float = 10.0
@@ -126,22 +122,21 @@ class TrainConfig:
     @classmethod
     def from_json(cls, doc: dict) -> TrainConfig:
         """Config from a decoded JSON object; JSON arrays become the tuple
-        fields.  Used for config files and checkpoints alike."""
-        fields = dict(doc)
+        fields.  Used for config files and checkpoints alike; a key that
+        names no field is a ConfigError."""
+        reject_unknown_keys(cls, doc)
+        kwargs = dict(doc)
         for key in ("shift_channels", "head_layers"):
-            if key in fields:
-                fields[key] = tuple(fields[key])
-        return cls(**fields)
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        return cls(**kwargs)
 
     @property
     def n_shift(self) -> int:
         return len(self.shift_channels)
 
     def shift_samples(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        if self.signed_shift:
-            return (2.0 * d - 1.0) * self.s_max
-        return d * self.s_max
+        return np.asarray(d, dtype=float) * self.s_max
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +146,11 @@ class TrainConfig:
 def _window_mask(spec: SystemSpec, trace: Trace) -> SensingMask:
     meta_mask = trace.meta.get("mask")
     if meta_mask is not None:
+        if len(meta_mask) != spec.n:
+            raise ConfigError(
+                f"sensing mask {tuple(meta_mask)} has {len(meta_mask)} entries "
+                f"but {spec.name} has {spec.n} states"
+            )
         return SensingMask(tuple(int(v) for v in meta_mask))
     if trace.y.shape[0] == spec.n:
         return SensingMask((1,) * spec.n)
@@ -213,8 +213,6 @@ def reconstruction_losses(
     B = len(windows)
     p, q = spec.p, cfg.n_shift
     mask, k, dt = common_grid(spec, windows)
-    if cfg.explicit_loss and mask.n_observed != spec.n:
-        raise SpecError("explicit loss mode needs full-state windows")
     obs = list(mask.observed)
 
     nvar = 1 + (2 * p + 2 * q if want_grads else 0)
@@ -523,10 +521,9 @@ def _forward_tape(
 ) -> tuple[Var, Var]:
     """Run the cell over the window and the head on the final state.
 
-    The head is a ReLU MLP (dropout while training).  Coefficient outputs
-    follow ``cfg.coeff_mode``: "relu_signed" emits a ReLU magnitude times
-    the declared coefficient sign (free coefficients pass through
-    linearly); "linear" passes raw values.  They are then multiplied by
+    The head is a ReLU MLP (dropout while training).  A coefficient output
+    with a declared sign is a ReLU magnitude times that sign; a free
+    coefficient passes through linearly.  They are then multiplied by
     ``coeff_scales`` (see :func:`coefficient_scales`), so the network works
     with O(1) quantities.  Shift outputs go through a sigmoid into (0, 1).
 
@@ -543,7 +540,8 @@ def _forward_tape(
             act = tape.mul(act, keep)
     out = tape.addcol(tape.matmul(leaves[f"head.w{n_layers-1}"], act), leaves[f"head.b{n_layers-1}"])
     raw = tape.vslice(out, 0, spec.p)
-    signed, free = _sign_split(spec, cfg.coeff_mode)
+    signed = spec.sign_vector()
+    free = (signed == 0.0).astype(float)
     coeff = tape.add(tape.mulcol(tape.relu(raw), signed), tape.mulcol(raw, free))
     if coeff_scales is not None:
         coeff = tape.mulcol(coeff, coeff_scales)
@@ -688,6 +686,9 @@ def train(
         raise SpecError(f"unknown architecture {arch!r}")
     if not batches.windows:
         raise SpecError("empty batch set")
+    for ch in cfg.shift_channels:
+        if not 0 <= ch < spec.m:
+            raise SpecError(f"shift channel {ch} is out of range for m={spec.m} inputs")
     k = batches.k
     dt = batches.windows[0].dt
     n_channels = batches.windows[0].y.shape[0] + batches.windows[0].u.shape[0]

@@ -117,9 +117,20 @@ def encode_events(ev: EventList, t0: float, dt: float, k: int, m: int | None = N
     return out
 
 
-def _shift_row(row: np.ndarray, s: float) -> np.ndarray:
-    """Linear-interpolation shift by ``s`` samples (signed); spill is dropped."""
+def shift_signed(row: np.ndarray, s: float) -> np.ndarray:
+    """Shift a sample row by a signed, fractional number of samples.
+
+    Each impulse at index j is redistributed to ``j + floor(s)`` and
+    ``j + floor(s) + 1`` with linear-interpolation weights; mass shifted
+    past either end of the row is dropped.  The map is continuous and
+    piecewise linear in ``s``, which keeps losses built on it
+    differentiable almost everywhere.
+    """
+    row = np.asarray(row, dtype=float)
     k = row.shape[0]
+    if not -k < s < k:
+        raise SpecError(f"shift s={s} outside (-{k}, {k})")
+    s = float(s)
     out = np.zeros(k)
     fl = int(np.floor(s))
     fr = s - fl
@@ -136,33 +147,6 @@ def _shift_row(row: np.ndarray, s: float) -> np.ndarray:
         else:
             out[: k + hi] += fr * row[-hi:]
     return out
-
-
-def fractional_shift(row: np.ndarray, s: float) -> np.ndarray:
-    """Shift a sample row forward by a fractional number of samples.
-
-    Each impulse at index j is redistributed to ``j + floor(s)`` and
-    ``j + ceil(s)`` with linear-interpolation weights; mass shifted past
-    the end of the row is dropped.  The map is continuous and piecewise
-    linear in ``s``, which keeps losses built on it differentiable almost
-    everywhere.
-    """
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1:
-        raise SpecError("fractional_shift expects a 1-D row")
-    k = row.shape[0]
-    if not 0 <= s < k:
-        raise SpecError(f"shift s={s} outside [0, {k})")
-    return _shift_row(row, float(s))
-
-
-def shift_signed(row: np.ndarray, s: float) -> np.ndarray:
-    """Like fractional_shift but allows negative shifts (spill drops at both ends)."""
-    row = np.asarray(row, dtype=float)
-    k = row.shape[0]
-    if not -k < s < k:
-        raise SpecError(f"shift s={s} outside (-{k}, {k})")
-    return _shift_row(row, float(s))
 
 
 def decimate(tr: Trace, factor: int) -> Trace:
@@ -294,6 +278,10 @@ def make_batches(
             )
     order = np.random.default_rng(seed).permutation(len(windows))
     n_train = int(round(len(windows) * split_ratio))
+    if n_train == 0:
+        raise SpecError(
+            f"{len(windows)} window(s) at split_ratio={split_ratio} leave no training window"
+        )
     return BatchSet(
         windows=tuple(windows),
         train_idx=tuple(int(i) for i in order[:n_train]),

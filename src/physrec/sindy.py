@@ -172,25 +172,6 @@ class SparseModel:
         return tuple(l for l, v in zip(self.labels, self.xi[:, state]) if v != 0.0)
 
 
-def sindyc_recover(
-    tr: Trace,
-    lib: FunctionLibrary,
-    lam: float = 1e-6,
-    threshold: float = 0.1,
-    iters: int = 10,
-) -> SparseModel:
-    """Fit sparse dynamics to a full-state trace.
-
-    The trace must expose every state variable; this baseline has no
-    notion of hidden states.
-    """
-    labels = tuple(library_labels(lib, tr.y.shape[0], tr.m))
-    A = build_library(lib, tr.y, tr.u if tr.m else None)
-    dots = estimate_derivatives(tr)
-    xi = np.column_stack([stridge(A, dots[i], lam, threshold, iters) for i in range(tr.y.shape[0])])
-    return SparseModel(xi=xi, labels=labels, threshold=threshold)
-
-
 def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpec:
     """The fitted model ``xdot = build_library(lib, x, u) @ xi`` as a
     weights-only system spec: each nonzero ``xi[col, state]`` becomes one

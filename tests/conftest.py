@@ -16,3 +16,26 @@ def gc_disabled():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture
+def sindyc_fit(monkeypatch):
+    """``fit(spec, coeffs, traces, cfg) -> (model, result)``: the pooled
+    ``harness.fit_sindyc``, with the ``SparseModel`` it builds caught where
+    the fit maps it onto the spec's coefficients."""
+    from physrec import harness
+
+    models = []
+    real = harness.map_to_coefficients
+
+    def spy(model, spec):
+        models.append(model)
+        return real(model, spec)
+
+    monkeypatch.setattr(harness, "map_to_coefficients", spy)
+
+    def fit(spec, coeffs, traces, cfg):
+        result = harness.fit_sindyc(spec, coeffs, traces, cfg)
+        return models.pop(), result
+
+    return fit

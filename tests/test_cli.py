@@ -29,6 +29,37 @@ def test_generate_then_recover_sindyc(tmp_path):
     assert doc["rmse_y"] >= 0 and doc["rmse_coeffs"] >= 0
 
 
+def _recover(tmp_path, arch, config):
+    """``physrec recover`` on a tiny Lotka-Volterra dataset (n=2) under the
+    JSON ``config``; returns the exit code."""
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--system", "lotka_volterra", "--seed", "1", "--out", str(data),
+                     "--overrides", json.dumps({"n_traces": 2, "k": 200})]) == 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return cli.main(["recover", "--arch", arch, "--data", str(data), "--config", str(path),
+                     "--out", str(tmp_path / "result.json")])
+
+
+@pytest.mark.parametrize("mask", [[1], [1, 0, 1]])
+def test_recover_rejects_a_mask_of_the_wrong_length(mask, tmp_path, capsys):
+    train = {"epochs": 1, "hidden_width": 4, "head_layers": [6]}
+    code = _recover(tmp_path, "ltc", {"k_window": 100, "mask": mask, "train": train})
+    assert code == 1
+    assert f"has {len(mask)} entries but the traces have 2 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,keys",
+    [({"train": {"explicit_loss": True}}, "unknown TrainConfig keys: explicit_loss"),
+     ({"bogus": 1, "sindy_thresh": 0.1}, "unknown ExperimentConfig keys: bogus, sindy_thresh")],
+    ids=["train", "experiment"],
+)
+def test_recover_rejects_unknown_config_keys(config, keys, tmp_path, capsys):
+    assert _recover(tmp_path, "sindyc", config) == 1
+    assert keys in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("arch", ["ltc", "ctrnn", "node"])
 def test_generate_then_recover_neural(arch, tmp_path):
     data = tmp_path / "data"

@@ -14,7 +14,6 @@ from physrec.dynamics import (
     SpecError,
     SystemSpec,
     Term,
-    apply_sensing,
     builtin_system,
     compile_rhs,
     dump_system_config,
@@ -88,16 +87,20 @@ def test_linearity_in_coefficients():
 
 
 def test_sensing_mask():
-    m = SensingMask((1, 1, 1))
-    assert np.array_equal(apply_sensing(m, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    from physrec.harness import apply_mask_to_traces
+    from physrec.signals import Trace
+
+    assert SensingMask((1, 1, 1)).observed == (0, 1, 2)
     m = SensingMask((0, 0, 1))
-    assert np.array_equal(apply_sensing(m, np.array([5.0, 6.0, 7.0])), [7.0])
-    m = SensingMask((1, 0))
-    assert np.array_equal(apply_sensing(m, np.array([7.0, 9.0])), [7.0])
+    assert (m.observed, m.n_observed) == ((2,), 1)
+    tr = Trace(0.0, 1.0, [[7.0, 1.0], [9.0, 2.0]], np.zeros((1, 2)), ("x1", "x2", "u1"))
+    (masked,) = apply_mask_to_traces([tr], SensingMask((1, 0)))
+    assert np.array_equal(masked.y, [[7.0, 1.0]])
+    assert (masked.labels, masked.meta["mask"]) == (("x1", "u1"), (1, 0))
     with pytest.raises(SpecError):
         SensingMask((0, 0, 0))
-    with pytest.raises(SpecError):
-        apply_sensing(SensingMask((1, 0)), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ConfigError, match="3 entries but the traces have 2 states"):
+        apply_mask_to_traces([tr], SensingMask((1, 0, 1)))
 
 
 def test_sign_constraint_validation():

@@ -23,7 +23,7 @@ from physrec.harness import (
 )
 from physrec.neural import TrainConfig
 from physrec.signals import Event, EventList
-from physrec.sindy import FunctionLibrary, build_library, library_labels, sindyc_recover
+from physrec.sindy import FunctionLibrary, build_library, library_labels
 
 
 def reference_sindy_rmse_y(xi, lib, traces):
@@ -57,15 +57,18 @@ def reference_sindy_rmse_y(xi, lib, traces):
     return float(np.mean(rmses))
 
 
-def _lv_traces():
-    _, _, traces, _ = generate_benchmark_data("lotka_volterra", {"n_traces": 3, "k": 300}, seed=4)
-    return traces
+def _lv_data():
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 3, "k": 300}, seed=4
+    )
+    return spec, coeffs, traces
 
 
-def test_sindy_rmse_y_matches_plain_rk4():
-    traces = _lv_traces()
+def test_sindy_rmse_y_matches_plain_rk4(sindyc_fit):
+    spec, coeffs, traces = _lv_data()
     lib = FunctionLibrary(poly_degree=2, include_control=True)
-    xi = sindyc_recover(traces[0], lib, threshold=0.05).xi
+    cfg = ExperimentConfig(sindy_degree=2, sindy_threshold=0.05)
+    xi = sindyc_fit(spec, coeffs, traces[:1], cfg)[0].xi
     got = _sindy_rmse_y(xi, lib, traces)
     want = reference_sindy_rmse_y(xi, lib, traces)
     assert np.isfinite(want) and want > 0
@@ -73,7 +76,7 @@ def test_sindy_rmse_y_matches_plain_rk4():
 
 
 def test_sindy_rmse_y_divergent_model_is_inf():
-    traces = _lv_traces()
+    traces = _lv_data()[2]
     lib = FunctionLibrary(poly_degree=2, include_control=True)
     labels = library_labels(lib, 2, 1)
     xi = np.zeros((len(labels), 2))
@@ -84,7 +87,7 @@ def test_sindy_rmse_y_divergent_model_is_inf():
 
 def test_experiment_digest_is_stable():
     # digests label report rows, so a config must keep its digest
-    assert ExperimentConfig().digest() == "6f3b7e772ae9"
+    assert ExperimentConfig().digest() == "afe46f6c1c87"
     cfg = ExperimentConfig(
         experiment="aid",
         system="bergman_aid",
@@ -92,13 +95,13 @@ def test_experiment_digest_is_stable():
         generation=(("injected_shift", 10), ("n_traces", 2)),
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
-    assert cfg.digest() == "da3e8bd0caf7"
+    assert cfg.digest() == "f4fea6a8ef64"
 
 
 def test_experiment_config_json_round_trip():
     pinned = {
-        "6f3b7e772ae9": ExperimentConfig(),
-        "da3e8bd0caf7": ExperimentConfig(
+        "afe46f6c1c87": ExperimentConfig(),
+        "f4fea6a8ef64": ExperimentConfig(
             experiment="aid",
             system="bergman_aid",
             mask=(1, 0, 1),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from physrec import neural
-from physrec.dynamics import SpecError, builtin_system
+from physrec.dynamics import ConfigError, SpecError, builtin_system
 from physrec.harness import generate_benchmark_data
 from physrec.neural import (
     ARCHS,
@@ -55,6 +55,27 @@ def test_reconstruction_losses_rejects_mixed_windows(first, odd, what):
             want_grads=False,
         )
     assert f"window 2 has {what} " in str(err.value)
+
+
+@pytest.mark.parametrize("mask", [(1,), (1, 0, 1)])
+def test_window_mask_must_cover_every_state(mask):
+    # a mask stored in trace metadata is checked against the system's n
+    spec, coeffs = builtin_system("lotka_volterra")
+    window = Trace(0.0, 0.1, np.full((sum(mask), 20), 100.0), np.zeros((1, 20)),
+                   meta={"mask": mask})
+    with pytest.raises(ConfigError, match=f"has {len(mask)} entries but lotka_volterra has 2"):
+        reconstruction_losses(
+            spec, coeffs.values[None, :], np.zeros((1, 0)), [window], TrainConfig(),
+            want_grads=False,
+        )
+
+
+def test_train_rejects_an_out_of_range_shift_channel():
+    spec, _, traces, _ = generate_benchmark_data("scalar", {"n_traces": 2, "k": 40}, seed=0)
+    batches = make_batches(traces, 2, 40, 0.5)
+    cfg = TrainConfig(epochs=0, hidden_width=4, head_layers=(6,), shift_channels=(3,))
+    with pytest.raises(SpecError, match="shift channel 3 is out of range for m=1"):
+        train("ltc", spec, batches, cfg)
 
 
 def test_reconstruction_losses_shared_grid_at_equilibrium():

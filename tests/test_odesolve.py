@@ -12,12 +12,9 @@ from physrec.dynamics import (
     Term,
     builtin_system,
 )
-from physrec.odesolve import (
-    DivergenceError,
-    InputSignal,
-    integrate_batch,
-    solve,
-)
+from physrec.neural import _initial_state
+from physrec.odesolve import integrate_batch, zoh_index
+from physrec.signals import Trace
 
 
 def decay_system(a=1.0):
@@ -48,49 +45,49 @@ def oscillator_system():
     return spec, spec.coefficients([1.0])
 
 
-def zero_signal(m=1, k=2, dt=1.0):
-    return InputSignal(0.0, dt, np.zeros((m, k)))
-
-
-def held(sig, t):
-    return sig.channels[:, sig.index_at(t)]
+def solve_one(spec, coeffs, x0, k, dt, substeps=10, u=None):
+    """One trajectory of ``integrate_batch``: (states n x k, diverged, t_fail);
+    the input is zero unless ``u`` (m x k) is given."""
+    u = np.zeros((spec.m, k)) if u is None else u
+    x0 = np.asarray(x0, dtype=float)
+    states, diverged, t_fail = integrate_batch(
+        spec, coeffs.values[None, :], x0[None, :], u[None, :, :], k, dt, substeps
+    )
+    return states[0], diverged[0], t_fail[0]
 
 
 def rk4_steps(spec, coeffs, x, h, steps):
     """``steps`` RK4 steps of size ``h`` from ``x`` with a zero input."""
-    x = np.asarray(x, dtype=float)
-    states, diverged, _ = integrate_batch(
-        spec, coeffs.values[None, :], x[None, :], np.zeros((1, spec.m, 1)), steps + 1, h, 1
-    )
-    assert not diverged[0]
-    return states[0, :, -1]
+    states, diverged, _ = solve_one(spec, coeffs, x, steps + 1, h, 1, np.zeros((spec.m, 1)))
+    assert not diverged
+    return states[:, -1]
 
 
 class TestZoh:
     def test_hold_within_interval(self):
-        sig = InputSignal(0.0, 1.0, np.array([[0.0, 5.0, 0.0]]))
-        assert held(sig, 1.5)[0] == 5.0
+        assert zoh_index(np.array([1.5]), 0.0, 1.0, 3)[0] == 1
 
     def test_start_and_past_end(self):
-        sig = InputSignal(0.0, 1.0, np.array([[3.0, 5.0, 7.0]]))
-        assert held(sig, 0.0)[0] == 3.0
-        assert held(sig, 99.0)[0] == 7.0
-
-    def test_before_start_rejected(self):
-        sig = zero_signal()
-        with pytest.raises(SpecError):
-            held(sig, -0.5)
+        # grid-aligned times land on their own sample; times outside the
+        # grid clip to its ends
+        idx = zoh_index(np.array([-0.5, 0.0, 0.3 + 1e-12, 2.0, 99.0]), 0.0, 0.1, 30)
+        assert idx.tolist() == [0, 0, 3, 20, 29]
 
     def test_solve_input_is_the_per_sample_hold(self):
-        # output grid offset from and finer than the signal's, running past its end
-        spec, coeffs = decay_system()
-        sig = InputSignal(0.3, 0.1, (np.arange(12.0) ** 2)[None, :])
-        t_grid = 0.37 + 0.03 * np.arange(60)
-        tr = solve(spec, coeffs, [0.0], sig, t_grid, substeps=2)
-        want = np.stack([held(sig, t) for t in t_grid], axis=1)
-        assert np.array_equal(tr.u, want)
-        with pytest.raises(SpecError, match="precedes signal start"):
-            solve(spec, coeffs, [0.0], sig, t_grid - 0.1)
+        # with xdot = u, one RK4 step per sample integrates the held input:
+        # stages at the step's start and midpoint see u[j], the last stage
+        # u[j+1], so x[j+1] - x[j] = dt (5 u[j] + u[j+1]) / 6
+        spec, coeffs = decay_system(a=0.0)
+        u = (np.arange(12.0) ** 2)[None, :]
+        dt = 0.1
+        states, _, _ = solve_one(spec, coeffs, [0.0], 12, dt, 1, u)
+        want = dt * (5.0 * u[0, :-1] + u[0, 1:]) / 6.0
+        assert np.allclose(np.diff(states[0]), want, rtol=1e-12, atol=0.0)
+        # at two substeps the second substep's start and midpoint still
+        # hold u[j]: a jump at sample 1 enters only at the last stage
+        step = np.array([[0.0, 6.0, 6.0]])
+        states, _, _ = solve_one(spec, coeffs, [0.0], 3, dt, 2, step)
+        assert abs(states[0, 1] - (dt / 2) * 6.0 / 6.0) < 1e-15
 
 
 class TestStepRk4:
@@ -125,15 +122,13 @@ class TestStepRk4:
 class TestSolve:
     def test_exponential_endpoint(self):
         spec, coeffs = decay_system()
-        grid = np.arange(11) * 0.1
-        tr = solve(spec, coeffs, [1.0], zero_signal(), grid)
-        assert abs(tr.y[0, -1] - np.exp(-1.0)) < 1e-7
+        states, _, _ = solve_one(spec, coeffs, [1.0], 11, 0.1)
+        assert abs(states[0, -1] - np.exp(-1.0)) < 1e-7
 
     def test_equilibrium_stays_constant(self):
         spec, coeffs = builtin_system("lotka_volterra")
-        grid = np.arange(50) * 0.2
-        tr = solve(spec, coeffs, [100.0, 20.0], zero_signal(), grid)
-        assert np.max(np.abs(tr.y - np.array([[100.0], [20.0]]))) < 1e-9
+        states, _, _ = solve_one(spec, coeffs, [100.0, 20.0], 50, 0.2)
+        assert np.max(np.abs(states - np.array([[100.0], [20.0]]))) < 1e-9
 
     def test_self_consistency_with_recorded_inputs(self):
         spec, coeffs = builtin_system("bergman_aid")
@@ -142,23 +137,24 @@ class TestSolve:
         u[0] = 1.0
         u[0, 10] += 5.0
         u[1, 8] = 12.0
-        sig = InputSignal(0.0, 5.0, u)
-        grid = 5.0 * np.arange(k)
-        first = solve(spec, coeffs, spec.resting_state(), sig, grid)
-        again = solve(spec, coeffs, spec.resting_state(), sig, grid)
-        assert np.array_equal(first.y, again.y)  # bit-identical determinism
+        first = solve_one(spec, coeffs, spec.resting_state(), k, 5.0, u=u)[0]
+        again = solve_one(spec, coeffs, spec.resting_state(), k, 5.0, u=u)[0]
+        assert np.array_equal(first, again)  # bit-identical determinism
 
     def test_masked_output_and_hidden_seeding(self):
+        # the loss seeds the hidden states from their resting values and
+        # scores the observed rows of the solve
         spec, coeffs = builtin_system("bergman_aid")
         mask = SensingMask((0, 0, 1))
         k = 20
-        sig = InputSignal(0.0, 5.0, np.zeros((2, k)))
-        grid = 5.0 * np.arange(k)
-        tr = solve(spec, coeffs, [1.0], sig, grid, mask=mask, return_full_state=True)
-        assert tr.y.shape == (1, k)
-        full = tr.meta["full_state"]
-        assert full[0, 0] == spec.resting_state()[0]
-        assert full[2, 0] == 1.0
+        window = Trace(0.0, 5.0, np.ones((1, k)), np.zeros((2, k)), meta={"mask": mask.diag})
+        x0 = _initial_state(spec, window, mask)
+        assert x0[0] == spec.resting_state()[0] and x0[2] == 1.0
+        states, _, _ = solve_one(spec, coeffs, x0, k, 5.0)
+        y = states[list(mask.observed)]
+        assert y.shape == (1, k)
+        assert states[0, 0] == spec.resting_state()[0]
+        assert y[0, 0] == 1.0
 
     def test_divergence_reports_time(self):
         spec = SystemSpec(
@@ -171,25 +167,19 @@ class TestSolve:
             coeff_signs=("nonneg",),
         )
         coeffs = spec.coefficients([5.0])
-        grid = np.arange(200) * 0.5
-        with pytest.raises(DivergenceError) as err:
-            solve(spec, coeffs, [2.0], zero_signal(), grid)
-        assert np.isfinite(err.value.t)
-
-    def test_grid_validation(self):
-        spec, coeffs = decay_system()
-        with pytest.raises(SpecError):
-            solve(spec, coeffs, [1.0], zero_signal(), [0.0, 0.2, 0.1])
-        with pytest.raises(SpecError):
-            solve(spec, coeffs, [1.0], zero_signal(), [0.0, 0.1, 0.3])
+        states, diverged, t_fail = solve_one(spec, coeffs, [2.0], 200, 0.5)
+        assert diverged
+        assert np.isfinite(t_fail) and t_fail > 0.0
+        # the row is frozen at its last finite value from the failure on
+        j = int(round(t_fail / 0.5))
+        assert np.all(np.isfinite(states)) and np.all(states[:, j:] == states[:, j - 1 : j])
 
 
 class TestConvergenceOrder:
     def test_rk4_fourth_order(self):
         spec, coeffs = decay_system()
-        grid = np.arange(11) * 0.1
         errs = [
-            abs(solve(spec, coeffs, [1.0], zero_signal(), grid, sub).y[0, -1] - np.exp(-1.0))
+            abs(solve_one(spec, coeffs, [1.0], 11, 0.1, sub)[0][0, -1] - np.exp(-1.0))
             for sub in (1, 2, 4, 8)
         ]
         for a, b in zip(errs, errs[1:]):
@@ -201,12 +191,8 @@ class TestConvergenceOrder:
         for name in ("lotka_volterra", "bergman_aid", "eeg_dvdp"):
             spec, coeffs = builtin_system(name)
             k, dt = 60, (5.0 if name == "bergman_aid" else 0.05)
-            sig = InputSignal(0.0, dt, np.zeros((spec.m, k)))
-            grid = dt * np.arange(k)
             x0 = spec.resting_state() + 0.05
-            sols = {}
-            for sub in (2, 4, 8):
-                sols[sub] = solve(spec, coeffs, x0, sig, grid, sub).y
+            sols = {sub: solve_one(spec, coeffs, x0, k, dt, sub)[0] for sub in (2, 4, 8)}
             d_coarse = np.max(np.abs(sols[4] - sols[2]))
             d_fine = np.max(np.abs(sols[8] - sols[4]))
             richardson = d_coarse / 15.0

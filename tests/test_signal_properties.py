@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physrec.signals import Event, EventList, Trace, decimate, encode_events, fractional_shift
+from physrec.signals import Event, EventList, Trace, decimate, encode_events, shift_signed
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -16,13 +16,13 @@ FAST = settings(max_examples=60, deadline=None)
     values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
     frac=st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_fractional_shift_conserves_mass_without_spill(values, frac):
+def test_shift_signed_conserves_mass_without_spill(values, frac):
     row = np.array(values)
     k = row.size
     s = frac * (k - 1)
     # zero every sample whose ceil(s) target would fall past the end
     row[k - math.ceil(s) :] = 0.0
-    out = fractional_shift(row, s)
+    out = shift_signed(row, s)
     scale = max(1.0, float(np.sum(np.abs(row))))
     assert abs(np.sum(out) - np.sum(row)) <= 1e-12 * scale
 

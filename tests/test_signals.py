@@ -10,7 +10,6 @@ from physrec.signals import (
     Trace,
     decimate,
     encode_events,
-    fractional_shift,
     make_batches,
     nyquist_rate,
     periodogram,
@@ -54,21 +53,21 @@ class TestEncodeEvents:
 class TestFractionalShift:
     def test_zero_shift_is_identity(self):
         row = np.array([1.0, 0.0, 2.0, 0.0])
-        assert np.array_equal(fractional_shift(row, 0.0), row)
+        assert np.array_equal(shift_signed(row, 0.0), row)
 
     def test_integer_shift_moves_impulse(self):
         row = np.array([0.0, 5.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(fractional_shift(row, 1.0), [0, 0, 5, 0, 0])
+        assert np.array_equal(shift_signed(row, 1.0), [0, 0, 5, 0, 0])
 
     def test_half_shift_splits_mass(self):
         row = np.array([4.0, 0.0, 0.0])
-        assert np.allclose(fractional_shift(row, 0.5), [2.0, 2.0, 0.0])
+        assert np.allclose(shift_signed(row, 0.5), [2.0, 2.0, 0.0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SpecError):
-            fractional_shift(np.zeros(4), -0.1)
+            shift_signed(np.zeros(4), -4.0)
         with pytest.raises(SpecError):
-            fractional_shift(np.zeros(4), 4.0)
+            shift_signed(np.zeros(4), 4.0)
 
     def test_mass_conserved_without_spill(self):
         rng = np.random.default_rng(0)
@@ -76,7 +75,7 @@ class TestFractionalShift:
             row = np.zeros(30)
             row[rng.integers(0, 10)] = rng.normal()
             s = rng.uniform(0, 15)
-            assert abs(fractional_shift(row, s).sum() - row.sum()) < 1e-12
+            assert abs(shift_signed(row, s).sum() - row.sum()) < 1e-12
 
     def test_lipschitz_continuity_in_shift(self):
         # the map is piecewise linear in s; the L1 modulus of continuity is
@@ -86,14 +85,14 @@ class TestFractionalShift:
             row = rng.normal(size=20)
             s = rng.uniform(0, 10)
             eps = rng.uniform(0.0, min(1.0, 19 - s))
-            d = np.abs(fractional_shift(row, s + eps) - fractional_shift(row, s)).sum()
+            d = np.abs(shift_signed(row, s + eps) - shift_signed(row, s)).sum()
             assert d <= 2.0 * eps * np.abs(row).sum() + 1e-12
 
-    def test_signed_variant_matches_on_common_range(self):
+    def test_negative_shift_moves_mass_back(self):
         row = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
-        assert np.allclose(shift_signed(row, 1.5), fractional_shift(row, 1.5))
-        back = shift_signed(row, -1.0)
-        assert np.allclose(back, [1.0, 2.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(shift_signed(row, -1.0), [1.0, 2.0, 0.0, 0.0, 0.0])
+        # spill drops at the front; the fraction splits between neighbours
+        assert np.allclose(shift_signed(row, -1.5), [1.5, 1.0, 0.0, 0.0, 0.0])
 
     def test_matches_event_encoding_for_integer_shifts(self):
         dt, k = 0.5, 12
@@ -102,7 +101,7 @@ class TestFractionalShift:
         for s in (1, 3):
             moved = EventList(tuple(Event(0, e.t + s * dt, e.magnitude) for e in events.events))
             keep = EventList(tuple(e for e in moved.events if e.t <= (k - 1) * dt))
-            assert np.allclose(fractional_shift(base[0], float(s)), encode_events(keep, 0.0, dt, k)[0])
+            assert np.allclose(shift_signed(base[0], float(s)), encode_events(keep, 0.0, dt, k)[0])
 
 
 class TestDecimate:
@@ -195,6 +194,11 @@ class TestBatches:
         with pytest.raises(SpecError) as err:
             make_batches(traces, 8, 200, 0.75)
         assert "100" in str(err.value) or "window" in str(err.value)
+
+    def test_no_training_window_rejected(self):
+        # one 200-sample window rounds to 0 training windows at ratio 0.4
+        with pytest.raises(SpecError, match=r"1 window\(s\) at split_ratio=0.4 leave no training"):
+            make_batches(self._traces(1), 32, 200, 0.4)
 
     def test_deterministic_split(self):
         a = make_batches(self._traces(16), 4, 100, 0.5, seed=9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from physrec.dynamics import SpecError, compile_rhs
+from physrec.harness import ExperimentConfig, fit_sindyc
 from physrec.signals import Trace
 from physrec.sindy import (
     FunctionLibrary,
@@ -12,7 +13,6 @@ from physrec.sindy import (
     library_labels,
     map_to_coefficients,
     model_spec,
-    sindyc_recover,
     stridge,
 )
 
@@ -148,25 +148,31 @@ class TestSindycRecover:
         assert not div[0]
         return spec, coeffs, Trace(0.0, dt, states[0], u, ("x1", "x2", "u1"))
 
-    def test_exact_support_on_clean_data(self):
+    def test_exact_support_on_clean_data(self, sindyc_fit):
         spec, coeffs, tr = self._lv_unit_trace()
-        lib = FunctionLibrary(poly_degree=2, include_control=True)
-        model = sindyc_recover(tr, lib, lam=1e-10, threshold=0.02)
+        cfg = ExperimentConfig(sindy_degree=2, sindy_lambda=1e-10, sindy_threshold=0.02)
+        model, result = sindyc_fit(spec, coeffs, [tr], cfg)
         assert model.support(0) == ("x1", "x1*x2")
         assert model.support(1) == ("x2", "x1*x2", "u1")
         theta, spurious = map_to_coefficients(model, spec)
         assert spurious == []
         assert np.max(np.abs(theta - coeffs.values)) < 1e-2
+        assert np.array_equal(result.coeffs.values, theta)
 
     def test_requires_full_state(self):
         # the baseline has no hidden-state machinery: y rows must span the
-        # state; recovery on partial observations is rejected upstream by
-        # the harness, here the mapping simply misses states
+        # state, and partial observations are rejected by name
         spec, coeffs, tr = self._lv_unit_trace(k=500)
         partial = Trace(tr.t0, tr.dt, tr.y[:1], tr.u, ("x1", "u1"))
-        lib = FunctionLibrary(poly_degree=2)
-        model = sindyc_recover(partial, lib, threshold=0.02)
-        assert model.xi.shape[1] == 1  # fits only what it sees
+        with pytest.raises(SpecError, match="full-state"):
+            fit_sindyc(spec, coeffs, [partial], ExperimentConfig())
+
+    def test_too_short_traces_rejected(self):
+        # derivative estimation needs three samples per trace
+        spec, coeffs, tr = self._lv_unit_trace(k=500)
+        short = Trace(tr.t0, tr.dt, tr.y[:, :2], tr.u[:, :2], tr.labels)
+        with pytest.raises(SpecError, match="k >= 3"):
+            fit_sindyc(spec, coeffs, [tr, short], ExperimentConfig())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
