@@ -104,7 +104,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_nyquist(args) -> int:
-    traces, _ = load_real_csv(args.data)
+    traces = load_real_csv(args.data)
     rate = data_nyquist_rate(traces)
     print(f"{rate:.6g}")
     return 0

@@ -160,9 +160,6 @@ class Coefficients:
         if not np.all(np.isfinite(v)):
             raise SpecError("coefficient values must be finite")
 
-    def __len__(self):
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class SensingMask:
@@ -179,10 +176,6 @@ class SensingMask:
     @property
     def observed(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.diag) if d == 1)
-
-    @property
-    def n_observed(self) -> int:
-        return sum(self.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +233,6 @@ class CompiledRhs:
 @lru_cache(maxsize=64)
 def compile_rhs(spec: SystemSpec) -> CompiledRhs:
     return CompiledRhs(spec)
-
-
-def _check_vec(name, v, length):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise SpecError(f"{name} must have shape ({length},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise SpecError(f"{name} contains non-finite values")
-    return v
-
-
-def eval_rhs(spec: SystemSpec, coeffs: Coefficients, x, u_total) -> np.ndarray:
-    """Evaluate ``f(x, c) + g(x, c) u`` term by term."""
-    x = _check_vec("x", x, spec.n)
-    u = _check_vec("u_total", u_total, spec.m)
-    c = _check_vec("coeffs", coeffs.values, spec.p)
-    rhs = compile_rhs(spec)
-    return rhs.full(x[None, :], rhs.columns(c[None, :]), u[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Experiment harness: metrics, benchmark data generation, sweeps, reports.
+"""Experiment harness: benchmark data generation, sweeps, reports.
 
 Benchmark presets simulate the built-in systems under scripted forcing
 (smooth random pulses for the oscillator benchmarks, scheduled meals and
@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -32,9 +32,9 @@ from .dynamics import (
     dump_system_config,
     load_system_config,
 )
-from .neural import RecoveryResult, TrainConfig, common_grid, recover, reject_unknown_keys
+from .neural import RecoveryResult, TrainConfig, recover, reject_unknown_keys, replay
 from .odesolve import integrate_batch
-from .signals import Event, EventList, Trace, decimate, nyquist_rate
+from .signals import Trace, decimate, nyquist_rate
 from .sindy import (
     FunctionLibrary,
     SparseModel,
@@ -46,28 +46,6 @@ from .sindy import (
     rmse_with_spurious,
     stridge,
 )
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-def rmse_coeffs(est: Coefficients | np.ndarray, truth: Coefficients | np.ndarray) -> float:
-    """Root-mean-square error over the coefficient vector."""
-    e = est.values if isinstance(est, Coefficients) else np.asarray(est, dtype=float)
-    t = truth.values if isinstance(truth, Coefficients) else np.asarray(truth, dtype=float)
-    if e.shape != t.shape:
-        raise SpecError(f"coefficient vectors differ in length: {e.shape} vs {t.shape}")
-    return float(np.sqrt(np.mean((e - t) ** 2)))
-
-
-def rmse_signal(est: np.ndarray, true: np.ndarray) -> float:
-    """Mean over channels of the per-channel RMSE between two (n, k) arrays."""
-    e = np.atleast_2d(np.asarray(est, dtype=float))
-    t = np.atleast_2d(np.asarray(true, dtype=float))
-    if e.shape != t.shape:
-        raise SpecError(f"signal shapes differ: {e.shape} vs {t.shape}")
-    return float(np.mean(np.sqrt(np.mean((e - t) ** 2, axis=1))))
-
 
 # ---------------------------------------------------------------------------
 # systems available to the harness
@@ -441,7 +419,8 @@ def rate_sweep_factors(traces: list[Trace], points: int = 4) -> list[int]:
 
 def apply_mask_to_traces(traces: list[Trace], mask: SensingMask) -> list[Trace]:
     """Restrict full-state traces to the observed channels (recording the
-    mask); a mask whose length is not the state count is a ConfigError."""
+    mask; labels stay empty on a trace without them); a mask whose length
+    is not the state count is a ConfigError."""
     out = []
     for tr in traces:
         if len(mask.diag) != tr.y.shape[0]:
@@ -451,7 +430,7 @@ def apply_mask_to_traces(traces: list[Trace], mask: SensingMask) -> list[Trace]:
             )
         meta = dict(tr.meta)
         meta["mask"] = tuple(mask.diag)
-        labels = tuple(tr.y_labels[i] for i in mask.observed) + tr.u_labels
+        labels = tuple(tr.y_labels[i] for i in mask.observed) + tr.u_labels if tr.labels else ()
         out.append(Trace(tr.t0, tr.dt, tr.y[list(mask.observed)], tr.u, labels, meta))
     return out
 
@@ -471,7 +450,6 @@ class ExperimentConfig:
     mask: tuple[int, ...] | None = None
     perturbation: bool = True
     injected_shifts: tuple[int, ...] = (3, 10, 20)
-    shift_search: bool = True
     rate_points: int = 4
     k_window: int = 200
     split_ratio: float = 0.75
@@ -522,21 +500,7 @@ class ReportRow:
     status: str = "ok"
 
 
-REPORT_COLUMNS = (
-    "digest",
-    "experiment",
-    "system",
-    "arch",
-    "point",
-    "sampling_factor",
-    "rmse_coeffs",
-    "rmse_y",
-    "coeff_errors",
-    "shifts",
-    "runtime_s",
-    "seed",
-    "status",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 # ---------------------------------------------------------------------------
@@ -567,24 +531,12 @@ def _fit_neural(
 
 def _sindy_rmse_y(xi, lib, traces) -> float:
     """Mean per-trace RMSE of the recovered sparse model, every trace
-    integrated in one batch from its first sample by RK4 with one step per
-    sample, the input held at ``u[j]`` and at ``u[j+1]`` for the step's
-    last stage; a trace that diverges scores inf."""
+    replayed from its first sample by RK4 with one step per sample, the
+    input held at ``u[j]`` and at ``u[j+1]`` for the step's last stage; a
+    trace that diverges scores inf."""
     spec = model_spec(xi, lib, traces[0].m)
-    _, k, dt = common_grid(spec, traces)
-    states, diverged, _ = integrate_batch(
-        spec,
-        np.zeros((len(traces), 0)),
-        np.stack([tr.y[:, 0] for tr in traces]),
-        np.stack([tr.u for tr in traces]),
-        k,
-        dt,
-        substeps=1,
-    )
-    rmses = [
-        float("inf") if bad else rmse_signal(est, tr.y)
-        for est, bad, tr in zip(states, diverged, traces)
-    ]
+    u_blocks = [tr.u[None] for tr in traces]
+    _, _, rmses = replay(spec, np.zeros((len(traces), 0)), u_blocks, traces, substeps=1)
     return float(np.mean(rmses))
 
 
@@ -594,7 +546,7 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     reconstruction.  Keeps no reconstructed traces, shifts or loss history."""
     if any(tr.y.shape[0] != spec.n for tr in traces):
         raise SpecError("the sparse-regression baseline needs full-state data")
-    lib = FunctionLibrary(poly_degree=cfg.sindy_degree, include_control=True)
+    lib = FunctionLibrary(poly_degree=cfg.sindy_degree)
     pooled_y = np.hstack([tr.y for tr in traces])
     pooled_u = np.hstack([tr.u for tr in traces])
     pooled_dots = np.hstack([estimate_derivatives(tr) for tr in traces])
@@ -605,11 +557,7 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
             for i in range(pooled_y.shape[0])
         ]
     )
-    model = SparseModel(
-        xi=xi,
-        labels=tuple(library_labels(lib, pooled_y.shape[0], traces[0].m)),
-        threshold=cfg.sindy_threshold,
-    )
+    model = SparseModel(xi=xi, labels=tuple(library_labels(lib, pooled_y.shape[0], traces[0].m)))
     theta_est, spurious = map_to_coefficients(model, spec)
     return RecoveryResult(
         coeffs=Coefficients(theta_est),
@@ -795,7 +743,7 @@ def read_report_json(path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# trace / event CSV formats
+# trace CSV format
 
 
 def write_trace_csv(tr: Trace, path) -> None:
@@ -812,43 +760,13 @@ def write_trace_csv(tr: Trace, path) -> None:
             writer.writerow(row)
 
 
-def write_events_csv(ev: EventList, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "channel", "magnitude"])
-        for e in ev.events:
-            writer.writerow([repr(e.t), e.channel, repr(e.magnitude)])
+def load_real_csv(trace_path) -> list[Trace]:
+    """Read a measurement CSV into uniform-grid traces.
 
-
-def read_events_csv(path) -> EventList:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["t", "channel", "magnitude"]:
-            raise ConfigError(f"{path}: expected header t,channel,magnitude")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{ln}: {len(row)} values for {len(header)} columns")
-            try:
-                t, ch, mag = float(row[0]), int(row[1]), float(row[2])
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: non-numeric value") from None
-            if t < 0:
-                raise ConfigError(f"{path}:{ln}: negative event time {t}")
-            events.append(Event(ch, t, mag))
-    return EventList(tuple(events))
-
-
-def load_real_csv(trace_path, events_path=None, schema: dict | None = None):
-    """Read a measurement CSV into uniform-grid traces plus events.
-
-    ``schema`` maps column labels to roles: {"y": [...], "u": [...]}.
-    Sample gaps longer than twice the nominal interval split the record
-    into separate trace segments; any other grid irregularity is an error
-    naming the row.
+    The first column is the time ``t``; every column after it is an
+    observed channel, so the traces carry no inputs.  Sample gaps longer
+    than twice the nominal interval split the record into separate trace
+    segments; any other grid irregularity is an error naming the row.
     """
     with open(trace_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -870,16 +788,6 @@ def load_real_csv(trace_path, events_path=None, schema: dict | None = None):
                 raise ConfigError(f"{trace_path}:{ln}: non-numeric value") from None
     if len(rows) < 2:
         raise ConfigError(f"{trace_path}: need at least two samples")
-
-    if schema is None:
-        y_labels, u_labels = labels, []
-    else:
-        y_labels, u_labels = list(schema.get("y", [])), list(schema.get("u", []))
-        for lbl in (*y_labels, *u_labels):
-            if lbl not in labels:
-                raise ConfigError(f"{trace_path}: unknown channel label {lbl!r}")
-    y_idx = [labels.index(l) + 1 for l in y_labels]
-    u_idx = [labels.index(l) + 1 for l in u_labels]
 
     t = np.array([r[1][0] for r in rows])
     diffs = np.diff(t)
@@ -904,18 +812,14 @@ def load_real_csv(trace_path, events_path=None, schema: dict | None = None):
         if b - a < 2:
             continue
         seg = data[a:b]
+        # row-contiguous channels: stacks of windows take this memory order,
+        # and the order in which numpy sums over them follows it
+        y = np.ascontiguousarray(seg[:, 1:].T)
         traces.append(
-            Trace(
-                float(seg[0, 0]),
-                dt,
-                seg[:, y_idx].T,
-                seg[:, u_idx].T if u_idx else np.zeros((0, b - a)),
-                tuple(y_labels) + tuple(u_labels),
-                {"source": str(trace_path)},
-            )
+            Trace(float(seg[0, 0]), dt, y, np.zeros((0, b - a)), tuple(labels),
+                  {"source": str(trace_path)})
         )
-    events = read_events_csv(events_path) if events_path else EventList()
-    return traces, events
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +861,7 @@ def load_dataset(dirpath):
         doc = json.load(fh)
     traces = []
     for entry in doc["traces"]:
-        seg, _ = load_real_csv(os.path.join(dirpath, entry["file"]))
-        tr = seg[0]
+        tr = load_real_csv(os.path.join(dirpath, entry["file"]))[0]
         meta = entry.get("meta", {})
         n_y = spec.n if "mask" not in meta else sum(meta["mask"])
         traces.append(

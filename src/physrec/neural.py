@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import Coefficients, ConfigError, SensingMask, SpecError, SystemSpec
 from .odesolve import integrate_batch
-from .signals import BatchSet, Trace, shift_signed
+from .signals import BatchSet, Trace, rmse_signal, shift_signed
 from .tape import Tape, Var
 
 ARCHS = ("ltc", "ctrnn", "node")
@@ -112,12 +112,24 @@ class TrainConfig:
     warmup_epochs: int = 20
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0 or self.batch_size < 1:
-            raise SpecError("invalid training configuration")
-        if self.unfold_substeps < 1 or self.solve_substeps < 1:
-            raise SpecError("substeps must be >= 1")
-        if self.s_max < 0:
-            raise SpecError("s_max must be >= 0")
+        rules = (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("unfold_substeps", self.unfold_substeps >= 1, ">= 1"),
+            ("solve_substeps", self.solve_substeps >= 1, ">= 1"),
+            ("s_max", self.s_max >= 0, ">= 0"),
+            ("hidden_width", self.hidden_width >= 1, ">= 1"),
+            ("head_layers", all(w >= 1 for w in self.head_layers), "widths >= 1"),
+            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("fd_eps", self.fd_eps > 0, "> 0"),
+            ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
+        )
+        for name, ok, want in rules:
+            if not ok:
+                raise SpecError(f"TrainConfig.{name} must be {want}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_json(cls, doc: dict) -> TrainConfig:
@@ -140,7 +152,7 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction loss
+# window replay and the reconstruction loss
 
 
 def _window_mask(spec: SystemSpec, trace: Trace) -> SensingMask:
@@ -186,6 +198,44 @@ def common_grid(spec: SystemSpec, windows: list[Trace]) -> tuple[SensingMask, in
     return mask, k, dt
 
 
+def rmse_coeffs(est: Coefficients | np.ndarray, truth: Coefficients | np.ndarray) -> float:
+    """Root-mean-square error over the coefficient vector."""
+    e = est.values if isinstance(est, Coefficients) else np.asarray(est, dtype=float)
+    t = truth.values if isinstance(truth, Coefficients) else np.asarray(truth, dtype=float)
+    if e.shape != t.shape:
+        raise SpecError(f"coefficient vectors differ in length: {e.shape} vs {t.shape}")
+    return float(np.sqrt(np.mean((e - t) ** 2)))
+
+
+def replay(
+    spec: SystemSpec, coeff_rows: np.ndarray, u_blocks: list, windows: list[Trace], substeps: int
+):
+    """Solve candidate rows from their windows' first observations.
+
+    ``u_blocks`` holds one (r, m, k) input block per window and
+    ``coeff_rows`` the matching (len(windows) * r, p) coefficients, window
+    by window.  Every row starts from the resting state with the observed
+    entries set to its window's ``y[:, 0]``; all rows go through one
+    ``integrate_batch`` call on the windows' common grid (SpecError when
+    they do not share one).  Returns ``(y_est, diverged, rmses)``: the
+    observed channels of every row (rows, n_obs, k), the rows' divergence
+    flags, and per window the ``rmse_signal`` of its first row against its
+    ``y``, inf where that row diverged.
+    """
+    mask, k, dt = common_grid(spec, windows)
+    r = len(u_blocks[0])
+    x0 = np.repeat(np.stack([_initial_state(spec, w, mask) for w in windows]), r, axis=0)
+    states, diverged, _ = integrate_batch(
+        spec, coeff_rows, x0, np.concatenate(u_blocks), k, dt, substeps
+    )
+    y_est = states[:, list(mask.observed), :]
+    rmses = [
+        float("inf") if diverged[b * r] else rmse_signal(y_est[b * r], w.y)
+        for b, w in enumerate(windows)
+    ]
+    return y_est, diverged, np.array(rmses)
+
+
 def _shift_inputs(u: np.ndarray, shifts: np.ndarray, channels) -> np.ndarray:
     out = u.copy()
     k = u.shape[1]
@@ -212,44 +262,32 @@ def reconstruction_losses(
     """
     B = len(windows)
     p, q = spec.p, cfg.n_shift
-    mask, k, dt = common_grid(spec, windows)
-    obs = list(mask.observed)
 
     nvar = 1 + (2 * p + 2 * q if want_grads else 0)
-    S = B * nvar
     coeff_all = np.repeat(coeff_rows, nvar, axis=0)
-    x0_all = np.empty((S, spec.n))
-    u_all = np.empty((S, spec.m, k))
+    u_blocks = []
     eps_c = cfg.fd_eps * np.maximum(1.0, np.abs(coeff_rows))
     eps_d = np.full((B, q), cfg.fd_eps)
 
     for b, w in enumerate(windows):
         base = b * nvar
-        x0_all[base : base + nvar] = _initial_state(spec, w, mask)
-        shifts = cfg.shift_samples(d_rows[b]) if q else np.zeros(0)
-        u_shifted = _shift_inputs(w.u, shifts, cfg.shift_channels) if q else w.u
-        u_all[base : base + nvar] = u_shifted
+        u_shifted = _shift_inputs(w.u, cfg.shift_samples(d_rows[b]), cfg.shift_channels)
+        block = np.repeat(u_shifted[None], nvar, axis=0)
+        u_blocks.append(block)
         if want_grads:
             for j in range(p):
                 coeff_all[base + 1 + 2 * j, j] += eps_c[b, j]
                 coeff_all[base + 2 + 2 * j, j] -= eps_c[b, j]
             for i in range(q):
-                for sgn, off in ((+1, base + 1 + 2 * p + 2 * i), (-1, base + 2 + 2 * p + 2 * i)):
+                for sgn, off in ((+1, 1 + 2 * p + 2 * i), (-1, 2 + 2 * p + 2 * i)):
                     d_bump = d_rows[b].copy()
                     d_bump[i] += sgn * eps_d[b, i]
-                    u_all[off] = _shift_inputs(w.u, cfg.shift_samples(d_bump), cfg.shift_channels)
+                    block[off] = _shift_inputs(w.u, cfg.shift_samples(d_bump), cfg.shift_channels)
 
-    states, diverged, _ = integrate_batch(
-        spec,
-        coeff_all,
-        x0_all,
-        u_all,
-        k,
-        dt,
-        cfg.solve_substeps,
-    )
+    y_est, diverged, _ = replay(spec, coeff_all, u_blocks, windows, cfg.solve_substeps)
 
-    est = states[:, obs, 1:].reshape(B, nvar, len(obs), k - 1)
+    n_obs, k = y_est.shape[1:]
+    est = y_est[:, :, 1:].reshape(B, nvar, n_obs, k - 1)
     target = np.stack([w.y[:, 1:] for w in windows])[:, None, :, :]
     with np.errstate(all="ignore"):
         losses = np.mean((est - target) ** 2, axis=(2, 3))
@@ -751,33 +789,18 @@ def train(
     shifts = cfg.shift_samples(d_mean) if cfg.n_shift else np.zeros(0)
     coeffs = Coefficients(coeff_est)
 
-    # every eval window solved in one batch; rows are independent
+    # every eval window replayed in one batch; rows are independent
     windows = [batches.windows[i] for i in eval_idx]
-    mask, k_eval, dt_eval = common_grid(spec, windows)
-    obs = list(mask.observed)
-    u_all = np.stack(
-        [_shift_inputs(w.u, shifts, cfg.shift_channels) if cfg.n_shift else w.u for w in windows]
-    )
-    states, diverged, _ = integrate_batch(
-        spec,
-        np.repeat(coeffs.values[None, :], len(windows), axis=0),
-        np.stack([_initial_state(spec, w, mask) for w in windows]),
-        u_all,
-        k_eval,
-        dt_eval,
+    u_blocks = [_shift_inputs(w.u, shifts, cfg.shift_channels)[None] for w in windows]
+    y_est, _, rmses = replay(
+        spec, np.repeat(coeffs.values[None, :], len(windows), axis=0), u_blocks, windows,
         cfg.solve_substeps,
     )
-    recons, rmses = [], []
-    for b, w in enumerate(windows):
-        y_est = states[b, obs, :]
-        rmse = float(np.mean(np.sqrt(np.mean((y_est - w.y) ** 2, axis=1))))
-        rmses.append(float("inf") if diverged[b] else rmse)
-        recons.append(Trace(w.t0, w.dt, y_est, u_all[b], w.labels, dict(w.meta)))
-    rmse_y = float(np.mean(rmses))
-
-    rmse_c = None
-    if coeffs_true is not None:
-        rmse_c = float(np.sqrt(np.mean((coeff_est - coeffs_true.values) ** 2)))
+    recons = [
+        Trace(w.t0, w.dt, y, u[0], w.labels, dict(w.meta))
+        for w, y, u in zip(windows, y_est, u_blocks)
+    ]
+    rmse_c = None if coeffs_true is None else rmse_coeffs(coeffs, coeffs_true)
 
     final_state = TrainState(
         arch=arch,
@@ -791,7 +814,7 @@ def train(
         coeffs=coeffs,
         shifts=shifts,
         loss_history=loss_history,
-        rmse_y=rmse_y,
+        rmse_y=float(np.mean(rmses)),
         reconstructions=recons,
         rmse_coeffs=rmse_c,
         state=final_state,

@@ -1,9 +1,8 @@
-"""Trace data model, sparse-event encoding, shifting, decimation, spectra.
+"""Trace data model, shifting, decimation, spectra, windowing.
 
-Traces are uniformly sampled observation/input series.  External inputs
-arrive as timestamped event tuples that get encoded onto the sample grid
-as impulses; a differentiable fractional shift moves those impulses in
-time to model reporting / synchronization errors.
+Traces are uniformly sampled observation/input series.  A differentiable
+fractional shift moves input samples in time to model reporting /
+synchronization errors; ``rmse_signal`` scores a reconstructed trace.
 """
 
 from __future__ import annotations
@@ -57,64 +56,12 @@ class Trace:
         return self.u.shape[0]
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.k)
-
-    @property
     def y_labels(self) -> tuple[str, ...]:
         return self.labels[: self.y.shape[0]] if self.labels else ()
 
     @property
     def u_labels(self) -> tuple[str, ...]:
         return self.labels[self.y.shape[0] :] if self.labels else ()
-
-
-@dataclass(frozen=True)
-class Event:
-    channel: int
-    t: float
-    magnitude: float
-
-    def __post_init__(self):
-        if self.channel < 0:
-            raise SpecError("event channel must be >= 0")
-        if self.t < 0:
-            raise SpecError("event time must be >= 0")
-
-
-@dataclass(frozen=True)
-class EventList:
-    """Sparse timestamped external-input tuples."""
-
-    events: tuple[Event, ...] = ()
-
-    def __len__(self):
-        return len(self.events)
-
-    def for_channel(self, channel: int) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.channel == channel)
-
-
-def encode_events(ev: EventList, t0: float, dt: float, k: int, m: int | None = None) -> np.ndarray:
-    """Place event magnitudes at the nearest grid index, zeros elsewhere.
-
-    Coincident events on one bin sum.  Events outside
-    ``[t0, t0 + (k-1) dt]`` are rejected by name.
-    """
-    if m is None:
-        m = 1 + max((e.channel for e in ev.events), default=0)
-    out = np.zeros((m, k))
-    t_end = t0 + (k - 1) * dt
-    tol = 1e-9 * dt
-    for e in ev.events:
-        if e.channel >= m:
-            raise SpecError(f"event {e} references channel >= {m}")
-        if e.t < t0 - tol or e.t > t_end + tol:
-            raise SpecError(f"event {e} falls outside the grid [{t0}, {t_end}]")
-        idx = int(round((e.t - t0) / dt))
-        idx = min(max(idx, 0), k - 1)
-        out[e.channel, idx] += e.magnitude
-    return out
 
 
 def shift_signed(row: np.ndarray, s: float) -> np.ndarray:
@@ -147,6 +94,15 @@ def shift_signed(row: np.ndarray, s: float) -> np.ndarray:
         else:
             out[: k + hi] += fr * row[-hi:]
     return out
+
+
+def rmse_signal(est: np.ndarray, true: np.ndarray) -> float:
+    """Mean over channels of the per-channel RMSE between two (n, k) arrays."""
+    e = np.atleast_2d(np.asarray(est, dtype=float))
+    t = np.atleast_2d(np.asarray(true, dtype=float))
+    if e.shape != t.shape:
+        raise SpecError(f"signal shapes differ: {e.shape} vs {t.shape}")
+    return float(np.mean(np.sqrt(np.mean((e - t) ** 2, axis=1))))
 
 
 def decimate(tr: Trace, factor: int) -> Trace:

@@ -1,7 +1,7 @@
 """Sparse-regression baseline: candidate library + sequential threshold ridge.
 
 Recovers per-state dynamics by regressing estimated derivatives onto a
-library of monomials (optionally trig and state-input cross terms) and
+library of monomials and their products with every input, and
 iteratively hard-thresholding small coefficients.
 """
 
@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Coefficients, Factor, SpecError, SystemSpec, Term
+from .neural import rmse_coeffs
 from .signals import Trace
 
 
 @dataclass(frozen=True)
 class FunctionLibrary:
     poly_degree: int = 2
-    include_trig: bool = False
-    include_control: bool = True
 
     def __post_init__(self):
         if self.poly_degree < 1:
@@ -53,20 +52,15 @@ def _monomial_label(expo, prefix="x"):
 
 
 def library_labels(lib: FunctionLibrary, n_states: int, n_inputs: int) -> list[str]:
-    labels = [_monomial_label(e) for e in _monomial_exponents(n_states, lib.poly_degree)]
-    if lib.include_trig:
-        for i in range(n_states):
-            labels += [f"sin(x{i+1})", f"cos(x{i+1})"]
-    if lib.include_control:
-        base = list(labels)
-        for j in range(n_inputs):
-            for lbl in base:
-                labels.append(f"u{j+1}" if lbl == "1" else f"{lbl}*u{j+1}")
-    return labels
+    base = [_monomial_label(e) for e in _monomial_exponents(n_states, lib.poly_degree)]
+    return base + [
+        f"u{j+1}" if lbl == "1" else f"{lbl}*u{j+1}" for j in range(n_inputs) for lbl in base
+    ]
 
 
 def build_library(lib: FunctionLibrary, y_rows: np.ndarray, u_rows: np.ndarray | None = None):
-    """Design matrix (samples x columns) over state and input samples.
+    """Design matrix (samples x columns) over state and input samples: the
+    monomials up to ``lib.poly_degree``, then each monomial times each input.
 
     ``y_rows`` is (n_states, k); ``u_rows`` is (n_inputs, k) or None.
     Column order matches :func:`library_labels`.
@@ -86,16 +80,7 @@ def build_library(lib: FunctionLibrary, y_rows: np.ndarray, u_rows: np.ndarray |
             if e:
                 col = col * y[i] ** e
         cols.append(col)
-    if lib.include_trig:
-        for i in range(n_states):
-            cols.append(np.sin(y[i]))
-            cols.append(np.cos(y[i]))
-    if lib.include_control:
-        base = list(cols)
-        for j in range(u.shape[0]):
-            for col in base:
-                cols.append(col * u[j])
-    return np.column_stack(cols)
+    return np.column_stack(cols + [col * u_j for u_j in u for col in cols])
 
 
 def estimate_derivatives(tr: Trace) -> np.ndarray:
@@ -166,7 +151,6 @@ class SparseModel:
 
     xi: np.ndarray  # columns x n_states
     labels: tuple[str, ...]
-    threshold: float
 
     def support(self, state: int) -> tuple[str, ...]:
         return tuple(l for l, v in zip(self.labels, self.xi[:, state]) if v != 0.0)
@@ -176,16 +160,13 @@ def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpe
     """The fitted model ``xdot = build_library(lib, x, u) @ xi`` as a
     weights-only system spec: each nonzero ``xi[col, state]`` becomes one
     ``Term`` with that weight and no named coefficient, in column order.
-    Trig columns become ``sin`` / ``cos`` factors, control columns g-terms."""
+    Input columns become g-terms."""
     n = xi.shape[1]
     base = [
         tuple(Factor(i, e) for i, e in enumerate(expo) if e)
         for expo in _monomial_exponents(n, lib.poly_degree)
     ]
-    if lib.include_trig:
-        base += [(Factor(i, 1, func),) for i in range(n) for func in ("sin", "cos")]
-    inputs = range(n_inputs) if lib.include_control else ()
-    columns = [(f, None) for f in base] + [(f, j) for j in inputs for f in base]
+    columns = [(f, None) for f in base] + [(f, j) for j in range(n_inputs) for f in base]
     if len(columns) != xi.shape[0]:
         raise SpecError(f"xi has {xi.shape[0]} rows but the library has {len(columns)} columns")
     terms = [
@@ -202,8 +183,8 @@ def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpe
 def _term_label(term, n_states: int) -> str:
     expo = [0] * n_states
     for fac in term.factors:
-        if fac.func != "identity" or fac.power < 0:
-            return ""  # trig terms handled separately; unmapped here
+        if fac.func != "identity":
+            return ""  # the library has no trig columns
         expo[fac.var] += fac.power
     lbl = _monomial_label(tuple(expo))
     if term.input is not None:
@@ -249,8 +230,8 @@ def map_to_coefficients(
 def rmse_with_spurious(
     theta_est: np.ndarray, theta_true: Coefficients, spurious: list[tuple[str, int, float]]
 ) -> float:
-    """Coefficient RMSE where spurious recovered terms count as errors
+    """``rmse_coeffs`` where spurious recovered terms count as errors
     against a true value of zero."""
-    diffs = np.asarray(theta_est, dtype=float) - theta_true.values
-    sq = list(diffs**2) + [v**2 for (_, _, v) in spurious]
-    return float(np.sqrt(np.mean(sq)))
+    extra = [v for (_, _, v) in spurious]
+    truth = np.append(theta_true.values, np.zeros(len(extra)))
+    return rmse_coeffs(np.append(theta_est, extra), truth)

@@ -47,31 +47,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    # operator sugar for the common elementwise cases
-    def __add__(self, other):
-        return self.tape.add(self, other)
-
-    def __radd__(self, other):
-        return self.tape.add(self, other)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, other)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, other)
-
-    def __rmul__(self, other):
-        return self.tape.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.tape.div(self, other)
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, other)
-
-    def __neg__(self):
-        return self.tape.scale(self, -1.0)
-
 
 class Tape:
     """Recording of primitive operations in topological order."""
@@ -224,11 +199,6 @@ class Tape:
         av = a.value
         return self._record(np.sum(av), (a,), lambda g, out: (g * np.ones_like(av),))
 
-    def mean(self, a: Var):
-        av = a.value
-        n = av.size
-        return self._record(np.mean(av), (a,), lambda g, out: (g * np.ones_like(av) / n,))
-
     def vslice(self, a: Var, start: int, stop: int):
         """Slice of the leading axis (rows of a matrix, span of a vector)."""
         av = a.value
@@ -243,13 +213,6 @@ class Tape:
         return self._record(av[start:stop], (a,), back)
 
     # -- nonlinearities -------------------------------------------------------
-
-    def square(self, a: Var):
-        av = a.value
-        return self._record(av**2, (a,), lambda g, out: (2.0 * g * av,))
-
-    def exp(self, a: Var):
-        return self._record(np.exp(a.value), (a,), lambda g, out: (g * out,))
 
     def sigmoid(self, a: Var):
         out_val = 1.0 / (1.0 + np.exp(-a.value))

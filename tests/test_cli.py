@@ -151,7 +151,7 @@ def test_nyquist_prints_the_rate_of_the_loaded_traces(tmp_path, capsys):
         f"{ti!r},{yi!r}\n" for ti, yi in zip(t.tolist(), np.sin(2 * np.pi * 2.0 * t).tolist())
     ))
     assert cli.main(["nyquist", "--data", str(path)]) == 0
-    rate = data_nyquist_rate(load_real_csv(path)[0])
+    rate = data_nyquist_rate(load_real_csv(path))
     assert capsys.readouterr().out == f"{rate:.6g}\n"
     assert rate == pytest.approx(4.0)
 

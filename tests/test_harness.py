@@ -15,14 +15,11 @@ from physrec.harness import (
     emit_report,
     generate_benchmark_data,
     load_real_csv,
-    read_events_csv,
     read_report_json,
-    rmse_signal,
     run_experiment,
-    write_events_csv,
 )
 from physrec.neural import TrainConfig
-from physrec.signals import Event, EventList
+from physrec.signals import rmse_signal
 from physrec.sindy import FunctionLibrary, build_library, library_labels
 
 
@@ -66,7 +63,7 @@ def _lv_data():
 
 def test_sindy_rmse_y_matches_plain_rk4(sindyc_fit):
     spec, coeffs, traces = _lv_data()
-    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    lib = FunctionLibrary(poly_degree=2)
     cfg = ExperimentConfig(sindy_degree=2, sindy_threshold=0.05)
     xi = sindyc_fit(spec, coeffs, traces[:1], cfg)[0].xi
     got = _sindy_rmse_y(xi, lib, traces)
@@ -77,7 +74,7 @@ def test_sindy_rmse_y_matches_plain_rk4(sindyc_fit):
 
 def test_sindy_rmse_y_divergent_model_is_inf():
     traces = _lv_data()[2]
-    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    lib = FunctionLibrary(poly_degree=2)
     labels = library_labels(lib, 2, 1)
     xi = np.zeros((len(labels), 2))
     xi[labels.index("x1^2"), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
@@ -87,7 +84,7 @@ def test_sindy_rmse_y_divergent_model_is_inf():
 
 def test_experiment_digest_is_stable():
     # digests label report rows, so a config must keep its digest
-    assert ExperimentConfig().digest() == "afe46f6c1c87"
+    assert ExperimentConfig().digest() == "f217a9a9a526"
     cfg = ExperimentConfig(
         experiment="aid",
         system="bergman_aid",
@@ -95,13 +92,13 @@ def test_experiment_digest_is_stable():
         generation=(("injected_shift", 10), ("n_traces", 2)),
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
-    assert cfg.digest() == "f4fea6a8ef64"
+    assert cfg.digest() == "6fe31adb1605"
 
 
 def test_experiment_config_json_round_trip():
     pinned = {
-        "afe46f6c1c87": ExperimentConfig(),
-        "f4fea6a8ef64": ExperimentConfig(
+        "f217a9a9a526": ExperimentConfig(),
+        "6fe31adb1605": ExperimentConfig(
             experiment="aid",
             system="bergman_aid",
             mask=(1, 0, 1),
@@ -291,29 +288,18 @@ def test_report_json_round_trip(tmp_path):
     assert got == want
 
 
-def test_events_csv_round_trip(tmp_path):
-    events = EventList((Event(0, 0.5, 2.0), Event(1, 1.25, -0.1), Event(0, 3.0, 1e-7)))
-    path = tmp_path / "events.csv"
-    write_events_csv(events, path)
-    assert read_events_csv(path) == events
-
-
-def test_load_real_csv_splits_at_gaps_and_reads_events(tmp_path):
+def test_load_real_csv_splits_at_gaps(tmp_path):
     # dt = 0.5; the 2.0 gap after t=1.5 is longer than 2 dt
     trace_path = tmp_path / "trace.csv"
     times = [0.0, 0.5, 1.0, 1.5, 3.5, 4.0, 4.5]
     trace_path.write_text(
-        "t,u1,y1\n" + "".join(f"{t},{i % 2},{10.0 + i}\n" for i, t in enumerate(times))
+        "t,y1,y2\n" + "".join(f"{t},{i % 2},{10.0 + i}\n" for i, t in enumerate(times))
     )
-    events = EventList((Event(0, 0.75, 2.0), Event(0, 4.0, -1.0)))
-    events_path = tmp_path / "events.csv"
-    write_events_csv(events, events_path)
-    traces, got = load_real_csv(trace_path, events_path, schema={"y": ["y1"], "u": ["u1"]})
-    assert got == events
-    assert [(tr.t0, tr.dt, tr.k) for tr in traces] == [(0.0, 0.5, 4), (3.5, 0.5, 3)]
-    assert np.array_equal(traces[0].y, [[10.0, 11.0, 12.0, 13.0]])
-    assert np.array_equal(traces[1].u, [[0.0, 1.0, 0.0]])
-    assert traces[1].labels == ("y1", "u1")
+    traces = load_real_csv(trace_path)
+    assert [(tr.t0, tr.dt, tr.k, tr.m) for tr in traces] == [(0.0, 0.5, 4, 0), (3.5, 0.5, 3, 0)]
+    assert np.array_equal(traces[0].y, [[0.0, 1.0, 0.0, 1.0], [10.0, 11.0, 12.0, 13.0]])
+    assert np.array_equal(traces[1].y, [[0.0, 1.0, 0.0], [14.0, 15.0, 16.0]])
+    assert traces[1].labels == ("y1", "y2")
 
 
 def test_load_real_csv_names_a_ragged_row(tmp_path):
@@ -321,20 +307,3 @@ def test_load_real_csv_names_a_ragged_row(tmp_path):
     path.write_text("t,y1,y2\n0.0,1.0,2.0\n0.1,1.0\n0.2,1.0,2.0\n")
     with pytest.raises(ConfigError, match=r"trace\.csv:3: 2 values for 3 columns"):
         load_real_csv(path)
-
-
-@pytest.mark.parametrize(
-    "row,message",
-    [("0.5,0", r"events\.csv:3: 2 values for 3 columns"),
-     ("0.5,x,1", r"events\.csv:3: non-numeric value")],
-    ids=["short", "non-numeric"],
-)
-def test_events_csv_names_a_bad_row(row, message, tmp_path):
-    events_path = tmp_path / "events.csv"
-    events_path.write_text(f"t,channel,magnitude\n0.25,0,1.0\n{row}\n")
-    with pytest.raises(ConfigError, match=message):
-        read_events_csv(events_path)
-    trace_path = tmp_path / "trace.csv"
-    trace_path.write_text("t,y1\n0.0,1.0\n0.5,2.0\n1.0,3.0\n")
-    with pytest.raises(ConfigError, match=message):
-        load_real_csv(trace_path, events_path)

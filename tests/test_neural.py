@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from physrec import neural
-from physrec.dynamics import ConfigError, SpecError, builtin_system
-from physrec.harness import generate_benchmark_data
+from physrec.dynamics import ConfigError, SensingMask, SpecError, builtin_system
+from physrec.harness import apply_mask_to_traces, generate_benchmark_data
 from physrec.neural import (
     ARCHS,
     CELL_LEAVES,
@@ -24,7 +24,8 @@ from physrec.neural import (
     save_checkpoint,
     train,
 )
-from physrec.signals import Trace, make_batches
+from physrec.odesolve import integrate_batch
+from physrec.signals import Trace, make_batches, rmse_signal, shift_signed
 from physrec.tape import Tape, grad_check
 
 
@@ -76,6 +77,45 @@ def test_train_rejects_an_out_of_range_shift_channel():
     cfg = TrainConfig(epochs=0, hidden_width=4, head_layers=(6,), shift_channels=(3,))
     with pytest.raises(SpecError, match="shift channel 3 is out of range for m=1"):
         train("ltc", spec, batches, cfg)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("warmup_epochs", -1), ("dropout", 1.0), ("dropout", -0.5), ("head_layers", (0,)),
+     ("fd_eps", 0.0), ("beta1", 1.0), ("beta2", 1.0), ("hidden_width", 0)],
+)
+def test_train_config_rejects_values_that_break_training(field, value):
+    with pytest.raises(SpecError, match=rf"TrainConfig\.{field} must be .*, got"):
+        TrainConfig(**{field: value})
+
+
+def test_train_reports_the_replay_of_each_eval_window():
+    # x2 is hidden and u1 is reported 5 samples early; the fit searches its shift
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200, "injected_shift": 5}, seed=3
+    )
+    traces = apply_mask_to_traces(traces, SensingMask((1, 0)))
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.5, seed=3)
+    cfg = TrainConfig(
+        epochs=1, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
+        shift_channels=(0,), seed=4,
+    )
+    result = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
+    windows = [batches.windows[i] for i in batches.test_idx]
+    assert len(result.reconstructions) == len(windows) > 1
+    rmses = []
+    for w, recon in zip(windows, result.reconstructions):
+        u = w.u.copy()
+        u[0] = shift_signed(w.u[0], result.shifts[0])
+        x0 = spec.resting_state()
+        x0[0] = w.y[0, 0]
+        states, diverged, _ = integrate_batch(
+            spec, result.coeffs.values[None, :], x0[None, :], u[None], w.k, w.dt,
+            cfg.solve_substeps,
+        )
+        assert np.array_equal(recon.y, states[0, :1]) and np.array_equal(recon.u, u)
+        rmses.append(float("inf") if diverged[0] else rmse_signal(states[0, :1], w.y))
+    assert result.rmse_y == float(np.mean(rmses))
 
 
 def test_reconstruction_losses_shared_grid_at_equilibrium():

@@ -1,4 +1,4 @@
-"""Property tests of the signal helpers: shift mass, decimation, event grids."""
+"""Property tests of the signal helpers: shift mass and decimation."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physrec.signals import Event, EventList, Trace, decimate, encode_events, shift_signed
+from physrec.signals import Trace, decimate, shift_signed
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -44,22 +44,3 @@ def test_decimate_composes(a, b, extra, dt):
     assert np.array_equal(twice.u, once.u)
     assert twice.meta.get("decimation", 1) == once.meta.get("decimation", 1)
     assert abs(twice.dt - once.dt) <= 1e-12 * once.dt
-
-
-@FAST
-@given(
-    t0=st.floats(0.0, 100.0),
-    dt=st.floats(1e-3, 10.0),
-    k=st.integers(1, 30),
-    picks=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 29), st.floats(-1e3, 1e3)),
-        max_size=12,
-    ),
-)
-def test_encode_events_places_on_grid_events(t0, dt, k, picks):
-    events = [Event(ch, t0 + (idx % k) * dt, mag) for ch, idx, mag in picks]
-    out = encode_events(EventList(tuple(events)), t0, dt, k, m=3)
-    want = np.zeros((3, k))
-    for ch, idx, mag in picks:
-        want[ch, idx % k] += mag  # coincident events sum in event order
-    assert np.array_equal(out, want)

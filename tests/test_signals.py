@@ -1,15 +1,12 @@
-"""Tests for traces, events, shifting, decimation, and spectra."""
+"""Tests for traces, shifting, decimation, and spectra."""
 
 import numpy as np
 import pytest
 
 from physrec.dynamics import SpecError
 from physrec.signals import (
-    Event,
-    EventList,
     Trace,
     decimate,
-    encode_events,
     make_batches,
     nyquist_rate,
     periodogram,
@@ -22,32 +19,6 @@ def make_trace(y, u=None, dt=0.1):
     if u is None:
         u = np.zeros((1, y.shape[1]))
     return Trace(0.0, dt, y, u)
-
-
-class TestEncodeEvents:
-    def test_single_event_at_nearest_index(self):
-        ev = EventList((Event(0, 0.2, 5.0),))
-        row = encode_events(ev, 0.0, 0.1, 5)
-        assert np.array_equal(row[0], [0, 0, 5, 0, 0])
-
-    def test_empty_list(self):
-        assert np.all(encode_events(EventList(), 0.0, 0.1, 5, m=2) == 0.0)
-
-    def test_for_channel_keeps_order(self):
-        ev = EventList((Event(1, 0.1, 1.0), Event(0, 0.2, 2.0), Event(1, 0.3, 3.0)))
-        assert ev.for_channel(1) == (Event(1, 0.1, 1.0), Event(1, 0.3, 3.0))
-        assert ev.for_channel(2) == ()
-
-    def test_coincident_events_sum(self):
-        ev = EventList((Event(0, 0.2, 3.0), Event(0, 0.21, 4.0)))
-        row = encode_events(ev, 0.0, 0.1, 5)
-        assert row[0, 2] == 7.0
-
-    def test_out_of_range_rejected(self):
-        ev = EventList((Event(0, 0.9, 1.0),))
-        with pytest.raises(SpecError) as err:
-            encode_events(ev, 0.0, 0.1, 5)
-        assert "0.9" in str(err.value)
 
 
 class TestFractionalShift:
@@ -94,14 +65,16 @@ class TestFractionalShift:
         # spill drops at the front; the fraction splits between neighbours
         assert np.allclose(shift_signed(row, -1.5), [1.5, 1.0, 0.0, 0.0, 0.0])
 
-    def test_matches_event_encoding_for_integer_shifts(self):
-        dt, k = 0.5, 12
-        events = EventList((Event(0, 1.0, 3.0), Event(0, 4.0, -1.0)))
-        base = encode_events(events, 0.0, dt, k)
-        for s in (1, 3):
-            moved = EventList(tuple(Event(0, e.t + s * dt, e.magnitude) for e in events.events))
-            keep = EventList(tuple(e for e in moved.events if e.t <= (k - 1) * dt))
-            assert np.allclose(shift_signed(base[0], float(s)), encode_events(keep, 0.0, dt, k)[0])
+    def test_integer_shifts_move_impulses(self):
+        k, impulses = 12, {2: 3.0, 8: -1.0}
+        base = np.zeros(k)
+        base[list(impulses)] = list(impulses.values())
+        for s in (1, 3, 4):
+            moved = np.zeros(k)
+            for idx, mag in impulses.items():
+                if idx + s < k:  # mass shifted past the end is dropped
+                    moved[idx + s] = mag
+            assert np.array_equal(shift_signed(base, float(s)), moved)
 
 
 class TestDecimate:

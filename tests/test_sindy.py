@@ -19,19 +19,19 @@ from physrec.sindy import (
 
 class TestBuildLibrary:
     def test_scalar_degree_two(self):
-        lib = FunctionLibrary(poly_degree=2, include_control=False)
+        lib = FunctionLibrary(poly_degree=2)
         row = build_library(lib, np.array([[2.0]]))
         assert np.array_equal(row[0], [1.0, 2.0, 4.0])
 
     def test_two_states_degree_two_order(self):
-        lib = FunctionLibrary(poly_degree=2, include_control=False)
+        lib = FunctionLibrary(poly_degree=2)
         row = build_library(lib, np.array([[1.0], [3.0]]))
         assert np.array_equal(row[0], [1.0, 1.0, 3.0, 1.0, 3.0, 9.0])
         labels = library_labels(lib, 2, 0)
         assert labels == ["1", "x1", "x2", "x1^2", "x1*x2", "x2^2"]
 
     def test_control_cross_terms(self):
-        lib = FunctionLibrary(poly_degree=1, include_control=True)
+        lib = FunctionLibrary(poly_degree=1)
         row = build_library(lib, np.array([[3.0]]), np.array([[2.0]]))
         labels = library_labels(lib, 1, 1)
         assert "x1*u1" in labels
@@ -176,10 +176,10 @@ class TestSindycRecover:
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("control,trig", [(False, False), (True, False), (True, True)])
-def test_model_spec_matches_library_product(degree, control, trig):
-    lib = FunctionLibrary(poly_degree=degree, include_trig=trig, include_control=control)
-    n, m, S = 3, 2, 40
+@pytest.mark.parametrize("m", [0, 2], ids=["no-inputs", "inputs"])
+def test_model_spec_matches_library_product(degree, m):
+    lib = FunctionLibrary(poly_degree=degree)
+    n, S = 3, 40
     rng = np.random.default_rng(degree)
     n_cols = len(library_labels(lib, n, m))
     xi = rng.normal(size=(n_cols, n)) * (rng.uniform(size=(n_cols, n)) < 0.6)
@@ -195,6 +195,6 @@ def test_model_spec_matches_library_product(degree, control, trig):
 
 
 def test_model_spec_rejects_mismatched_xi():
-    lib = FunctionLibrary(poly_degree=2, include_control=True)
+    lib = FunctionLibrary(poly_degree=2)
     with pytest.raises(SpecError):
         model_spec(np.ones((5, 2)), lib, 1)

@@ -18,7 +18,7 @@ def test_sigmoid_derivative_at_zero():
 def test_product_gradients():
     t = Tape()
     x, y = t.leaf(np.array(2.0)), t.leaf(np.array(3.0))
-    g = t.backward(x * y)
+    g = t.backward(t.mul(x, y))
     assert g[x.idx] == 3.0 and g[y.idx] == 2.0
 
 
@@ -34,7 +34,7 @@ def test_relu_values_and_zero_convention():
 def test_fanout_accumulation():
     t = Tape()
     x = t.leaf(np.array(3.0))
-    g = t.backward(x * x)
+    g = t.backward(t.mul(x, x))
     assert g[x.idx] == pytest.approx(6.0)
 
 
@@ -42,7 +42,7 @@ def test_unreachable_leaf_gets_zero():
     t = Tape()
     x = t.leaf(np.array([1.0, 2.0]))
     y = t.leaf(np.array(5.0))
-    g = t.backward(t.square(y))
+    g = t.backward(t.mul(y, y))
     assert np.array_equal(g[x.idx], [0.0, 0.0])
 
 
@@ -72,16 +72,16 @@ def _record_every_primitive():
     mat = t.matmul(t.matmul(m, t.leaf(np.ones((2, 3)))), np.eye(3))
     vecs = [
         t.add(x, x), t.add(x, 1.0), t.add(x, s), t.sub(x, x), t.sub(x, 1.0), t.sub(s, x),
-        t.mul(x, x), t.mul(x, 2.0), t.mul(s, x), t.div(x, t.exp(x)), t.div(x, 2.0),
-        t.div(1.0, t.softplus(x)), t.scale(x, -1.0), -x, t.sigmoid(x), t.tanh(x),
-        t.relu(x), t.square(x), t.matmul(mat, x_col), t.matmul(mat, np.ones((3, 1))),
+        t.mul(x, x), t.mul(x, 2.0), t.mul(s, x), t.div(x, t.sigmoid(x)), t.div(x, 2.0),
+        t.div(1.0, t.softplus(x)), t.scale(x, -1.0), t.sigmoid(x), t.tanh(x),
+        t.relu(x), t.matmul(mat, x_col), t.matmul(mat, np.ones((3, 1))),
     ]
     xv, sv = x.value, s.value
     custom = t.custom_node(
         [x, s], np.sum(xv) * sv, lambda g: [g * sv * np.ones_like(xv), g * np.sum(xv)]
     )
     cols = t.mulcol(t.mulcol(t.addcol(mat, x), x), np.ones(3))
-    loss = t.add(t.mean(t.vslice(cols, 0, 2)), custom)
+    loss = t.add(t.sum(t.vslice(cols, 0, 2)), custom)
     for v in vecs:
         loss = t.add(loss, t.sum(v))
     return weakref.ref(t), t.backward(loss)
@@ -97,7 +97,7 @@ def test_backward_requires_scalar():
     t = Tape()
     x = t.leaf(np.array([1.0, 2.0]))
     with pytest.raises(TapeError):
-        t.backward(t.square(x))
+        t.backward(t.mul(x, x))
 
 
 def test_shape_mismatch_rejected():
@@ -116,7 +116,7 @@ def test_determinism():
         x = t.leaf(np.linspace(-1, 1, 8)[:, None])
         w = t.leaf(np.arange(64.0).reshape(8, 8) / 64.0)
         h = t.tanh(t.matmul(w, x))
-        loss = t.mean(t.square(h))
+        loss = t.sum(t.mul(h, h))
         return t.backward(loss)[x.idx]
 
     assert np.array_equal(build(), build())
@@ -182,14 +182,9 @@ class TestGradCheckAllPrimitives:
 
         def f(v):
             t = v.tape
-            return t.mean(t.mulcol(t.addcol(t.leaf(M), v), v))
+            return t.sum(t.mulcol(t.addcol(t.leaf(M), v), v))
 
         self._check(f, (5,), rng)
-
-    def test_reductions_square_exp(self):
-        rng = np.random.default_rng(15)
-        self._check(lambda v: v.tape.mean(v.tape.square(v)), (7,), rng)
-        self._check(lambda v: v.tape.sum(v.tape.exp(v)), (7,), rng)
 
     def test_sigmoid_tanh_softplus(self):
         rng = np.random.default_rng(16)
@@ -208,7 +203,7 @@ class TestGradCheckAllPrimitives:
             t = v.tape
             a = t.vslice(v, 0, 3)
             b = t.vslice(v, 3, 6)
-            return t.add(t.sum(t.square(a)), t.sum(t.square(t.exp(b))))
+            return t.add(t.sum(t.mul(a, a)), t.sum(t.tanh(b)))
 
         self._check(f, (6,), rng)
 
@@ -221,7 +216,7 @@ class TestGradCheckAllPrimitives:
             t = v.tape
             h = t.tanh(t.matmul(t.leaf(w1), v))
             h = t.sigmoid(t.matmul(t.leaf(w2), h))
-            return t.mean(t.square(h))
+            return t.sum(t.mul(h, h))
 
         self._check(f, (6, 1), rng)
 
@@ -270,7 +265,7 @@ class TestGradCheckUtility:
 
         def f(v):
             t = v.tape
-            return t.mean(t.sigmoid(t.sigmoid(v)))
+            return t.sum(t.sigmoid(t.sigmoid(v)))
 
         assert grad_check(f, rng.normal(size=6)) < 1e-6
 
