@@ -97,9 +97,15 @@ def _cmd_sweep(args) -> int:
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)
     print(f"wrote {len(rows)} rows to {args.out}")
     failed = [r for r in rows if r.status != "ok"]
-    for r in failed:
-        print(f"physrec: {r.point}: {r.status}", file=sys.stderr)
-    print(f"physrec: {len(rows) - len(failed)} ok, {len(failed)} failed", file=sys.stderr)
+    for r in rows:
+        if r.status != "ok":
+            print(f"physrec: {r.point}: {r.status}", file=sys.stderr)
+        elif r.diverged_windows:
+            print(f"physrec: {r.point}: rmse_y inf, diverged replay windows: "
+                  f"{r.diverged_windows}", file=sys.stderr)
+    diverged = sum(r.diverged_windows for r in rows)
+    print(f"physrec: {len(rows) - len(failed)} ok, {len(failed)} failed; "
+          f"diverged replay windows: {diverged}", file=sys.stderr)
     return 1 if len(failed) == len(rows) else 0
 
 

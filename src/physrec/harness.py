@@ -273,6 +273,9 @@ _PRESETS = {
     ),
 }
 
+# smallest count within 1e-6 relative of a 40-substep truth on every preset (CHANGES.md)
+GEN_SUBSTEPS = 2
+
 
 @dataclass(frozen=True)
 class _Truth:
@@ -319,7 +322,7 @@ def _simulate(preset: str, overrides: dict, seed: int) -> _Truth:
     u_true = report(0)[0]
     coeff_rows = np.repeat(coeffs.values[None, :], cfg["n_traces"], axis=0)
     states, diverged, t_fail = integrate_batch(
-        spec, coeff_rows, x0_rows, u_true, u_true.shape[2], cfg["dt"], 10
+        spec, coeff_rows, x0_rows, u_true, u_true.shape[2], cfg["dt"], GEN_SUBSTEPS
     )
     if np.any(diverged):
         bad = int(np.nonzero(diverged)[0][0])
@@ -498,6 +501,7 @@ class ReportRow:
     runtime_s: float
     seed: int
     status: str = "ok"
+    diverged_windows: int = 0  # replay windows that diverged; rmse_y is inf if any
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
@@ -529,15 +533,15 @@ def _fit_neural(
     )
 
 
-def _sindy_rmse_y(xi, lib, traces) -> float:
-    """Mean per-trace RMSE of the recovered sparse model, every trace
-    replayed from its first sample by RK4 with one step per sample, the
-    input held at ``u[j]`` and at ``u[j+1]`` for the step's last stage; a
-    trace that diverges scores inf."""
+def _sindy_rmse_y(xi, lib, traces) -> tuple[float, int]:
+    """Mean per-trace RMSE of the recovered sparse model and the number of
+    traces whose replay diverged.  Every trace is replayed from its first
+    sample by RK4 with one step per sample, all four stages of step ``j``
+    reading the held input ``u[j]``; a trace that diverges scores inf."""
     spec = model_spec(xi, lib, traces[0].m)
     u_blocks = [tr.u[None] for tr in traces]
-    _, _, rmses = replay(spec, np.zeros((len(traces), 0)), u_blocks, traces, substeps=1)
-    return float(np.mean(rmses))
+    _, diverged, rmses = replay(spec, np.zeros((len(traces), 0)), u_blocks, traces, substeps=1)
+    return float(np.mean(rmses)), int(np.count_nonzero(diverged))
 
 
 def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResult:
@@ -559,13 +563,15 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     )
     model = SparseModel(xi=xi, labels=tuple(library_labels(lib, pooled_y.shape[0], traces[0].m)))
     theta_est, spurious = map_to_coefficients(model, spec)
+    rmse_y, diverged_windows = _sindy_rmse_y(xi, lib, traces)
     return RecoveryResult(
         coeffs=Coefficients(theta_est),
         shifts=np.zeros(0),
         loss_history=[],
-        rmse_y=_sindy_rmse_y(xi, lib, traces),
+        rmse_y=rmse_y,
         reconstructions=[],
         rmse_coeffs=rmse_with_spurious(theta_est, coeffs_true, spurious),
+        diverged_windows=diverged_windows,
     )
 
 
@@ -577,7 +583,7 @@ def _fitted_system(cfg: ExperimentConfig) -> str:
     return _PRESET_SYSTEMS.get(cfg.experiment, cfg.system)
 
 
-def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok"):
+def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok", diverged=0):
     return ReportRow(
         digest=cfg.digest(),
         experiment=cfg.experiment,
@@ -592,6 +598,7 @@ def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok"):
         runtime_s=time.perf_counter() - t0,
         seed=cfg.seed,
         status=status,
+        diverged_windows=diverged,
     )
 
 
@@ -616,6 +623,7 @@ def _fit_point(cfg, spec, coeffs_true, traces, factor, point, train_cfg) -> Repo
             errors,
             tuple(float(s) for s in result.shifts),
             t0,
+            diverged=result.diverged_windows,
         )
     except Exception as e:  # per-point failures land in the row
         return _row(

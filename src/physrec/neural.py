@@ -97,7 +97,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     batch_size: int = 32
     unfold_substeps: int = 6
-    solve_substeps: int = 6
+    solve_substeps: int = 2
     s_max: float = 25.0
     shift_channels: tuple[int, ...] = ()
     seed: int = 0
@@ -341,7 +341,11 @@ def resting_consistent_init(
     """
     x0 = spec.resting_state()
     u_mean = (
-        np.mean(np.stack([w.u for w in windows]), axis=(0, 2)) if spec.m else np.zeros(0)
+        # summed in C order whatever the windows' layout, so equal data
+        # gives equal bits
+        np.mean(np.ascontiguousarray(np.stack([w.u for w in windows])), axis=(0, 2))
+        if spec.m
+        else np.zeros(0)
     )
 
     def term_value(term):
@@ -642,6 +646,7 @@ class RecoveryResult:
     reconstructions: list[Trace]
     rmse_coeffs: float | None = None
     state: TrainState | None = None
+    diverged_windows: int = 0  # replayed windows behind an inf rmse_y
 
 
 def _project_signs(spec: SystemSpec, values: np.ndarray) -> np.ndarray:
@@ -792,7 +797,7 @@ def train(
     # every eval window replayed in one batch; rows are independent
     windows = [batches.windows[i] for i in eval_idx]
     u_blocks = [_shift_inputs(w.u, shifts, cfg.shift_channels)[None] for w in windows]
-    y_est, _, rmses = replay(
+    y_est, diverged, rmses = replay(
         spec, np.repeat(coeffs.values[None, :], len(windows), axis=0), u_blocks, windows,
         cfg.solve_substeps,
     )
@@ -818,6 +823,7 @@ def train(
         reconstructions=recons,
         rmse_coeffs=rmse_c,
         state=final_state,
+        diverged_windows=int(np.count_nonzero(diverged)),
     )
 
 

@@ -4,8 +4,13 @@
 for benchmark data generation, inside the training loss, for the final
 reconstructions and for the SINDYc model's replay: given initial states,
 coefficient candidates and input samples, it produces the estimated
-states on the sample grid.  Inputs are reconstructed between samples by
-zero-order hold (``zoh_index``).
+states on the sample grid.
+
+Inputs are sampled and held: over output interval ``j`` (from ``t_j`` to
+``t_{j+1}``) every RK4 stage of every substep reads sample ``u[j]``, and
+the last sample is held past the grid's end.  The input therefore never
+changes inside a step, and RK4 keeps its fourth order on piecewise-constant
+inputs (an input jump inside a step would cut it to first order).
 """
 
 from __future__ import annotations
@@ -17,19 +22,11 @@ from .dynamics import SpecError, SystemSpec, compile_rhs
 DIVERGENCE_LIMIT = 1e9
 
 
-def zoh_index(times, t0: float, dt: float, k: int) -> np.ndarray:
-    """Index of the latest sample at or before each of ``times`` on the grid
-    ``t0 + j * dt`` (``j < k``), clipped to the grid's ends."""
-    # Small forward nudge so grid-aligned times land on their own sample.
-    idx = np.floor((times - t0) / dt + 1e-9).astype(int)
-    return np.clip(idx, 0, k - 1)
-
-
-def _rk4_stage(rhs, x, cols, u0, u_half, u1, h):
-    k1 = rhs.full(x, cols, u0)
-    k2 = rhs.full(x + 0.5 * h * k1, cols, u_half)
-    k3 = rhs.full(x + 0.5 * h * k2, cols, u_half)
-    k4 = rhs.full(x + h * k3, cols, u1)
+def _rk4_stage(rhs, x, cols, u, h):
+    k1 = rhs.full(x, cols, u)
+    k2 = rhs.full(x + 0.5 * h * k1, cols, u)
+    k3 = rhs.full(x + 0.5 * h * k2, cols, u)
+    k4 = rhs.full(x + h * k3, cols, u)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -46,13 +43,14 @@ def integrate_batch(
 
     ``coeff_rows`` is (S, p), ``x0_rows`` is (S, n) and ``u_rows`` is
     (S, m, k_sig): each trajectory carries its own coefficients and its
-    own input samples on the output grid (the last one held past its
-    end).  Each output interval ``dt`` takes ``substeps`` classical RK4
-    steps, the stage inputs zero-order held at the step's start, midpoint
-    and end.  Returns ``(states, diverged,
-    t_fail)`` where states is (S, n, k_out) and times of failure are
-    relative to the grid start; diverged rows are frozen at their last
-    finite value so the remaining rows keep integrating.
+    own input samples on the output grid.  Each output interval ``j``
+    takes ``substeps`` classical RK4 steps of ``dt / substeps``, and all
+    four stages of each step read ``u_rows[:, :, min(j, k_sig - 1)]``
+    (strict zero-order hold; the last sample is held past the end).
+    Returns ``(states, diverged, t_fail)`` where states is (S, n, k_out)
+    and times of failure are relative to the grid start; diverged rows
+    are frozen at their last finite value so the remaining rows keep
+    integrating.
 
     Rows are independent: every operation acts row by row, so a row's
     states, divergence flag and failure time are bit-identical whether it
@@ -68,12 +66,6 @@ def integrate_batch(
     k_sig = u_rows.shape[2]
     h = dt / substeps
 
-    # Precompute zero-order-hold sample indices for every stage time.
-    stage_base = np.arange((k_out - 1) * substeps) * h  # start time of each substep
-    idx0, idx_half, idx1 = (
-        zoh_index(stage_base + offset * h, 0.0, dt, k_sig) for offset in (0.0, 0.5, 1.0)
-    )
-
     states = np.empty((S, n, k_out))
     states[:, :, 0] = x0_rows
     x = x0_rows.copy()
@@ -81,12 +73,9 @@ def integrate_batch(
     t_fail = np.full(S, np.nan)
     with np.errstate(all="ignore"):
         for j in range(k_out - 1):
-            for s in range(substeps):
-                q = j * substeps + s
-                x = _rk4_stage(
-                    rhs, x, cols, u_rows[:, :, idx0[q]], u_rows[:, :, idx_half[q]],
-                    u_rows[:, :, idx1[q]], h,
-                )
+            u = u_rows[:, :, min(j, k_sig - 1)]
+            for _ in range(substeps):
+                x = _rk4_stage(rhs, x, cols, u, h)
             bad = alive & (
                 ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
             )
@@ -97,4 +86,3 @@ def integrate_batch(
                 x = np.where(alive[:, None], x, states[:, :, j])  # freeze dead rows
             states[:, :, j + 1] = x
     return states, ~alive, t_fail
-

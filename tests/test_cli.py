@@ -129,6 +129,20 @@ def test_sweep_fails_loudly_when_every_row_fails(tmp_path, capsys):
     assert err.count("needs full-state data") == 4
 
 
+def test_sweep_reports_diverged_replays(tmp_path, capsys):
+    # the SINDYc model fitted at the coarsest rate diverges on replay: the
+    # row stays ok, carries the count, and the summary says so
+    code, out = _sweep(tmp_path, "c1", "sindyc", "rows.json", generation={"n_traces": 1})
+    assert code == 0
+    rows = json.loads(out.read_text())
+    assert [row["status"] for row in rows] == ["ok"] * 4
+    assert [row["diverged_windows"] for row in rows] == [0, 0, 0, 1]
+    assert rows[-1]["rmse_y"] == float("inf") and np.isfinite(rows[0]["rmse_y"])
+    err = capsys.readouterr().err
+    assert f"physrec: {rows[-1]['point']}: rmse_y inf, diverged replay windows: 1" in err
+    assert "4 ok, 0 failed; diverged replay windows: 1" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_identical_sweeps_write_identical_reports(fmt, tmp_path):
     reports = []

@@ -18,14 +18,16 @@ from physrec.harness import (
     read_report_json,
     run_experiment,
 )
-from physrec.neural import TrainConfig
-from physrec.signals import rmse_signal
+from physrec.neural import TrainConfig, replay
+from physrec.signals import Trace, rmse_signal
 from physrec.sindy import FunctionLibrary, build_library, library_labels
 
 
-def reference_sindy_rmse_y(xi, lib, traces):
+def reference_sindy_rmse_y(xi, lib, traces, last_stage_reads_next=False):
     """Plain RK4 per trace, one step per sample, rebuilding the library at
-    every stage; input held at u[j], and u[j+1] for the last stage."""
+    every stage; all four stages of step j read u[j].  With
+    ``last_stage_reads_next`` the last stage reads u[j+1] instead, the
+    hold rule the solver used to have."""
 
     def rhs(x, u):
         return build_library(lib, x[:, None], u[:, None] if u.size else None)[0] @ xi
@@ -39,7 +41,7 @@ def reference_sindy_rmse_y(xi, lib, traces):
         with np.errstate(all="ignore"):
             for j in range(tr.k - 1):
                 u0 = tr.u[:, j]
-                u1 = tr.u[:, min(j + 1, tr.k - 1)]
+                u1 = tr.u[:, j + 1] if last_stage_reads_next else u0
                 h = tr.dt
                 k1 = rhs(x, u0)
                 k2 = rhs(x + 0.5 * h * k1, u0)
@@ -66,10 +68,21 @@ def test_sindy_rmse_y_matches_plain_rk4(sindyc_fit):
     lib = FunctionLibrary(poly_degree=2)
     cfg = ExperimentConfig(sindy_degree=2, sindy_threshold=0.05)
     xi = sindyc_fit(spec, coeffs, traces[:1], cfg)[0].xi
-    got = _sindy_rmse_y(xi, lib, traces)
-    want = reference_sindy_rmse_y(xi, lib, traces)
+    # the fit keeps no input term; give x1 one and the traces an input step
+    # half way through, so that the hold rule shows in the replay
+    xi[library_labels(lib, 2, 1).index("u1"), 0] = 1.0
+    steps = [
+        Trace(tr.t0, tr.dt, tr.y, np.where(np.arange(tr.k) < tr.k // 2, 0.0, 0.05)[None, :],
+              tr.labels, dict(tr.meta))
+        for tr in traces
+    ]
+    got, diverged = _sindy_rmse_y(xi, lib, steps)
+    assert diverged == 0
+    want = reference_sindy_rmse_y(xi, lib, steps)
     assert np.isfinite(want) and want > 0
     assert abs(got - want) <= 1e-12 * want
+    old = reference_sindy_rmse_y(xi, lib, steps, last_stage_reads_next=True)
+    assert abs(old - want) > 1e-12 * want
 
 
 def test_sindy_rmse_y_divergent_model_is_inf():
@@ -79,12 +92,12 @@ def test_sindy_rmse_y_divergent_model_is_inf():
     xi = np.zeros((len(labels), 2))
     xi[labels.index("x1^2"), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
     assert reference_sindy_rmse_y(xi, lib, traces) == float("inf")
-    assert _sindy_rmse_y(xi, lib, traces) == float("inf")
+    assert _sindy_rmse_y(xi, lib, traces) == (float("inf"), len(traces))
 
 
 def test_experiment_digest_is_stable():
     # digests label report rows, so a config must keep its digest
-    assert ExperimentConfig().digest() == "f217a9a9a526"
+    assert ExperimentConfig().digest() == "85568c8ad7af"
     cfg = ExperimentConfig(
         experiment="aid",
         system="bergman_aid",
@@ -92,13 +105,13 @@ def test_experiment_digest_is_stable():
         generation=(("injected_shift", 10), ("n_traces", 2)),
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
-    assert cfg.digest() == "6fe31adb1605"
+    assert cfg.digest() == "68b02bd9d24b"
 
 
 def test_experiment_config_json_round_trip():
     pinned = {
-        "f217a9a9a526": ExperimentConfig(),
-        "6fe31adb1605": ExperimentConfig(
+        "85568c8ad7af": ExperimentConfig(),
+        "68b02bd9d24b": ExperimentConfig(
             experiment="aid",
             system="bergman_aid",
             mask=(1, 0, 1),
@@ -231,6 +244,20 @@ def test_presets_report_one_truth_at_any_shift(system, overrides):
                     assert np.any(u0)
                 else:
                     assert not np.any(u) and not np.any(u0)
+
+
+@pytest.mark.parametrize("system,overrides", TINY_PRESETS)
+def test_true_coefficients_replay_the_generated_data(system, overrides):
+    # the rmse_y floor: the true model, replayed at the training's default
+    # solve substeps, reproduces the data generated at GEN_SUBSTEPS
+    spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
+    rows = np.repeat(coeffs.values[None, :], len(traces), axis=0)
+    y_est, diverged, _ = replay(
+        spec, rows, [tr.u[None] for tr in traces], traces, TrainConfig().solve_substeps
+    )
+    assert not np.any(diverged)
+    for est, tr in zip(y_est, traces):
+        assert rmse_signal(est, tr.y) <= 1e-6 * np.sqrt(np.mean(tr.y**2))
 
 
 BAD_GENERATION = [

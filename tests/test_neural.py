@@ -118,6 +118,32 @@ def test_train_reports_the_replay_of_each_eval_window():
     assert result.rmse_y == float(np.mean(rmses))
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_resting_init_ignores_the_input_layout(layout):
+    # equal input values give equal initial estimates bit for bit, whatever
+    # the memory layout of each window's u
+    spec, _ = builtin_system("bergman_aid")
+    rng = np.random.default_rng(0)
+    windows = [
+        Trace(0.0, 5.0, np.ones((3, 200)), rng.uniform(0.0, 1.0, (2, 200))) for _ in range(6)
+    ]
+
+    def relaid(u):
+        if layout == "fortran":
+            return np.asfortranarray(u)
+        wide = np.zeros((u.shape[0], 2 * u.shape[1]))
+        wide[:, ::2] = u
+        return wide[:, ::2]
+
+    other = [replace(w, u=relaid(w.u)) for w in windows]
+    assert not other[0].u.flags.c_contiguous
+    scales = np.ones(spec.p)
+    assert np.array_equal(
+        neural.resting_consistent_init(spec, other, scales),
+        neural.resting_consistent_init(spec, windows, scales),
+    )
+
+
 def test_reconstruction_losses_shared_grid_at_equilibrium():
     spec, coeffs = builtin_system("lotka_volterra")
     losses, _, _ = reconstruction_losses(

@@ -13,7 +13,7 @@ from physrec.dynamics import (
     builtin_system,
 )
 from physrec.neural import _initial_state
-from physrec.odesolve import integrate_batch, zoh_index
+from physrec.odesolve import integrate_batch
 from physrec.signals import Trace
 
 
@@ -64,30 +64,21 @@ def rk4_steps(spec, coeffs, x, h, steps):
 
 
 class TestZoh:
-    def test_hold_within_interval(self):
-        assert zoh_index(np.array([1.5]), 0.0, 1.0, 3)[0] == 1
-
-    def test_start_and_past_end(self):
-        # grid-aligned times land on their own sample; times outside the
-        # grid clip to its ends
-        idx = zoh_index(np.array([-0.5, 0.0, 0.3 + 1e-12, 2.0, 99.0]), 0.0, 0.1, 30)
-        assert idx.tolist() == [0, 0, 3, 20, 29]
-
     def test_solve_input_is_the_per_sample_hold(self):
-        # with xdot = u, one RK4 step per sample integrates the held input:
-        # stages at the step's start and midpoint see u[j], the last stage
-        # u[j+1], so x[j+1] - x[j] = dt (5 u[j] + u[j+1]) / 6
+        # with xdot = u, every RK4 stage of interval j reads u[j], so one
+        # step per sample integrates the held input exactly:
+        # x[j+1] - x[j] = dt u[j]
         spec, coeffs = decay_system(a=0.0)
         u = (np.arange(12.0) ** 2)[None, :]
         dt = 0.1
         states, _, _ = solve_one(spec, coeffs, [0.0], 12, dt, 1, u)
-        want = dt * (5.0 * u[0, :-1] + u[0, 1:]) / 6.0
-        assert np.allclose(np.diff(states[0]), want, rtol=1e-12, atol=0.0)
-        # at two substeps the second substep's start and midpoint still
-        # hold u[j]: a jump at sample 1 enters only at the last stage
+        assert np.allclose(np.diff(states[0]), dt * u[0, :-1], rtol=1e-12, atol=0.0)
+        # at two substeps a jump at sample 1 enters only in interval 1,
+        # not at the last stage of interval 0
         step = np.array([[0.0, 6.0, 6.0]])
         states, _, _ = solve_one(spec, coeffs, [0.0], 3, dt, 2, step)
-        assert abs(states[0, 1] - (dt / 2) * 6.0 / 6.0) < 1e-15
+        assert states[0, 1] == 0.0
+        assert abs(states[0, 2] - dt * 6.0) < 1e-15
 
 
 class TestStepRk4:
@@ -197,6 +188,24 @@ class TestConvergenceOrder:
             d_fine = np.max(np.abs(sols[8] - sols[4]))
             richardson = d_coarse / 15.0
             assert d_fine <= max(richardson * 2.0, 1e-14)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_rk4_stays_fourth_order_under_a_held_input(name):
+    # a new input sample every interval never jumps inside a step, so
+    # halving the step divides the error against a fine solve by ~16 (an
+    # input jump inside the last stage would give ~2)
+    spec, coeffs = builtin_system(name)
+    dt = {"lotka_volterra": 0.05, "lorenz": 0.005, "bergman_aid": 5.0, "eeg_dvdp": 0.02}[name]
+    k = 40
+    x0 = spec.resting_state() + (np.array([1.0, 1.0, 25.0]) if name == "lorenz" else 0.05)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, size=(spec.m, k))
+    ref = solve_one(spec, coeffs, x0, k, dt, 64, u)[0]
+    errs = [
+        np.max(np.abs(solve_one(spec, coeffs, x0, k, dt, sub, u)[0] - ref)) for sub in (1, 2, 4)
+    ]
+    for a, b in zip(errs, errs[1:]):
+        assert a / b >= 12.0
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
