@@ -6,7 +6,7 @@ The package is organized as a small numpy library:
 - ``odesolve``   ``integrate_batch``, the one solver: batched fixed-step
                  RK4 (the reconstruction "SOLVE" box)
 - ``signals``    traces, shifting, spectral rate estimation, batching
-- ``tape``       minimal reverse-mode autodiff over dense arrays
+- ``tape``       reverse-mode recording of fused nodes over dense arrays
 - ``neural``     LTC / CT-RNN / NODE recovery architectures and training
 - ``sindy``      sparse-regression baseline (library + STRidge)
 - ``harness``    benchmark data generation, experiment sweeps, reports

@@ -744,12 +744,6 @@ def emit_report(rows: list[ReportRow], fmt: str, path, include_runtime: bool = F
         raise SpecError(f"unknown report format {fmt!r}")
 
 
-def read_report_json(path) -> list[dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [{k: tuple(v) if isinstance(v, list) else v for k, v in row.items()} for row in doc]
-
-
 # ---------------------------------------------------------------------------
 # trace CSV format
 

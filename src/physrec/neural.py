@@ -5,14 +5,16 @@ reads each (observed + input)-channel window; a dense head maps the final
 hidden state to coefficient estimates and per-channel input-shift
 fractions; the loss reconstructs the observed trace by integrating the
 candidate model from the window's first observation and penalizes the
-mean-square mismatch.  The head is differentiated on the tape, one
-primitive at a time.  The cell's whole window unroll is a single tape
-node with a hand-written backward-through-time; sensitivities through the
-solver are obtained by central finite differences over the (coefficients,
-shifts) head outputs and spliced in as another custom tape node.
+mean-square mismatch.  Cell and head run on plain arrays, each with a
+hand-written backward: the cell's whole window unroll backpropagates
+through time in one closure, the head's layers in another.  Sensitivities
+through the solver are obtained by central finite differences over the
+(coefficients, shifts) head outputs.  A training step splices the three
+as nodes on a ``Tape`` and calls its ``backward`` once.
 
-Each cell has one implementation, ``_cell_forward``; it serves training,
-evaluation and the initialization probe alike.
+Each cell has one implementation, ``_cell_forward``, and the head one,
+``_head_forward``; they serve training, evaluation and the
+initialization probe alike.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .dynamics import Coefficients, ConfigError, SensingMask, SpecError, SystemSpec
 from .odesolve import integrate_batch
 from .signals import BatchSet, Trace, rmse_signal, shift_signed
-from .tape import Tape, Var
+from .tape import Tape
 
 ARCHS = ("ltc", "ctrnn", "node")
 
@@ -320,7 +322,7 @@ def reconstruction_losses(
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization and the tape forward pass
+# parameter initialization and the forward passes
 
 
 def resting_consistent_init(
@@ -427,10 +429,8 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     coefficient proposals far off the stability manifold.  Raises
     TrainingError when the hidden state diverges.
     """
-    tape = Tape()
-    leaves = {key: tape.leaf(v) for key, v in params.items()}
-    h = _cell_forward(tape, arch, leaves, tensor, dt, cfg)
-    rms = float(np.sqrt(np.mean(np.square(h.value))))
+    h = _cell_forward(arch, params, tensor, dt, cfg)[0]
+    rms = float(np.sqrt(np.mean(np.square(h))))
     if not np.isfinite(rms):
         raise TrainingError(f"{arch} hidden state diverged in the initialization probe")
     return max(rms, 1e-3)
@@ -442,17 +442,17 @@ def _acc(total, part):
 
 
 def _cell_forward(
-    tape: Tape,
     arch: str,
-    leaves: dict[str, Var],
+    params: dict[str, np.ndarray],
     window_tensor: np.ndarray,  # B x C x k
     dt: float,
     cfg: TrainConfig,
-) -> Var:
+):
     """Unroll the recurrent cell over the window from a zero state, holding
     each sample's input for ``cfg.unfold_substeps`` steps of ``dt /
-    unfold_substeps``.  Returns the final hidden state (V x B) as one tape
-    node over the cell leaves.
+    unfold_substeps``.  Returns ``(h, vjp)``: the final hidden state (V x
+    B) and a closure mapping its cotangent to the gradients of the cell
+    parameters present in ``params``, as a list in ``CELL_LEAVES`` order.
 
     LTC: ``hdot = -h/tau + f (target - h)`` with ``f = softplus(tanh(z))``,
     advanced by the fused semi-implicit step of Hasani et al. (AAAI 2021),
@@ -466,25 +466,25 @@ def _cell_forward(
     would double its backward.  The LTC backward rebuilds the step's
     numerator and denominator from these with the forward's own
     expressions, so it sees the same values bit for bit.  Both passes are
-    bit-identical to recording every substep on the tape with its
-    primitives: the forward repeats their numpy operations in their order,
-    and the backward applies each primitive's backward expression and adds
+    bit-identical to recording every substep on a tape, one primitive per
+    node: the forward repeats their numpy operations in their order, and
+    the backward applies each primitive's backward expression and adds
     every fan-out and every per-substep weight contribution in
     ``Tape.backward``'s order (reverse recording order, first contribution
     first).
     """
-    names = [key for key in CELL_LEAVES if key in leaves]
-    w_in, w_rec, b = (leaves[key].value for key in CELL_LEAVES[:3])
+    names = [key for key in CELL_LEAVES if key in params]
+    w_in, w_rec, b = (params[key] for key in CELL_LEAVES[:3])
     B, _, k = window_tensor.shape
     n_sub = cfg.unfold_substeps
     delta = dt / n_sub
     b_col = b[:, None]
     if arch in ("ltc", "ctrnn"):
-        tau = leaves["cell.tau"].value
+        tau = params["cell.tau"]
         inv_tau = 1.0 / tau
         inv_col = inv_tau[:, None]
     if arch == "ltc":
-        target_col = leaves["cell.target"].value[:, None]
+        target_col = params["cell.target"][:, None]
         leak_col = (inv_tau * delta)[:, None]
     h = np.zeros((w_rec.shape[0], B))
     inputs, states, tanhs, fs = [], [], [], []
@@ -546,52 +546,70 @@ def _cell_forward(
             grads["cell.target"] = g_target
         return [grads[key] for key in names]
 
-    return tape.custom_node([leaves[key] for key in names], h, vjp)
+    return h, vjp
 
 
-def _forward_tape(
-    tape: Tape,
-    arch: str,
-    spec: SystemSpec,
-    leaves: dict[str, Var],
-    window_tensor: np.ndarray,  # B x C x k
-    dt: float,
-    cfg: TrainConfig,
-    training: bool,
-    rng: np.random.Generator | None,
-    coeff_scales: np.ndarray | None = None,
-) -> tuple[Var, Var]:
-    """Run the cell over the window and the head on the final state.
+def _head_forward(spec: SystemSpec, params, h, cfg: TrainConfig, rng, scales):
+    """The dense head on the final hidden state ``h`` (V x B).
 
-    The head is a ReLU MLP (dropout while training).  A coefficient output
-    with a declared sign is a ReLU magnitude times that sign; a free
-    coefficient passes through linearly.  They are then multiplied by
-    ``coeff_scales`` (see :func:`coefficient_scales`), so the network works
-    with O(1) quantities.  Shift outputs go through a sigmoid into (0, 1).
+    A ReLU MLP, with dropout drawn from ``rng`` when one is given (training)
+    and none otherwise.  A coefficient output with a declared sign is a
+    ReLU magnitude times that sign; a free coefficient passes through
+    linearly.  Both are then multiplied by ``scales`` (see
+    :func:`coefficient_scales`), so the network works with O(1)
+    quantities.  Shift outputs go through a sigmoid into (0, 1).
 
-    Returns (coeff matrix Var p x B, shift matrix Var q x B).
+    Returns ``(coeff, d, vjp)``: coefficients p x B, shift fractions q x B
+    and a closure mapping ``(g_coeff, g_d)`` to ``(grads, g_h)``, the
+    head-parameter gradients by name and the cotangent of ``h``.  Forward
+    and backward are bit-identical to recording the head on a tape, one
+    primitive per node (matmul, addcol, relu, dropout mul, the output's two
+    slices, the sign split, the scale and the sigmoid): they repeat the
+    primitives' numpy expressions and add fan-outs in ``Tape.backward``'s
+    order.
     """
-    B = window_tensor.shape[0]
-    h = _cell_forward(tape, arch, leaves, window_tensor, dt, cfg)
-    act = h
     n_layers = len(cfg.head_layers) + 1
+    p, q = spec.p, cfg.n_shift
+    acts, pres, keeps = [h], [], []
     for li in range(n_layers - 1):
-        act = tape.relu(tape.addcol(tape.matmul(leaves[f"head.w{li}"], act), leaves[f"head.b{li}"]))
-        if training and cfg.dropout > 0:
-            keep = (rng.random(act.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-            act = tape.mul(act, keep)
-    out = tape.addcol(tape.matmul(leaves[f"head.w{n_layers-1}"], act), leaves[f"head.b{n_layers-1}"])
-    raw = tape.vslice(out, 0, spec.p)
+        pres.append(params[f"head.w{li}"] @ acts[-1] + params[f"head.b{li}"][:, None])
+        act = np.maximum(pres[-1], 0.0)
+        if rng is not None and cfg.dropout > 0:
+            keeps.append((rng.random(act.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+            act = act * keeps[-1]
+        acts.append(act)
+    last = n_layers - 1
+    out = params[f"head.w{last}"] @ acts[-1] + params[f"head.b{last}"][:, None]
+    raw = out[:p]
     signed = spec.sign_vector()
-    free = (signed == 0.0).astype(float)
-    coeff = tape.add(tape.mulcol(tape.relu(raw), signed), tape.mulcol(raw, free))
-    if coeff_scales is not None:
-        coeff = tape.mulcol(coeff, coeff_scales)
-    if cfg.n_shift:
-        d = tape.sigmoid(tape.vslice(out, spec.p, spec.p + cfg.n_shift))
-    else:
-        d = tape.leaf(np.zeros((0, B)))
-    return coeff, d
+    signed_col = signed[:, None]
+    free_col = (signed == 0.0).astype(float)[:, None]
+    scale_col = scales[:, None]
+    coeff = (np.maximum(raw, 0.0) * signed_col + raw * free_col) * scale_col
+    d = 1.0 / (1.0 + np.exp(-out[p:])) if q else np.zeros((0, h.shape[1]))
+
+    def vjp(g_coeff, g_d):
+        g_sum = g_coeff * scale_col
+        # the free path reaches ``raw`` before the ReLU path
+        g_raw = g_sum * free_col
+        g_raw = g_raw + g_sum * signed_col * (raw > 0.0)
+        g = g_raw
+        if q:
+            # the two slices' zero-padded cotangents, the shift slice's first
+            g_dd = g_d * d * (1.0 - d)
+            g = np.vstack((np.zeros_like(g_raw), g_dd)) + np.vstack((g_raw, np.zeros_like(g_dd)))
+        grads = {}
+        for li in reversed(range(n_layers)):
+            grads[f"head.b{li}"] = np.sum(g, axis=1)
+            grads[f"head.w{li}"] = g @ acts[li].T
+            g = params[f"head.w{li}"].T @ g
+            if li:
+                if keeps:
+                    g = g * keeps[li - 1]
+                g = g * (pres[li - 1] > 0.0)
+        return grads, g
+
+    return coeff, d, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -662,24 +680,33 @@ def _project_signs(spec: SystemSpec, values: np.ndarray) -> np.ndarray:
 def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, lr_scale):
     """One optimizer step on the training windows ``group``: forward, FD
     solver loss, backward, clipped Adam update of ``params`` in place.
-    Returns the per-window losses.  The batch's tape, its ``Var``s and the
-    cell's saved arrays are locals here and die on return."""
+    Returns the per-window losses.
+
+    The tape records three nodes on the parameter leaves: the cell, the
+    head (its value is the coefficients stacked over the shift fractions)
+    and the mean loss.  The tape, the cell's saved arrays and the head's
+    are locals here and die on return."""
     windows = [batches.windows[i] for i in group]
     tape = Tape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
-    coeff_var, d_var = _forward_tape(
-        tape, arch, spec, leaves, batches.tensor(group), dt, cfg, training=True, rng=rng,
-        coeff_scales=scales,
+    cell_keys = [key for key in CELL_LEAVES if key in params]
+    head_keys = [key for key in params if key not in cell_keys]
+    h, cell_vjp = _cell_forward(arch, params, batches.tensor(group), dt, cfg)
+    h_var = tape.custom_node([leaves[key] for key in cell_keys], h, cell_vjp)
+    coeff, d, head_vjp = _head_forward(spec, params, h, cfg, rng, scales)
+    p = spec.p
+
+    def head_back(g):
+        grads, g_h = head_vjp(g[:p], g[p:])
+        return [g_h, *(grads[key] for key in head_keys)]
+
+    out_var = tape.custom_node(
+        [h_var, *(leaves[key] for key in head_keys)], np.vstack((coeff, d)), head_back
     )
-    losses, g_c, g_d = reconstruction_losses(
-        spec, coeff_var.value.T, d_var.value.T, windows, cfg, want_grads=True
-    )
+    losses, g_c, g_d = reconstruction_losses(spec, coeff.T, d.T, windows, cfg, want_grads=True)
     B = len(group)
-
-    def vjp(cot):
-        return [cot * g_c.T / B, cot * g_d.T / B]
-
-    loss_var = tape.custom_node([coeff_var, d_var], np.mean(losses), vjp)
+    g_out = np.vstack((g_c.T, g_d.T))
+    loss_var = tape.custom_node([out_var], np.mean(losses), lambda cot: [cot * g_out / B])
     grads_table = tape.backward(loss_var)
     grads = {key: grads_table[leaf.idx] for key, leaf in leaves.items()}
     if cfg.weight_grad_clip > 0:
@@ -691,18 +718,6 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
     if "cell.tau" in params:
         np.clip(params["cell.tau"], 1e-3 * dt, None, out=params["cell.tau"])
     return losses
-
-
-def _evaluate(arch, spec, params, tensor, dt, cfg, scales):
-    """Head outputs (coefficients p x B, shift fractions q x B) with dropout
-    off; the recording dies on return."""
-    tape = Tape()
-    leaves = {key: tape.leaf(v) for key, v in params.items()}
-    coeff_var, d_var = _forward_tape(
-        tape, arch, spec, leaves, tensor, dt, cfg, training=False, rng=None,
-        coeff_scales=scales,
-    )
-    return coeff_var.value, d_var.value
 
 
 def train(
@@ -720,10 +735,14 @@ def train(
     outputs over the test split (train split when no test windows exist),
     evaluated without dropout.  Deterministic for a given seed.
 
-    Each training step and each evaluation group records on its own tape
-    inside a helper (``_train_step``, ``_evaluate``), and only arrays leave
-    it: one recording, with the cell's saved per-substep arrays, is alive
-    at a time.
+    Each training step records on its own tape inside ``_train_step``,
+    and only arrays leave it: one recording, with the cell's saved
+    per-substep arrays, is alive at a time.  The initialization probe and
+    the evaluation groups record nothing and drop the backward closures.
+
+    Resuming from ``state`` needs the same ``arch`` and a ``cfg`` that
+    differs from the checkpoint's only in ``epochs``, and no fewer epochs
+    than it has done; ConfigError otherwise.
     """
     if arch not in ARCHS:
         raise SpecError(f"unknown architecture {arch!r}")
@@ -749,6 +768,16 @@ def train(
         adam = AdamState.fresh(params)
         start_epoch = 0
     else:
+        if state.arch != arch:
+            raise ConfigError(f"checkpoint was trained as {state.arch!r}, not {arch!r}")
+        changed = [
+            f.name for f in fields(cfg)
+            if f.name != "epochs" and getattr(cfg, f.name) != getattr(state.cfg, f.name)
+        ]
+        if changed:
+            raise ConfigError(f"resume changes the checkpoint's TrainConfig: {', '.join(changed)}")
+        if cfg.epochs < state.epoch:
+            raise ConfigError(f"epochs={cfg.epochs} is below the checkpoint's {state.epoch}")
         rng = np.random.default_rng()
         rng.bit_generator.state = state.rng_state
         params = {key: v.copy() for key, v in state.params.items()}
@@ -781,10 +810,9 @@ def train(
     eval_idx = batches.test_idx if batches.test_idx else batches.train_idx
     coeff_cols, d_cols = [], []
     for start in range(0, len(eval_idx), cfg.batch_size):
-        coeff_col, d_col = _evaluate(
-            arch, spec, params, batches.tensor(eval_idx[start : start + cfg.batch_size]),
-            dt, cfg, scales,
-        )
+        tensor = batches.tensor(eval_idx[start : start + cfg.batch_size])
+        h = _cell_forward(arch, params, tensor, dt, cfg)[0]
+        coeff_col, d_col = _head_forward(spec, params, h, cfg, None, scales)[:2]
         coeff_cols.append(coeff_col)
         d_cols.append(d_col)
     coeff_mat = np.hstack(coeff_cols)

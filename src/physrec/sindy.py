@@ -152,9 +152,6 @@ class SparseModel:
     xi: np.ndarray  # columns x n_states
     labels: tuple[str, ...]
 
-    def support(self, state: int) -> tuple[str, ...]:
-        return tuple(l for l, v in zip(self.labels, self.xi[:, state]) if v != 0.0)
-
 
 def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpec:
     """The fitted model ``xdot = build_library(lib, x, u) @ xi`` as a

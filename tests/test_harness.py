@@ -15,7 +15,6 @@ from physrec.harness import (
     emit_report,
     generate_benchmark_data,
     load_real_csv,
-    read_report_json,
     run_experiment,
 )
 from physrec.neural import TrainConfig, replay
@@ -310,8 +309,12 @@ def test_report_json_round_trip(tmp_path):
     ]
     path = tmp_path / "rows.json"
     emit_report(rows, "json", path)
-    got = read_report_json(path)
-    want = [{k: v for k, v in vars(r).items() if k != "runtime_s"} for r in rows]
+    with open(path) as fh:
+        got = json.load(fh)
+    want = [
+        {k: list(v) if isinstance(v, tuple) else v for k, v in vars(r).items() if k != "runtime_s"}
+        for r in rows
+    ]
     assert got == want
 
 

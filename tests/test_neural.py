@@ -17,7 +17,9 @@ from physrec.neural import (
     TrainConfig,
     TrainingError,
     _cell_forward,
+    _head_forward,
     _probe_hidden_scale,
+    _train_step,
     init_params,
     load_checkpoint,
     reconstruction_losses,
@@ -26,7 +28,8 @@ from physrec.neural import (
 )
 from physrec.odesolve import integrate_batch
 from physrec.signals import Trace, make_batches, rmse_signal, shift_signed
-from physrec.tape import Tape, grad_check
+from physrec.tape import Tape
+from reftape import RefTape, grad_check
 
 
 def _window(k=20, dt=0.1, mask=(1, 1)):
@@ -182,8 +185,8 @@ def reference_final_states(arch, params, tensor, dt, substeps):
 
 
 def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
-    """The cell unroll recorded primitive by primitive on the tape, about a
-    dozen nodes per substep; ``_cell_forward``'s forward values and
+    """The cell unroll recorded primitive by primitive on a ``RefTape``,
+    about a dozen nodes per substep; ``_cell_forward``'s forward values and
     gradients must equal this graph's bit for bit."""
     B, C, k = tensor.shape
     V = leaves["cell.w_rec"].value.shape[0]
@@ -212,6 +215,40 @@ def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
     return h
 
 
+def reference_tape_head(tape, spec, leaves, h, cfg, rng, scales):
+    """The dense head recorded primitive by primitive on a ``RefTape``:
+    per hidden layer matmul, addcol, relu and (with ``rng``) the dropout
+    mul, then the output layer, its coefficient and shift slices, the sign
+    split, the scale and the sigmoid.  Returns (coeff Var p x B, shift Var
+    q x B); ``_head_forward`` must equal this graph bit for bit."""
+    act = h
+    n_layers = len(cfg.head_layers) + 1
+    for li in range(n_layers - 1):
+        act = tape.relu(tape.addcol(tape.matmul(leaves[f"head.w{li}"], act), leaves[f"head.b{li}"]))
+        if rng is not None and cfg.dropout > 0:
+            keep = (rng.random(act.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            act = tape.mul(act, keep)
+    out = tape.addcol(tape.matmul(leaves[f"head.w{n_layers-1}"], act), leaves[f"head.b{n_layers-1}"])
+    raw = tape.vslice(out, 0, spec.p)
+    signed = spec.sign_vector()
+    free = (signed == 0.0).astype(float)
+    coeff = tape.add(tape.mulcol(tape.relu(raw), signed), tape.mulcol(raw, free))
+    coeff = tape.mulcol(coeff, scales)
+    if cfg.n_shift:
+        d = tape.sigmoid(tape.vslice(out, spec.p, spec.p + cfg.n_shift))
+    else:
+        d = tape.leaf(np.zeros((0, h.value.shape[1])))
+    return coeff, d
+
+
+def _cell_node(tape, arch, leaves, tensor, dt, cfg):
+    """``_cell_forward`` spliced onto ``tape`` as one node over the cell
+    leaves, the way a training step records it."""
+    params = {key: leaf.value for key, leaf in leaves.items()}
+    h, vjp = _cell_forward(arch, params, tensor, dt, cfg)
+    return tape.custom_node([leaves[key] for key in CELL_LEAVES if key in leaves], h, vjp)
+
+
 def _cell_case(arch, seed=3):
     spec, _ = builtin_system("lotka_volterra")
     cfg = TrainConfig(hidden_width=5, unfold_substeps=3)
@@ -225,9 +262,7 @@ def _cell_case(arch, seed=3):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_cell_forward_matches_numpy_steps(arch):
     params, tensor, dt, cfg = _cell_case(arch)
-    tape = Tape()
-    leaves = {key: tape.leaf(v) for key, v in params.items()}
-    got = _cell_forward(tape, arch, leaves, tensor, dt, cfg).value
+    got = _cell_forward(arch, params, tensor, dt, cfg)[0]
     want = reference_final_states(arch, params, tensor, dt, cfg.unfold_substeps)
     assert got.shape == (5, 4)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -236,8 +271,9 @@ def test_cell_forward_matches_numpy_steps(arch):
 
 
 def _cell_grads(cell, arch, params, tensor, dt, cfg, cot):
-    """Final state and cell-leaf gradients of ``sum(h * cot)``."""
-    tape = Tape()
+    """Final state and cell-leaf gradients of ``sum(h * cot)``, with the
+    cell recorded on a ``RefTape`` by ``cell(tape, arch, leaves, ...)``."""
+    tape = RefTape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
     h = cell(tape, arch, leaves, tensor, dt, cfg)
     table = tape.backward(tape.sum(tape.mul(h, cot)))
@@ -256,7 +292,7 @@ def test_fused_cell_is_bit_identical_to_tape_graph(arch, batch):
     cot = rng.normal(0.0, 1.0, (6, batch))
 
     h_ref, g_ref = _cell_grads(reference_tape_cell, arch, params, tensor, dt, cfg, cot)
-    h, g = _cell_grads(_cell_forward, arch, params, tensor, dt, cfg, cot)
+    h, g = _cell_grads(_cell_node, arch, params, tensor, dt, cfg, cot)
     assert np.array_equal(h, h_ref)
     assert sorted(g) == sorted(g_ref) and len(g) == {"ltc": 5, "ctrnn": 4, "node": 3}[arch]
     for key, want in g_ref.items():
@@ -280,7 +316,7 @@ def test_fused_cell_gradients_match_central_differences(arch):
         def loss(var, key=key):
             tape = var.tape
             leaves = {name: var if name == key else tape.leaf(v) for name, v in params.items()}
-            h = _cell_forward(tape, arch, leaves, tensor, dt, cfg)
+            h = _cell_node(tape, arch, leaves, tensor, dt, cfg)
             return tape.sum(tape.mul(h, cot))
 
         assert grad_check(loss, params[key]) < 1e-6, key
@@ -292,6 +328,123 @@ def test_probe_raises_on_diverging_hidden_state():
     params["cell.tau"] = np.full_like(params["cell.tau"], dt / cfg.unfold_substeps / 1000.0)
     with np.errstate(all="ignore"), pytest.raises(TrainingError):
         _probe_hidden_scale("ctrnn", params, tensor, dt, cfg)
+
+
+HEAD_CASES = pytest.mark.parametrize(
+    "dropout,shift_channels,head_layers",
+    [(dr, sc, hl) for dr in (0.0, 0.2) for sc in ((), (0,)) for hl in ((), (6,), (6, 5))],
+)
+
+
+def _mixed_sign_spec():
+    # every branch of the sign split: nonneg, free and nonpos outputs
+    spec, _ = builtin_system("lotka_volterra")
+    return replace(spec, coeff_signs=("nonneg", "free", "nonpos", "free"))
+
+
+@HEAD_CASES
+def test_fused_head_is_bit_identical_to_tape_graph(dropout, shift_channels, head_layers):
+    spec = _mixed_sign_spec()
+    cfg = TrainConfig(
+        hidden_width=5, head_layers=head_layers, dropout=dropout, shift_channels=shift_channels
+    )
+    rng = np.random.default_rng(21)
+    params = init_params("ltc", spec, 3, cfg, rng, 0.1, 30)
+    for key in params:
+        if key.startswith("head.b"):
+            params[key] = rng.normal(0.0, 0.5, params[key].shape)
+    h = rng.normal(0.0, 1.0, (5, 7))
+    scales = rng.uniform(0.5, 2.0, spec.p)
+    g_coeff = rng.normal(0.0, 1.0, (spec.p, 7))
+    g_d = rng.normal(0.0, 1.0, (cfg.n_shift, 7))
+
+    tape = RefTape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    h_var = tape.leaf(h)
+    coeff_ref, d_ref = reference_tape_head(
+        tape, spec, leaves, h_var, cfg, np.random.default_rng(5), scales
+    )
+    loss = tape.custom_node([coeff_ref, d_ref], np.array(0.0), lambda cot: [g_coeff, g_d])
+    table = tape.backward(loss)
+
+    coeff, d, vjp = _head_forward(spec, params, h, cfg, np.random.default_rng(5), scales)
+    grads, g_h = vjp(g_coeff, g_d)
+    assert np.array_equal(coeff, coeff_ref.value) and np.array_equal(d, d_ref.value)
+    assert d.shape == (cfg.n_shift, 7)
+    head_keys = [key for key in params if key.startswith("head.")]
+    assert sorted(grads) == sorted(head_keys)
+    for key in head_keys:
+        assert np.any(grads[key] != 0.0), key
+        assert np.array_equal(grads[key], table[leaves[key].idx]), key
+    assert np.array_equal(g_h, table[h_var.idx])
+
+
+@HEAD_CASES
+def test_train_step_gradients_are_bit_identical_to_primitive_graph(
+    dropout, shift_channels, head_layers, monkeypatch
+):
+    # the whole step's gradient table against the cell and the head
+    # recorded one primitive per node
+    spec = _mixed_sign_spec()
+    _, _, traces, _ = generate_benchmark_data("lotka_volterra", {"n_traces": 2, "k": 200}, seed=2)
+    batches = make_batches(traces, batch_size=3, k_window=25, split_ratio=0.75, seed=2)
+    cfg = TrainConfig(
+        hidden_width=4, head_layers=head_layers, dropout=dropout, shift_channels=shift_channels,
+        unfold_substeps=2, weight_grad_clip=0.0, seed=9,
+    )
+    group = batches.train_batches[0]
+    windows = [batches.windows[i] for i in group]
+    dt = windows[0].dt
+    params = init_params("ltc", spec, 3, cfg, np.random.default_rng(3), dt, batches.k)
+    scales = neural.coefficient_scales(spec, windows)
+
+    tape = RefTape()
+    leaves = {key: tape.leaf(v) for key, v in params.items()}
+    h = reference_tape_cell(tape, "ltc", leaves, batches.tensor(group), dt, cfg)
+    coeff, d = reference_tape_head(tape, spec, leaves, h, cfg, np.random.default_rng(8), scales)
+    want_losses, g_c, g_d = reconstruction_losses(spec, coeff.value.T, d.value.T, windows, cfg)
+    B = len(group)
+    loss = tape.custom_node(
+        [coeff, d], np.mean(want_losses), lambda cot: [cot * g_c.T / B, cot * g_d.T / B]
+    )
+    table = tape.backward(loss)
+
+    seen = []
+    monkeypatch.setattr(AdamState, "update", lambda self, params, grads, *a: seen.append(grads))
+    losses = _train_step(
+        "ltc", spec, batches, group, {k: v.copy() for k, v in params.items()},
+        AdamState.fresh(params), dt, cfg, np.random.default_rng(8), scales, 1.0,
+    )
+    assert np.array_equal(losses, want_losses) and np.all(losses < neural.DIVERGED_LOSS)
+    (grads,) = seen
+    assert list(grads) == list(params)
+    for key, leaf in leaves.items():
+        assert np.any(grads[key] != 0.0), key
+        assert np.array_equal(grads[key], table[leaf.idx]), key
+
+
+@pytest.mark.parametrize(
+    "arch,change,match",
+    [
+        ("ctrnn", {}, "checkpoint was trained as 'ltc', not 'ctrnn'"),
+        ("ltc", {"hidden_width": 8}, "TrainConfig: hidden_width"),
+        ("ltc", {"shift_channels": ()}, "TrainConfig: shift_channels"),
+        ("ltc", {"epochs": 0}, "epochs=0 is below the checkpoint's 1"),
+    ],
+    ids=["arch", "hidden_width", "shift_channels", "epochs"],
+)
+def test_resume_rejects_a_checkpoint_that_does_not_match(arch, change, match):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=1
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=1)
+    cfg = TrainConfig(
+        epochs=1, hidden_width=4, head_layers=(6,), unfold_substeps=2, shift_channels=(0,),
+        seed=5,
+    )
+    first = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
+    with pytest.raises(ConfigError, match=match):
+        train(arch, spec, batches, replace(cfg, **{"epochs": 3, **change}), state=first.state)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -371,7 +524,7 @@ def test_train_frees_each_tape_before_the_next_step(arch, monkeypatch, gc_disabl
     n_steps = cfg.epochs * len(batches.train_batches)
     assert n_steps > cfg.epochs
     assert live_at_update == [1] * n_steps
-    assert len(tapes) > n_steps and not any(ref() is not None for ref in tapes)
+    assert len(tapes) == n_steps and not any(ref() is not None for ref in tapes)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -403,8 +556,9 @@ def test_train_holds_one_recording_at_each_cell_forward(arch, monkeypatch, gc_di
     n_eval = -(-len(batches.test_idx) // cfg.batch_size)
     n_steps = cfg.epochs * len(batches.train_batches)
     assert n_eval > 1 and n_steps > cfg.epochs
-    # the initialization probe, every training step, every evaluation group
-    assert live_at_cell == [1] * (1 + n_steps + n_eval)
+    # the initialization probe, every training step, every evaluation group:
+    # only a training step records
+    assert live_at_cell == [0] + [1] * n_steps + [0] * n_eval
     assert not any(ref() is not None for ref in tapes)
 
 
@@ -415,15 +569,13 @@ def test_ltc_cell_saves_three_arrays_per_substep():
     dt, k, B = 0.1, 200, 32
     params = init_params("ltc", spec, 3, cfg, rng, dt, k)
     tensor = rng.normal(0.0, 1.0, (B, 3, k))
-    tape = Tape()
-    leaves = {key: tape.leaf(v) for key, v in params.items()}
     tracemalloc.start()
     try:
-        h = _cell_forward(tape, "ltc", leaves, tensor, dt, cfg)
+        h, vjp = _cell_forward("ltc", params, tensor, dt, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert h.value.shape == (32, B)
+    assert h.shape == (32, B)
     # the state each substep starts from, tanh(z) and f: three (V, B)
     # arrays, plus the per-sample inputs and bookkeeping
     saved = 32 * B * 8 * k * cfg.unfold_substeps

@@ -152,8 +152,8 @@ class TestSindycRecover:
         spec, coeffs, tr = self._lv_unit_trace()
         cfg = ExperimentConfig(sindy_degree=2, sindy_lambda=1e-10, sindy_threshold=0.02)
         model, result = sindyc_fit(spec, coeffs, [tr], cfg)
-        assert model.support(0) == ("x1", "x1*x2")
-        assert model.support(1) == ("x2", "x1*x2", "u1")
+        support = [tuple(np.asarray(model.labels)[model.xi[:, i] != 0.0]) for i in range(2)]
+        assert support == [("x1", "x1*x2"), ("x2", "x1*x2", "u1")]
         theta, spurious = map_to_coefficients(model, spec)
         assert spurious == []
         assert np.max(np.abs(theta - coeffs.values)) < 1e-2

