@@ -185,14 +185,17 @@ class SensingMask:
 class CompiledRhs:
     """Vectorized evaluator over one spec's term table.
 
-    Operates on batches: ``x`` is (S, n) and ``u`` is (S, m); results are
-    (S, n).  ``columns(coeff_rows)`` turns (S, p) coefficient rows into one
-    weight×coefficient column per term and runs once per solve; ``full``,
-    the one evaluation path, walks the term table and multiplies each column by the term's factors in order and then by
-    its input, and adds it to its equation, f-terms before g-terms and each
-    in term order.  Every row therefore sees the same floating-point
-    operations as summing the terms one by one, whatever else is in the
-    batch.
+    Operates on batches: ``x`` is (S, n) and ``u`` is (S, m), in any
+    memory layout; results are (S, n), column-major.  ``columns(coeff_rows)``
+    turns (S, p) coefficient rows into one weight×coefficient column per
+    term and runs once per solve.  ``full``, the one evaluation path,
+    multiplies each column by its term's factors in order and then by its
+    input, and keeps one running sum per state equation: starting from
+    0.0, it adds that equation's terms in term order, f-terms before
+    g-terms.  Every row therefore sees the same floating-point operations
+    as summing the terms one by one, whatever else is in the batch.  It
+    reads each state variable as a row of ``x.T``, which is contiguous
+    when ``x`` is column-major, as ``integrate_batch`` keeps it.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -201,8 +204,15 @@ class CompiledRhs:
         self._scales = [
             (t.weight, None if t.coeff is None else spec.coeff_index(t.coeff)) for t in terms
         ]
-        self._table = [
-            (t.state, tuple((f.var, f.power, f.func) for f in t.factors), t.input) for t in terms
+        # per state equation, its terms in term order: (column index,
+        # factors, input)
+        self._equations = [
+            [
+                (i, tuple((f.var, f.power, f.func) for f in t.factors), t.input)
+                for i, t in enumerate(terms)
+                if t.state == state
+            ]
+            for state in range(spec.n)
         ]
 
     def columns(self, coeff_rows) -> list[np.ndarray]:
@@ -215,19 +225,22 @@ class CompiledRhs:
 
     def full(self, x, cols, u):
         """``f(x, c) + g(x, c) u`` for every row; ``cols`` from ``columns``."""
-        out = np.zeros_like(x)
-        for (state, factors, inp), v in zip(self._table, cols):
-            for var, power, func in factors:
-                col = x[:, var]
-                if func == "sin":
-                    col = np.sin(col)
-                elif func == "cos":
-                    col = np.cos(col)
-                v = v * col if power == 1 else v * col**power
-            if inp is not None:
-                v = v * u[:, inp]
-            out[:, state] += v
-        return out
+        xs, us = x.T, u.T
+        out = np.zeros((len(self._equations), x.shape[0]))
+        for total, terms in zip(out, self._equations):
+            for i, factors, inp in terms:
+                v = cols[i]
+                for var, power, func in factors:
+                    col = xs[var]
+                    if func == "sin":
+                        col = np.sin(col)
+                    elif func == "cos":
+                        col = np.cos(col)
+                    v = v * col if power == 1 else v * col**power
+                if inp is not None:
+                    v = v * us[inp]
+                np.add(total, v, out=total)
+        return out.T
 
 
 @lru_cache(maxsize=64)

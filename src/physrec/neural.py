@@ -436,9 +436,13 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     return max(rms, 1e-3)
 
 
-def _acc(total, part):
-    """Running gradient sum, started from the first part as the tape does."""
-    return part if total is None else total + part
+def _add_in_reverse(total, parts):
+    """``total`` plus each of ``parts`` from the last to the first, one add
+    at a time; a ``None`` total starts from the last part, as the tape
+    does."""
+    for part in parts[::-1]:
+        total = part if total is None else total + part
+    return total
 
 
 def _cell_forward(
@@ -460,93 +464,128 @@ def _cell_forward(
     explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
     ``hdot = tanh(z)``.  Here ``z = w_in u + w_rec h + b``.
 
-    The unroll runs in plain numpy.  For its backward-through-time it keeps
-    each sample's input column and, per substep, the state it started from
-    and ``tanh(z)``; LTC also keeps ``f``, since recomputing ``logaddexp``
-    would double its backward.  The LTC backward rebuilds the step's
-    numerator and denominator from these with the forward's own
-    expressions, so it sees the same values bit for bit.  Both passes are
-    bit-identical to recording every substep on a tape, one primitive per
-    node: the forward repeats their numpy operations in their order, and
-    the backward applies each primitive's backward expression and adds
-    every fan-out and every per-substep weight contribution in
-    ``Tape.backward``'s order (reverse recording order, first contribution
-    first).
+    The unroll runs in plain numpy, with its column and scalar operands
+    broadcast to full (V, B) arrays once.  For its backward-through-time
+    it keeps the window's inputs and, per substep, the state it started
+    from and ``tanh(z)``, in preallocated (substep, V, B) stacks; LTC
+    also keeps ``f``, since recomputing ``logaddexp`` would double its
+    backward.  The backward visits the samples last to first.  For each
+    it computes the factors that do not depend on the cotangent in one
+    operation over the sample's substeps (LTC rebuilds the step's
+    numerator and denominator from the saved arrays with the forward's
+    own expressions, so it sees the same values bit for bit); only the
+    cotangent's chain stays in the per-substep loop, which writes the
+    parts that feed parameter gradients into per-sample stacks.
+
+    Both passes are bit-identical to recording every substep on a tape,
+    one primitive per node: the forward repeats their numpy operations in
+    their order, and the backward applies each primitive's backward
+    expression and adds every fan-out and every per-substep weight
+    contribution in ``Tape.backward``'s order (reverse recording order,
+    first contribution first).  Per sample, each parameter's parts come
+    from one operation over the stack (a B-axis ``np.add.reduce``, which
+    sums each row alone as a per-substep ``np.sum`` does, or one stacked
+    matmul) and are added to the running total by ``_add_in_reverse``, one
+    add at a time from the last substep back: a reduction over the
+    substep axis could sum pairwise instead.
     """
     names = [key for key in CELL_LEAVES if key in params]
     w_in, w_rec, b = (params[key] for key in CELL_LEAVES[:3])
     B, _, k = window_tensor.shape
+    V = w_rec.shape[0]
     n_sub = cfg.unfold_substeps
+    n_steps = k * n_sub
     delta = dt / n_sub
-    b_col = b[:, None]
+
+    def wide(operand):  # a scalar or a (V, 1) column as a full (V, B) array
+        return np.array(np.broadcast_to(operand, (V, B)))
+
+    delta_f, b_f = wide(delta), wide(b[:, None])
     if arch in ("ltc", "ctrnn"):
         tau = params["cell.tau"]
         inv_tau = 1.0 / tau
-        inv_col = inv_tau[:, None]
     if arch == "ltc":
         target_col = params["cell.target"][:, None]
         leak_col = (inv_tau * delta)[:, None]
-    h = np.zeros((w_rec.shape[0], B))
-    inputs, states, tanhs, fs = [], [], [], []
+        zero_f, one_f = wide(0.0), wide(1.0)
+        target_f, leak_f = wide(target_col), wide(leak_col)
+    elif arch == "ctrnn":
+        inv_f = wide(inv_tau[:, None])
+    inputs = np.ascontiguousarray(np.transpose(window_tensor, (2, 1, 0)))  # k x C x B
+    states = np.empty((n_steps + 1, V, B))  # the state each substep starts from, then h
+    states[0] = 0.0
+    tanhs = np.empty((n_steps, V, B))
+    fs = np.empty((n_steps, V, B)) if arch == "ltc" else None
     for t in range(k):
-        inp = np.ascontiguousarray(window_tensor[:, :, t].T)  # C x B
-        inputs.append(inp)
-        drive = w_in @ inp
-        for _ in range(n_sub):
-            states.append(h)
-            th = np.tanh(drive + w_rec @ h + b_col)
-            tanhs.append(th)
+        drive = w_in @ inputs[t]
+        for i in range(t * n_sub, (t + 1) * n_sub):
+            h = states[i]
+            th = np.tanh(drive + w_rec @ h + b_f, out=tanhs[i])
             if arch == "ltc":
-                f = np.logaddexp(0.0, th)
-                fs.append(f)
-                num = h + f * target_col * delta
-                den = f * delta + leak_col + 1.0
-                h = num / den
+                f = np.logaddexp(zero_f, th, out=fs[i])
+                num = h + f * target_f * delta_f
+                den = f * delta_f + leak_f + one_f
+                np.divide(num, den, out=states[i + 1])
             elif arch == "ctrnn":
-                h = h + (th - h * inv_col) * delta
+                np.add(h, (th - h * inv_f) * delta_f, out=states[i + 1])
             else:
-                h = h + th * delta
+                np.add(h, th * delta_f, out=states[i + 1])
+
+    n_vec = {"ltc": 3, "ctrnn": 2, "node": 1}[arch]  # b, then inv_tau, then target
 
     def vjp(g):
-        g_w_in = g_w_rec = g_b = g_inv_tau = g_target = None
-        for t in reversed(range(k)):
-            g_drive = None
-            for i in reversed(range(t * n_sub, (t + 1) * n_sub)):
-                h_prev, th = states[i], tanhs[i]
-                if arch == "ltc":
-                    f = fs[i]
-                    num = h_prev + f * target_col * delta
-                    den = f * delta + leak_col + 1.0
-                    g_num = g / den
-                    g_den = -g * num / (den * den)
-                    g_inv_tau = _acc(g_inv_tau, np.sum(g_den, axis=1) * delta)
-                    g_ft = g_num * delta
-                    g_target = _acc(g_target, np.sum(g_ft * f, axis=1))
-                    g_f = g_den * delta + g_ft * target_col
-                    g_z = g_f / (1.0 + np.exp(-th)) * (1.0 - th * th)
-                    g_h = g_num
-                elif arch == "ctrnn":
-                    g_d = g * delta
-                    g_leak = -g_d
-                    g_inv_tau = _acc(g_inv_tau, np.sum(g_leak * h_prev, axis=1))
-                    g_z = g_d * (1.0 - th * th)
-                    g_h = g + g_leak * inv_col
-                else:
-                    g_z = g * delta * (1.0 - th * th)
-                    g_h = g
-                g_b = _acc(g_b, np.sum(g_z, axis=1))
-                g_drive = _acc(g_drive, g_z)
-                g_w_rec = _acc(g_w_rec, g_z @ h_prev.T)
-                g = g_h + w_rec.T @ g_z
-            g_w_in = _acc(g_w_in, g_drive @ inputs[t].T)
-        grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_b}
+        w_rec_t = w_rec.T
+        g_w_in = g_w_rec = g_vec = None
+        g_z_sub = np.empty((n_sub, V, B))
         if arch in ("ltc", "ctrnn"):
-            grads["cell.tau"] = -g_inv_tau / (tau * tau)
+            g_sub = np.empty((n_sub, V, B))  # LTC: g_den; CT-RNN: g_leak
         if arch == "ltc":
-            grads["cell.target"] = g_target
+            g_ftf_sub = np.empty((n_sub, V, B))
+        for t in reversed(range(k)):
+            steps = slice(t * n_sub, (t + 1) * n_sub)
+            h_prev, th = states[steps], tanhs[steps]
+            d_tanh = 1.0 - th * th
+            vec_parts = np.empty((n_sub, n_vec, V))  # fresh: g_vec may start as a view of it
+            if arch == "ltc":
+                f = fs[steps]
+                num = h_prev + f * target_col * delta
+                den = f * delta + leak_col + 1.0
+                den2 = den * den
+                sig_den = 1.0 + np.exp(-th)
+                for s in reversed(range(n_sub)):
+                    g_num = g / den[s]
+                    g_den = np.divide(-g * num[s], den2[s], out=g_sub[s])
+                    g_ft = g_num * delta_f
+                    np.multiply(g_ft, f[s], out=g_ftf_sub[s])
+                    g_f = g_den * delta_f + g_ft * target_f
+                    g_z = np.multiply(g_f / sig_den[s], d_tanh[s], out=g_z_sub[s])
+                    g = g_num + w_rec_t @ g_z
+                np.multiply(np.add.reduce(g_sub, axis=2), delta, out=vec_parts[:, 1])
+                np.add.reduce(g_ftf_sub, axis=2, out=vec_parts[:, 2])
+            elif arch == "ctrnn":
+                for s in reversed(range(n_sub)):
+                    g_d = g * delta_f
+                    g_leak = np.negative(g_d, out=g_sub[s])
+                    g_z = np.multiply(g_d, d_tanh[s], out=g_z_sub[s])
+                    g = g + g_leak * inv_f + w_rec_t @ g_z
+                np.add.reduce(g_sub * h_prev, axis=2, out=vec_parts[:, 1])
+            else:
+                for s in reversed(range(n_sub)):
+                    g_z = np.multiply(g * delta_f, d_tanh[s], out=g_z_sub[s])
+                    g = g + w_rec_t @ g_z
+            np.add.reduce(g_z_sub, axis=2, out=vec_parts[:, 0])
+            g_vec = _add_in_reverse(g_vec, vec_parts)
+            g_w_rec = _add_in_reverse(g_w_rec, g_z_sub @ h_prev.transpose(0, 2, 1))
+            g_drive = _add_in_reverse(None, g_z_sub)
+            g_w_in = _add_in_reverse(g_w_in, [g_drive @ inputs[t].T])
+        grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_vec[0]}
+        if arch in ("ltc", "ctrnn"):
+            grads["cell.tau"] = -g_vec[1] / (tau * tau)
+        if arch == "ltc":
+            grads["cell.target"] = g_vec[2]
         return [grads[key] for key in names]
 
-    return h, vjp
+    return states[-1].copy(), vjp
 
 
 def _head_forward(spec: SystemSpec, params, h, cfg: TrainConfig, rng, scales):

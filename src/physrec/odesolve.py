@@ -22,14 +22,6 @@ from .dynamics import SpecError, SystemSpec, compile_rhs
 DIVERGENCE_LIMIT = 1e9
 
 
-def _rk4_stage(rhs, x, cols, u, h):
-    k1 = rhs.full(x, cols, u)
-    k2 = rhs.full(x + 0.5 * h * k1, cols, u)
-    k3 = rhs.full(x + 0.5 * h * k2, cols, u)
-    k4 = rhs.full(x + h * k3, cols, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate_batch(
     spec: SystemSpec,
     coeff_rows: np.ndarray,
@@ -56,7 +48,11 @@ def integrate_batch(
     states, divergence flag and failure time are bit-identical whether it
     is solved alone or inside any batch.  The coefficient columns are
     computed once per call (``CompiledRhs.columns``); each stage is one
-    ``CompiledRhs.full`` call.
+    ``CompiledRhs.full`` call.  The working state is a column-major copy,
+    so ``full`` reads each state variable as one contiguous row.
+    Divergence is checked once per interval on the whole batch, ``max |x|
+    <= DIVERGENCE_LIMIT`` (NaN fails it); the per-row check and the
+    freezing run only when that fails or once a row has died.
     """
     if substeps < 1:
         raise SpecError("substeps must be >= 1")
@@ -65,24 +61,33 @@ def integrate_batch(
     S, n = x0_rows.shape
     k_sig = u_rows.shape[2]
     h = dt / substeps
+    half_h, sixth_h = 0.5 * h, h / 6.0
 
     states = np.empty((S, n, k_out))
     states[:, :, 0] = x0_rows
-    x = x0_rows.copy()
+    x = np.array(x0_rows, dtype=float, order="F")
     alive = np.ones(S, dtype=bool)
+    all_alive = True
     t_fail = np.full(S, np.nan)
     with np.errstate(all="ignore"):
         for j in range(k_out - 1):
             u = u_rows[:, :, min(j, k_sig - 1)]
             for _ in range(substeps):
-                x = _rk4_stage(rhs, x, cols, u, h)
-            bad = alive & (
-                ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
-            )
-            if np.any(bad):
+                k1 = rhs.full(x, cols, u)
+                k2 = rhs.full(x + half_h * k1, cols, u)
+                k3 = rhs.full(x + half_h * k2, cols, u)
+                k4 = rhs.full(x + h * k3, cols, u)
+                x = x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # initial=0.0 keeps an empty batch valid; NaN still propagates
+            if not (all_alive and np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT):
+                bad = alive & (
+                    ~np.all(np.isfinite(x), axis=1)
+                    | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
+                )
                 t_fail[bad] = (j + 1) * dt
                 alive &= ~bad
-            if not np.all(alive):
-                x = np.where(alive[:, None], x, states[:, :, j])  # freeze dead rows
+                all_alive = bool(alive.all())
+                dead = ~alive
+                x[dead] = states[dead, :, j]  # freeze dead rows
             states[:, :, j + 1] = x
     return states, ~alive, t_fail

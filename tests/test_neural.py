@@ -280,16 +280,22 @@ def _cell_grads(cell, arch, params, tensor, dt, cfg, cot):
     return h.value, {key: table[leaves[key].idx] for key in CELL_LEAVES if key in leaves}
 
 
-@pytest.mark.parametrize("batch", [1, 4, 32])
+# width 1 makes a per-sample stack's substep axis contiguous, where a
+# reduction over it would sum pairwise instead of in the tape's order
+@pytest.mark.parametrize(
+    "width, n_sub, batch",
+    [(6, 3, 1), (6, 3, 4), (6, 3, 32), (1, 9, 4)],
+    ids=["1", "4", "32", "width1-9sub-4"],
+)
 @pytest.mark.parametrize("arch", ARCHS)
-def test_fused_cell_is_bit_identical_to_tape_graph(arch, batch):
+def test_fused_cell_is_bit_identical_to_tape_graph(arch, width, n_sub, batch):
     spec, _ = builtin_system("lotka_volterra")
-    cfg = TrainConfig(hidden_width=6, unfold_substeps=3)
+    cfg = TrainConfig(hidden_width=width, unfold_substeps=n_sub)
     rng = np.random.default_rng(11)
     dt, k = 0.1, 25
     params = init_params(arch, spec, 3, cfg, rng, dt, k)
     tensor = rng.normal(0.0, 2.0, (batch, 3, k))
-    cot = rng.normal(0.0, 1.0, (6, batch))
+    cot = rng.normal(0.0, 1.0, (width, batch))
 
     h_ref, g_ref = _cell_grads(reference_tape_cell, arch, params, tensor, dt, cfg, cot)
     h, g = _cell_grads(_cell_node, arch, params, tensor, dt, cfg, cot)

@@ -211,16 +211,26 @@ def test_rk4_stays_fourth_order_under_a_held_input(name):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_integrate_batch_rows_are_independent(name):
     # a row solved alone equals the same row inside a batch bit for bit,
-    # also next to a row that diverges
+    # also next to rows that diverge
     spec, coeffs = builtin_system(name)
     rng = np.random.default_rng(7)
-    S, k, dt = 5, 30, (5.0 if name == "bergman_aid" else 0.01)
+    S, k, dt = 6, 30, (5.0 if name == "bergman_aid" else 0.01)
     coeff_rows = coeffs.values[None, :] * rng.uniform(0.8, 1.2, size=(S, spec.p))
+    coeff_rows[4] = np.nan  # NaN from the first stage on
     x0_rows = spec.resting_state()[None, :] + rng.uniform(-0.1, 0.1, size=(S, spec.n))
     x0_rows[2] = 2e9  # past the divergence limit after the first step
     u_rows = rng.uniform(0.0, 0.5, size=(S, spec.m, k))
     states, diverged, t_fail = integrate_batch(spec, coeff_rows, x0_rows, u_rows, k, dt, 2)
-    assert diverged.tolist() == [False, False, True, False, False]
+    assert diverged.tolist() == [False, False, True, False, True, False]
+    for r in (2, 4):
+        assert t_fail[r] == dt
+        assert np.array_equal(states[r], np.repeat(x0_rows[r][:, None], k, axis=1))
+    # the inputs' memory layout does not change a bit
+    fortran = integrate_batch(
+        spec, *(np.asfortranarray(a) for a in (coeff_rows, x0_rows, u_rows)), k, dt, 2
+    )
+    for got, want in zip(fortran, (states, diverged, t_fail)):
+        assert np.array_equal(got, want, equal_nan=True)
     for r in range(S):
         alone = integrate_batch(
             spec, coeff_rows[r : r + 1], x0_rows[r : r + 1], u_rows[r : r + 1], k, dt, 2
