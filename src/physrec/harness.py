@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from collections.abc import Callable
@@ -20,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import sindy
 from .dynamics import (
     Coefficients,
     ConfigError,
@@ -44,7 +46,6 @@ from .sindy import (
     map_to_coefficients,
     model_spec,
     rmse_with_spurious,
-    stridge,
 )
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,9 @@ class _Preset:
     ext_channels: tuple[int, ...]  # inputs whose reported timing can be wrong
     forcing: Callable
     defaults: dict  # every override key the preset reads but injected_shift
+    # RK4 substeps of the truth: the fewest within 1e-6 relative RMS of a
+    # 40-substep truth on seeds 0-10 at the default size (CHANGES.md)
+    gen_substeps: int
 
 
 _PRESETS = {
@@ -243,12 +247,14 @@ _PRESETS = {
         scalar_decay_system, ("x1", "u1"), (0,), _pulsed_forcing,
         dict(n_traces=64, k=200, dt=0.1, pulses=4, width=(0.25, 0.5), amp=(0.8, 2.0),
              perturbation=True),
+        gen_substeps=1,
     ),
     "lorenz": _Preset(
         partial(builtin_system, "lorenz"), ("x1", "x2", "x3", "u1"), (0,),
         partial(_pulsed_forcing, x0_offset=(1.0, 1.0, 25.0)),
         dict(n_traces=8, k=4000, dt=0.002, pulses=6, width=(0.01, 0.03), amp=(20.0, 60.0),
              perturbation=True),
+        gen_substeps=2,
     ),
     # The benchmark works in unit-normalized state coordinates (levels
     # divided by the canonical resting stocks), which puts every
@@ -261,20 +267,19 @@ _PRESETS = {
         lv_unit_system, ("x1", "x2", "u1"), (0,), _lv_forcing,
         dict(n_traces=64, k=2420, dt=0.1, pulses=5, width=(5.0, 8.0), amp=(0.015, 0.045),
              x0_jitter=0.05, x0_jitter_perturbed=0.0, perturbation=True),
+        gen_substeps=1,
     ),
     "bergman_aid": _Preset(
         partial(builtin_system, "bergman_aid"), ("i", "i_s", "g", "insulin", "meal"), (1,),
-        _meal_forcing, dict(n_traces=14, k=200, dt=5.0, basal=0.25),
+        _meal_forcing, dict(n_traces=14, k=200, dt=5.0, basal=0.25), gen_substeps=2,
     ),
     "eeg_dvdp": _Preset(
         partial(builtin_system, "eeg_dvdp"), ("x1", "v1", "x2", "v2", "u1"), (0,), _eeg_forcing,
         dict(n_traces=16, k=1200, dt=0.02, amp=0.6, freq=0.35, wiener_scale=0.8,
              input_kind="sine"),
+        gen_substeps=2,
     ),
 }
-
-# smallest count within 1e-6 relative of a 40-substep truth on every preset (CHANGES.md)
-GEN_SUBSTEPS = 2
 
 
 @dataclass(frozen=True)
@@ -322,7 +327,7 @@ def _simulate(preset: str, overrides: dict, seed: int) -> _Truth:
     u_true = report(0)[0]
     coeff_rows = np.repeat(coeffs.values[None, :], cfg["n_traces"], axis=0)
     states, diverged, t_fail = integrate_batch(
-        spec, coeff_rows, x0_rows, u_true, u_true.shape[2], cfg["dt"], GEN_SUBSTEPS
+        spec, coeff_rows, x0_rows, u_true, u_true.shape[2], cfg["dt"], row.gen_substeps
     )
     if np.any(diverged):
         bad = int(np.nonzero(diverged)[0][0])
@@ -366,7 +371,10 @@ def generate_benchmark_data(system: str, cfg: dict | None = None, seed: int = 0)
     not read is a ConfigError naming it.  Every preset also reads
     ``injected_shift`` (samples, >= 0, default 0): the traces then report
     the external input that many samples early, and their states are the
-    same as at shift 0.  Deterministic per seed.
+    same as at shift 0.  Deterministic per seed.  The truth is one RK4
+    solve with a zero-order hold on the input, at a fixed number of
+    substeps per sample: 1 for ``scalar`` and ``lotka_volterra``, 2 for
+    ``lorenz``, ``bergman_aid`` and ``eeg_dvdp``.
 
     - ``scalar`` (xdot = -a x + u) and ``lorenz``: ``n_traces``, ``k``,
       ``dt``, ``pulses``, ``width``, ``amp``, ``perturbation``.  Gaussian
@@ -555,9 +563,10 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     pooled_u = np.hstack([tr.u for tr in traces])
     pooled_dots = np.hstack([estimate_derivatives(tr) for tr in traces])
     A = build_library(lib, pooled_y, pooled_u if traces[0].m else None)
+    # looked up on the module, so that a wrapper installed there sees each call
     xi = np.column_stack(
         [
-            stridge(A, pooled_dots[i], cfg.sindy_lambda, cfg.sindy_threshold)
+            sindy.stridge(A, pooled_dots[i], cfg.sindy_lambda, cfg.sindy_threshold)
             for i in range(pooled_y.shape[0])
         ]
     )
@@ -752,14 +761,46 @@ def write_trace_csv(tr: Trace, path) -> None:
     labels = tr.labels or tuple(f"y{i+1}" for i in range(tr.y.shape[0])) + tuple(
         f"u{j+1}" for j in range(tr.m)
     )
+    t = tr.t0 + np.arange(tr.k) * tr.dt  # t0 + j dt, as one float product and sum
+    row = ",".join(["{!r}"] * (1 + len(tr.y) + tr.m)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *labels])
-        for j in range(tr.k):
-            row = [repr(tr.t0 + j * tr.dt)]
-            row += [repr(float(v)) for v in tr.y[:, j]]
-            row += [repr(float(v)) for v in tr.u[:, j]]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["t", *labels])
+        fh.write((row * tr.k).format(*np.vstack([t, tr.y, tr.u]).T.ravel().tolist()))
+
+
+def _csv_records(trace_path, body: str, n_cols: int):
+    """Record numbers and values of the non-blank records of a trace CSV's
+    body, parsed one record at a time; names the first ragged or
+    non-numeric record."""
+    lines, rows = [], []
+    for ln, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != n_cols:
+            raise ConfigError(f"{trace_path}:{ln}: {len(row)} values for {n_cols} columns")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ConfigError(f"{trace_path}:{ln}: non-numeric value") from None
+        lines.append(ln)
+    return lines, np.array(rows, dtype=float).reshape(len(rows), n_cols)
+
+
+def _csv_values(trace_path, body: str, n_cols: int) -> np.ndarray:
+    """Samples x columns of a trace CSV's body, parsed in one numpy call;
+    a body numpy cannot read goes through ``_csv_records``, which parses
+    what ``float`` accepts or names the bad record."""
+    if not body.strip("\r\n"):  # only blank records, on which loadtxt warns
+        return np.zeros((0, n_cols))
+    try:
+        data = np.loadtxt(
+            io.StringIO(body, newline=""), delimiter=",", quotechar='"', comments=None, ndmin=2
+        )
+        if data.shape[1] == n_cols:
+            return data
+    except ValueError:
+        pass
+    return _csv_records(trace_path, body, n_cols)[1]
 
 
 def load_real_csv(trace_path) -> list[Trace]:
@@ -771,46 +812,31 @@ def load_real_csv(trace_path) -> list[Trace]:
     segments; any other grid irregularity is an error naming the row.
     """
     with open(trace_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[0].strip() != "t":
             raise ConfigError(f"{trace_path}: first column must be 't'")
-        labels = [h.strip() for h in header[1:]]
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{trace_path}:{ln}: {len(row)} values for {len(header)} columns"
-                )
-            try:
-                rows.append((ln, [float(v) for v in row]))
-            except ValueError:
-                raise ConfigError(f"{trace_path}:{ln}: non-numeric value") from None
-    if len(rows) < 2:
+        body = fh.read()
+    labels = tuple(h.strip() for h in header[1:])
+    data = _csv_values(trace_path, body, len(header))
+    if len(data) < 2:
         raise ConfigError(f"{trace_path}: need at least two samples")
 
-    t = np.array([r[1][0] for r in rows])
-    diffs = np.diff(t)
+    diffs = np.diff(data[:, 0])
     dt = float(np.median(diffs))
     if dt <= 0:
         raise ConfigError(f"{trace_path}: times must be strictly increasing")
-    segments, start = [], 0
-    for i, d in enumerate(diffs):
-        if d > 2 * dt * (1 + 1e-9):
-            segments.append((start, i + 1))
-            start = i + 1
-        elif abs(d - dt) > 1e-9 * max(dt, 1.0):
-            raise ConfigError(
-                f"{trace_path}:{rows[i + 1][0]}: non-uniform sample spacing "
-                f"({d:.9g} vs {dt:.9g})"
-            )
-    segments.append((start, len(rows)))
+    gaps = diffs > 2 * dt * (1 + 1e-9)
+    uneven = ~gaps & (np.abs(diffs - dt) > 1e-9 * max(dt, 1.0))
+    if np.any(uneven):
+        i = int(np.argmax(uneven))
+        ln = _csv_records(trace_path, body, len(header))[0][i + 1]
+        raise ConfigError(
+            f"{trace_path}:{ln}: non-uniform sample spacing ({diffs[i]:.9g} vs {dt:.9g})"
+        )
+    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(data)]
 
     traces = []
-    data = np.array([r[1] for r in rows])
-    for a, b in segments:
+    for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 2:
             continue
         seg = data[a:b]
@@ -818,7 +844,7 @@ def load_real_csv(trace_path) -> list[Trace]:
         # and the order in which numpy sums over them follows it
         y = np.ascontiguousarray(seg[:, 1:].T)
         traces.append(
-            Trace(float(seg[0, 0]), dt, y, np.zeros((0, b - a)), tuple(labels),
+            Trace(float(seg[0, 0]), dt, y, np.zeros((0, b - a)), labels,
                   {"source": str(trace_path)})
         )
     return traces

@@ -1,5 +1,7 @@
 """Tests for the experiment harness."""
 
+import csv
+import io
 import json
 from dataclasses import asdict, replace
 
@@ -248,7 +250,8 @@ def test_presets_report_one_truth_at_any_shift(system, overrides):
 @pytest.mark.parametrize("system,overrides", TINY_PRESETS)
 def test_true_coefficients_replay_the_generated_data(system, overrides):
     # the rmse_y floor: the true model, replayed at the training's default
-    # solve substeps, reproduces the data generated at GEN_SUBSTEPS
+    # solve substeps, reproduces the data generated at the preset's
+    # gen_substeps
     spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
     rows = np.repeat(coeffs.values[None, :], len(traces), axis=0)
     y_est, diverged, _ = replay(
@@ -257,6 +260,16 @@ def test_true_coefficients_replay_the_generated_data(system, overrides):
     assert not np.any(diverged)
     for est, tr in zip(y_est, traces):
         assert rmse_signal(est, tr.y) <= 1e-6 * np.sqrt(np.mean(tr.y**2))
+
+
+@pytest.mark.parametrize("system,overrides", TINY_PRESETS)
+def test_generation_substeps_are_within_1e_6_of_a_fine_solve(system, overrides, monkeypatch):
+    coarse = harness._simulate(system, overrides, seed=0).states
+    monkeypatch.setitem(
+        harness._PRESETS, system, replace(harness._PRESETS[system], gen_substeps=40)
+    )
+    fine = harness._simulate(system, overrides, seed=0).states
+    assert np.linalg.norm(coarse - fine) <= 1e-6 * np.linalg.norm(fine)
 
 
 BAD_GENERATION = [
@@ -337,3 +350,80 @@ def test_load_real_csv_names_a_ragged_row(tmp_path):
     path.write_text("t,y1,y2\n0.0,1.0,2.0\n0.1,1.0\n0.2,1.0,2.0\n")
     with pytest.raises(ConfigError, match=r"trace\.csv:3: 2 values for 3 columns"):
         load_real_csv(path)
+
+
+def test_load_real_csv_accepts_quotes_crlf_blank_lines_and_spaces(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(
+        b' t ,"y1", y2 \r\n"0.0","1.5", 2\r\n\r\n 0.5 ,-1.5 ,"3"\r\n\r\n1.0, 0.25,4 \r\n'
+    )
+    (tr,) = load_real_csv(path)
+    assert (tr.t0, tr.dt, tr.k, tr.labels) == (0.0, 0.5, 3, ("y1", "y2"))
+    assert np.array_equal(tr.y, [[1.5, -1.5, 0.25], [2.0, 3.0, 4.0]])
+
+
+CSV_ERRORS = [
+    ("t,y1\n0.0,1.0\n0.5,x\n", r"trace\.csv:3: non-numeric value"),
+    ("t,y1\n0.0,1.0\n\n0.5,\n", r"trace\.csv:4: non-numeric value"),
+    ("t,y1\n0.0,1\n0.5,1\n\n1.0,1\n1.6,1\n2.1,1\n", r"trace\.csv:6: non-uniform sample spacing"
+     r" \(0.6 vs 0.5\)"),
+    ("t,y1\n0.0,1\n0.5,1\n1.0,1\n1.0,1\n", r"trace\.csv:5: non-uniform sample spacing \(0 vs"),
+    ("t,y1\n0.0,1\n0.0,1\n", r"trace\.csv: times must be strictly increasing"),
+    ("time,y1\n0.0,1\n0.5,1\n", r"trace\.csv: first column must be 't'"),
+    ("", r"trace\.csv: first column must be 't'"),
+    ("t,y1\n0.0,1\n", r"trace\.csv: need at least two samples"),
+    ("t,y1\n\r\n\n", r"trace\.csv: need at least two samples"),
+    ("t,y1,y2\n0.0,1,2\n0.5,1,2,3\n", r"trace\.csv:3: 4 values for 3 columns"),
+    ("t,y1\n\n0.0,1,2\n0.5,1,2\n", r"trace\.csv:3: 3 values for 2 columns"),
+]
+
+
+@pytest.mark.parametrize("text,message", CSV_ERRORS)
+def test_load_real_csv_names_what_is_wrong(text, message, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_real_csv(path)
+
+
+def test_write_trace_csv_golden_bytes(tmp_path):
+    path = tmp_path / "trace.csv"
+    tr = Trace(0.0, 0.1, np.array([[-0.0, 1e16, 1.0]]), np.array([[1e-05, 0.1 + 0.2, -2.5]]),
+               ("x1", "u1"))
+    harness.write_trace_csv(tr, path)
+    assert path.read_bytes() == (
+        b"t,x1,u1\r\n"
+        b"0.0,-0.0,1e-05\r\n"
+        b"0.1,1e+16,0.30000000000000004\r\n"
+        b"0.2,1.0,-2.5\r\n"
+    )
+
+
+def reference_trace_csv(tr) -> bytes:
+    """The trace CSV written one sample at a time: ``repr`` of
+    ``t0 + j * dt`` and of every value, through ``csv.writer``."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["t", *tr.labels])
+    for j in range(tr.k):
+        values = (tr.t0 + j * tr.dt, *tr.y[:, j], *tr.u[:, j])
+        writer.writerow([repr(float(v)) for v in values])
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("system,overrides", TINY_PRESETS)
+def test_dataset_round_trip_is_bit_exact(system, overrides, tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data(
+        system, {**overrides, "injected_shift": 3}, seed=5
+    )
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    for i, tr in enumerate(traces):
+        assert (tmp_path / f"trace_{i:03d}.csv").read_bytes() == reference_trace_csv(tr)
+    spec2, coeffs2, loaded, _ = harness.load_dataset(tmp_path)
+    assert spec2 == spec and coeffs2.values.tobytes() == coeffs.values.tobytes()
+    assert len(loaded) == len(traces)
+    for tr, got in zip(traces, loaded):
+        # dt is the median sample spacing of the written times
+        assert (got.t0, got.labels) == (tr.t0, tr.labels) and got.dt == pytest.approx(tr.dt)
+        assert got.y.tobytes() == tr.y.tobytes() and got.u.tobytes() == tr.u.tobytes()
+        assert got.y.flags.c_contiguous and got.u.flags.c_contiguous

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from physrec import sindy
 from physrec.dynamics import SpecError, compile_rhs
 from physrec.harness import ExperimentConfig, fit_sindyc
 from physrec.signals import Trace
@@ -158,6 +159,21 @@ class TestSindycRecover:
         assert spurious == []
         assert np.max(np.abs(theta - coeffs.values)) < 1e-2
         assert np.array_equal(result.coeffs.values, theta)
+
+    def test_fit_calls_stridge_through_the_sindy_module(self, monkeypatch):
+        # one regression per state, looked up on ``physrec.sindy`` at call
+        # time, so that a wrapper installed there sees every call
+        spec, coeffs, tr = self._lv_unit_trace(k=500)
+        calls = []
+        real = sindy.stridge
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sindy, "stridge", counted)
+        fit_sindyc(spec, coeffs, [tr, tr], ExperimentConfig())
+        assert calls == [(2 * tr.k,)] * spec.n
 
     def test_requires_full_state(self):
         # the baseline has no hidden-state machinery: y rows must span the
