@@ -803,13 +803,21 @@ def _csv_values(trace_path, body: str, n_cols: int) -> np.ndarray:
     return _csv_records(trace_path, body, n_cols)[1]
 
 
+def _off_grid(spacing, dt):
+    """Where a sample spacing differs from ``dt`` by more than the grid
+    tolerance."""
+    return np.abs(spacing - dt) > 1e-9 * max(dt, 1.0)
+
+
 def load_real_csv(trace_path) -> list[Trace]:
     """Read a measurement CSV into uniform-grid traces.
 
     The first column is the time ``t``; every column after it is an
-    observed channel, so the traces carry no inputs.  Sample gaps longer
-    than twice the nominal interval split the record into separate trace
-    segments; any other grid irregularity is an error naming the row.
+    observed channel, so the traces carry no inputs.  The nominal interval
+    ``dt`` is the median sample spacing.  Sample gaps longer than twice
+    ``dt`` split the record into separate trace segments; any other grid
+    irregularity, and any ``nan`` or ``inf`` field, is an error naming the
+    row.
     """
     with open(trace_path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -818,6 +826,10 @@ def load_real_csv(trace_path) -> list[Trace]:
         body = fh.read()
     labels = tuple(h.strip() for h in header[1:])
     data = _csv_values(trace_path, body, len(header))
+    non_finite = ~np.isfinite(data).all(axis=1)
+    if np.any(non_finite):
+        ln = _csv_records(trace_path, body, len(header))[0][int(np.argmax(non_finite))]
+        raise ConfigError(f"{trace_path}:{ln}: non-finite value")
     if len(data) < 2:
         raise ConfigError(f"{trace_path}: need at least two samples")
 
@@ -826,7 +838,7 @@ def load_real_csv(trace_path) -> list[Trace]:
     if dt <= 0:
         raise ConfigError(f"{trace_path}: times must be strictly increasing")
     gaps = diffs > 2 * dt * (1 + 1e-9)
-    uneven = ~gaps & (np.abs(diffs - dt) > 1e-9 * max(dt, 1.0))
+    uneven = ~gaps & _off_grid(diffs, dt)
     if np.any(uneven):
         i = int(np.argmax(uneven))
         ln = _csv_records(trace_path, body, len(header))[0][i + 1]
@@ -882,20 +894,32 @@ def _jsonable(obj):
 
 
 def load_dataset(dirpath):
+    """Read a directory written by :func:`save_dataset`.  Every trace takes
+    ``meta.json``'s ``dataset.dt`` exactly, after its CSV's sample spacing
+    is checked against it."""
     import os
 
     spec, coeffs = load_system_config(os.path.join(dirpath, "system.json"))
-    with open(os.path.join(dirpath, "meta.json")) as fh:
+    meta_path = os.path.join(dirpath, "meta.json")
+    with open(meta_path) as fh:
         doc = json.load(fh)
+    dt = doc["dataset"].get("dt")
+    if not isinstance(dt, (int, float)) or not dt > 0:
+        raise ConfigError(f"{meta_path}: dataset.dt must be a positive number, not {dt!r}")
     traces = []
     for entry in doc["traces"]:
-        tr = load_real_csv(os.path.join(dirpath, entry["file"]))[0]
+        trace_path = os.path.join(dirpath, entry["file"])
+        tr = load_real_csv(trace_path)[0]
+        if _off_grid(tr.dt, dt):
+            raise ConfigError(
+                f"{trace_path}: sample spacing {tr.dt:.9g} differs from meta.json's dt {dt:.9g}"
+            )
         meta = entry.get("meta", {})
         n_y = spec.n if "mask" not in meta else sum(meta["mask"])
         traces.append(
             Trace(
                 tr.t0,
-                tr.dt,
+                float(dt),
                 tr.y[:n_y],
                 tr.y[n_y:],
                 tr.labels,

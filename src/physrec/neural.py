@@ -453,36 +453,45 @@ def _cell_forward(
     cfg: TrainConfig,
 ):
     """Unroll the recurrent cell over the window from a zero state, holding
-    each sample's input for ``cfg.unfold_substeps`` steps of ``dt /
+    each sample's input for ``cfg.unfold_substeps`` steps of ``delta = dt /
     unfold_substeps``.  Returns ``(h, vjp)``: the final hidden state (V x
     B) and a closure mapping its cotangent to the gradients of the cell
     parameters present in ``params``, as a list in ``CELL_LEAVES`` order.
 
     LTC: ``hdot = -h/tau + f (target - h)`` with ``f = softplus(tanh(z))``,
     advanced by the fused semi-implicit step of Hasani et al. (AAAI 2021),
-    ``h <- (h + delta f target) / (1 + delta (1/tau + f))``.  CT-RNN:
+    ``h <- (h + f target delta) / (f delta + 1 + delta/tau)``.  CT-RNN:
     explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
-    ``hdot = tanh(z)``.  Here ``z = w_in u + w_rec h + b``.
+    ``hdot = tanh(z)``.  Here ``z = w_rec h + drive`` with the per-sample
+    ``drive = w_in u + b``.  The softplus is ``log1p(exp(tanh(z)))``: its
+    input lies in (-1, 1), so ``exp`` cannot overflow.
 
-    The unroll runs in plain numpy, with its column and scalar operands
-    broadcast to full (V, B) arrays once.  For its backward-through-time
-    it keeps the window's inputs and, per substep, the state it started
-    from and ``tanh(z)``, in preallocated (substep, V, B) stacks; LTC
-    also keeps ``f``, since recomputing ``logaddexp`` would double its
-    backward.  The backward visits the samples last to first.  For each
-    it computes the factors that do not depend on the cotangent in one
+    The constants are folded once per call: the LTC columns ``target
+    delta`` and ``1 + delta/tau``, then each sample's drive, so an LTC
+    substep is matmul, add, tanh, exp, log1p and five arithmetic ops.  The
+    unroll runs in plain numpy, with its column and scalar operands
+    broadcast to full (V, B) arrays once.  For its backward-through-time it
+    keeps the window's inputs and, per substep, the state it started from
+    and ``tanh(z)``, in preallocated (substep, V, B) stacks; LTC also keeps
+    ``f``.  The backward visits the samples last to first.  For each it
+    computes the factors that do not depend on the cotangent in one
     operation over the sample's substeps (LTC rebuilds the step's
     numerator and denominator from the saved arrays with the forward's
     own expressions, so it sees the same values bit for bit); only the
     cotangent's chain stays in the per-substep loop, which writes the
     parts that feed parameter gradients into per-sample stacks.
 
-    Both passes are bit-identical to recording every substep on a tape,
-    one primitive per node: the forward repeats their numpy operations in
-    their order, and the backward applies each primitive's backward
-    expression and adds every fan-out and every per-substep weight
-    contribution in ``Tape.backward``'s order (reverse recording order,
-    first contribution first).  Per sample, each parameter's parts come
+    Both passes are bit-identical to recording the cell on a tape, one
+    primitive per node, as the tests' ``reference_tape_cell`` does:
+    ``1/tau``, ``scale(target, delta)`` and ``1 + scale(1/tau, delta)``
+    once, ``addcol(w_in u, b)`` per sample, and per substep ``add(w_rec h,
+    drive)`` and tanh, then for LTC softplus and ``div(add(h, mulcol(f,
+    target delta)), addcol(scale(f, delta), 1 + delta/tau))``.  The
+    forward repeats their numpy operations in their order, and the
+    backward applies each primitive's backward expression and adds every
+    fan-out and every per-substep or per-sample weight contribution in
+    ``Tape.backward``'s order (reverse recording order, first contribution
+    first).  Per sample, each parameter's parts come
     from one operation over the stack (a B-axis ``np.add.reduce``, which
     sums each row alone as a per-substep ``np.sum`` does, or one stacked
     matmul) and are added to the running total by ``_add_in_reverse``, one
@@ -500,15 +509,14 @@ def _cell_forward(
     def wide(operand):  # a scalar or a (V, 1) column as a full (V, B) array
         return np.array(np.broadcast_to(operand, (V, B)))
 
-    delta_f, b_f = wide(delta), wide(b[:, None])
+    delta_f, b_col = wide(delta), b[:, None]
     if arch in ("ltc", "ctrnn"):
         tau = params["cell.tau"]
         inv_tau = 1.0 / tau
     if arch == "ltc":
-        target_col = params["cell.target"][:, None]
-        leak_col = (inv_tau * delta)[:, None]
-        zero_f, one_f = wide(0.0), wide(1.0)
-        target_f, leak_f = wide(target_col), wide(leak_col)
+        tdel_col = (params["cell.target"] * delta)[:, None]
+        c_col = (inv_tau * delta + 1.0)[:, None]
+        tdel_f, c_f = wide(tdel_col), wide(c_col)
     elif arch == "ctrnn":
         inv_f = wide(inv_tau[:, None])
     inputs = np.ascontiguousarray(np.transpose(window_tensor, (2, 1, 0)))  # k x C x B
@@ -517,72 +525,79 @@ def _cell_forward(
     tanhs = np.empty((n_steps, V, B))
     fs = np.empty((n_steps, V, B)) if arch == "ltc" else None
     for t in range(k):
-        drive = w_in @ inputs[t]
+        drive = w_in @ inputs[t] + b_col
         for i in range(t * n_sub, (t + 1) * n_sub):
             h = states[i]
-            th = np.tanh(drive + w_rec @ h + b_f, out=tanhs[i])
+            z = w_rec @ h
+            z += drive
+            th = np.tanh(z, out=tanhs[i])
             if arch == "ltc":
-                f = np.logaddexp(zero_f, th, out=fs[i])
-                num = h + f * target_f * delta_f
-                den = f * delta_f + leak_f + one_f
+                f = np.log1p(np.exp(th, out=fs[i]), out=fs[i])
+                num = f * tdel_f
+                num += h
+                den = f * delta_f
+                den += c_f
                 np.divide(num, den, out=states[i + 1])
             elif arch == "ctrnn":
                 np.add(h, (th - h * inv_f) * delta_f, out=states[i + 1])
             else:
                 np.add(h, th * delta_f, out=states[i + 1])
 
-    n_vec = {"ltc": 3, "ctrnn": 2, "node": 1}[arch]  # b, then inv_tau, then target
-
     def vjp(g):
         w_rec_t = w_rec.T
-        g_w_in = g_w_rec = g_vec = None
+        g_w_in = g_w_rec = g_b = g_vec = None
         g_z_sub = np.empty((n_sub, V, B))
         if arch in ("ltc", "ctrnn"):
             g_sub = np.empty((n_sub, V, B))  # LTC: g_den; CT-RNN: g_leak
         if arch == "ltc":
-            g_ftf_sub = np.empty((n_sub, V, B))
+            g_num_sub = np.empty((n_sub, V, B))
         for t in reversed(range(k)):
             steps = slice(t * n_sub, (t + 1) * n_sub)
             h_prev, th = states[steps], tanhs[steps]
             d_tanh = 1.0 - th * th
-            vec_parts = np.empty((n_sub, n_vec, V))  # fresh: g_vec may start as a view of it
             if arch == "ltc":
                 f = fs[steps]
-                num = h_prev + f * target_col * delta
-                den = f * delta + leak_col + 1.0
+                neg_num = -(f * tdel_col + h_prev)
+                den = f * delta + c_col
                 den2 = den * den
                 sig_den = 1.0 + np.exp(-th)
                 for s in reversed(range(n_sub)):
-                    g_num = g / den[s]
-                    g_den = np.divide(-g * num[s], den2[s], out=g_sub[s])
-                    g_ft = g_num * delta_f
-                    np.multiply(g_ft, f[s], out=g_ftf_sub[s])
-                    g_f = g_den * delta_f + g_ft * target_f
-                    g_z = np.multiply(g_f / sig_den[s], d_tanh[s], out=g_z_sub[s])
-                    g = g_num + w_rec_t @ g_z
-                np.multiply(np.add.reduce(g_sub, axis=2), delta, out=vec_parts[:, 1])
-                np.add.reduce(g_ftf_sub, axis=2, out=vec_parts[:, 2])
+                    g_num = np.divide(g, den[s], out=g_num_sub[s])
+                    g_den = np.multiply(g, neg_num[s], out=g_sub[s])
+                    np.divide(g_den, den2[s], out=g_den)
+                    g_f = g_den * delta_f
+                    g_f += g_num * tdel_f
+                    g_z = np.divide(g_f, sig_den[s], out=g_z_sub[s])
+                    np.multiply(g_z, d_tanh[s], out=g_z)
+                    g = w_rec_t @ g_z
+                    g += g_num
+                # per substep, the parts of 1 + delta/tau and of target delta
+                vec_parts = np.stack(
+                    (np.add.reduce(g_sub, axis=2), np.add.reduce(g_num_sub * f, axis=2)), axis=1
+                )
             elif arch == "ctrnn":
                 for s in reversed(range(n_sub)):
                     g_d = g * delta_f
                     g_leak = np.negative(g_d, out=g_sub[s])
                     g_z = np.multiply(g_d, d_tanh[s], out=g_z_sub[s])
                     g = g + g_leak * inv_f + w_rec_t @ g_z
-                np.add.reduce(g_sub * h_prev, axis=2, out=vec_parts[:, 1])
+                vec_parts = np.add.reduce(g_sub * h_prev, axis=2)[:, None]  # 1/tau
             else:
                 for s in reversed(range(n_sub)):
                     g_z = np.multiply(g * delta_f, d_tanh[s], out=g_z_sub[s])
                     g = g + w_rec_t @ g_z
-            np.add.reduce(g_z_sub, axis=2, out=vec_parts[:, 0])
-            g_vec = _add_in_reverse(g_vec, vec_parts)
+            if arch != "node":
+                g_vec = _add_in_reverse(g_vec, vec_parts)
             g_w_rec = _add_in_reverse(g_w_rec, g_z_sub @ h_prev.transpose(0, 2, 1))
             g_drive = _add_in_reverse(None, g_z_sub)
+            g_b = _add_in_reverse(g_b, [np.add.reduce(g_drive, axis=1)])
             g_w_in = _add_in_reverse(g_w_in, [g_drive @ inputs[t].T])
-        grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_vec[0]}
-        if arch in ("ltc", "ctrnn"):
-            grads["cell.tau"] = -g_vec[1] / (tau * tau)
+        grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_b}
         if arch == "ltc":
-            grads["cell.target"] = g_vec[2]
+            grads["cell.tau"] = -(g_vec[0] * delta) / (tau * tau)
+            grads["cell.target"] = g_vec[1] * delta
+        elif arch == "ctrnn":
+            grads["cell.tau"] = -g_vec[0] / (tau * tau)
         return [grads[key] for key in names]
 
     return states[-1].copy(), vjp

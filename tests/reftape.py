@@ -190,8 +190,11 @@ class RefTape(Tape):
         return self._record(np.maximum(av, 0.0), (a,), lambda g, out: (g * (av > 0.0),))
 
     def softplus(self, a: Var):
+        """``log1p(exp(x))``.  ``exp`` overflows above x = 709; the cell
+        feeds this tanh outputs, which lie in (-1, 1), where it agrees
+        with ``np.logaddexp(0, x)`` to 1e-15 relative."""
         av = a.value
-        out_val = np.logaddexp(0.0, av)
+        out_val = np.log1p(np.exp(av))
 
         def back(g, out):
             return (g / (1.0 + np.exp(-av)),)

@@ -19,8 +19,8 @@ from physrec.harness import (
     load_real_csv,
     run_experiment,
 )
-from physrec.neural import TrainConfig, replay
-from physrec.signals import Trace, rmse_signal
+from physrec.neural import TrainConfig, replay, train
+from physrec.signals import Trace, make_batches, rmse_signal
 from physrec.sindy import FunctionLibrary, build_library, library_labels
 
 
@@ -375,6 +375,10 @@ CSV_ERRORS = [
     ("t,y1\n\r\n\n", r"trace\.csv: need at least two samples"),
     ("t,y1,y2\n0.0,1,2\n0.5,1,2,3\n", r"trace\.csv:3: 4 values for 3 columns"),
     ("t,y1\n\n0.0,1,2\n0.5,1,2\n", r"trace\.csv:3: 3 values for 2 columns"),
+    # non-finite fields fail before the spacing checks, which would warn on them
+    ("t,y1\n0.0,1\n0.5,nan\n1.0,1\n", r"trace\.csv:3: non-finite value"),
+    ("t,y1\nnan,2\n0.5,1\n1.0,1\n", r"trace\.csv:2: non-finite value"),
+    ("t,y1\n0.0,1\n0.5,1\n\n1,inf\n", r"trace\.csv:5: non-finite value"),
 ]
 
 
@@ -423,7 +427,30 @@ def test_dataset_round_trip_is_bit_exact(system, overrides, tmp_path):
     assert spec2 == spec and coeffs2.values.tobytes() == coeffs.values.tobytes()
     assert len(loaded) == len(traces)
     for tr, got in zip(traces, loaded):
-        # dt is the median sample spacing of the written times
-        assert (got.t0, got.labels) == (tr.t0, tr.labels) and got.dt == pytest.approx(tr.dt)
+        assert (got.t0, got.dt, got.labels) == (tr.t0, tr.dt, tr.labels)
         assert got.y.tobytes() == tr.y.tobytes() and got.u.tobytes() == tr.u.tobytes()
         assert got.y.flags.c_contiguous and got.u.flags.c_contiguous
+
+
+def test_training_on_a_reloaded_dataset_is_bit_identical(tmp_path):
+    # 0.1 s written as times reads back as 0.09999999999999998 s of median spacing
+    spec, coeffs, traces, meta = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 300, "injected_shift": 3}, seed=5
+    )
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    loaded = harness.load_dataset(tmp_path)[2]
+    cfg = TrainConfig(epochs=1, hidden_width=4, head_layers=(6,), shift_channels=(0,))
+    results = [
+        train("ltc", spec, make_batches(trs, cfg.batch_size, 50, 0.75, seed=cfg.seed), cfg, coeffs)
+        for trs in (traces, loaded)
+    ]
+    want, got = ((r.coeffs.values, r.shifts, r.loss_history, r.rmse_y) for r in results)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+def test_load_dataset_rejects_a_spacing_that_differs_from_meta_dt(tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data("scalar", {"n_traces": 2, "k": 100}, seed=5)
+    harness.save_dataset(tmp_path, spec, coeffs, traces, {**meta, "dt": meta["dt"] * 1.001})
+    with pytest.raises(ConfigError, match=r"trace_000\.csv: sample spacing 0\.1 differs"):
+        harness.load_dataset(tmp_path)

@@ -185,9 +185,11 @@ def reference_final_states(arch, params, tensor, dt, substeps):
 
 
 def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
-    """The cell unroll recorded primitive by primitive on a ``RefTape``,
-    about a dozen nodes per substep; ``_cell_forward``'s forward values and
-    gradients must equal this graph's bit for bit."""
+    """The cell unroll recorded primitive by primitive on a ``RefTape``:
+    the LTC columns ``target delta`` and ``1 + delta/tau`` once, the drive
+    ``w_in u + b`` once per sample, then about ten nodes per substep;
+    ``_cell_forward``'s forward values and gradients must equal this
+    graph's bit for bit."""
     B, C, k = tensor.shape
     V = leaves["cell.w_rec"].value.shape[0]
     w_in, w_rec, b = leaves["cell.w_in"], leaves["cell.w_rec"], leaves["cell.b"]
@@ -195,17 +197,18 @@ def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
     h = tape.leaf(np.zeros((V, B)))
     if arch in ("ltc", "ctrnn"):
         inv_tau = tape.div(1.0, leaves["cell.tau"])
+    if arch == "ltc":
+        tdel = tape.scale(leaves["cell.target"], delta)
+        c = tape.add(tape.scale(inv_tau, delta), 1.0)
     for t in range(k):
         inp = np.ascontiguousarray(tensor[:, :, t].T)  # C x B
-        drive = tape.matmul(w_in, inp)
+        drive = tape.addcol(tape.matmul(w_in, inp), b)
         for _ in range(cfg.unfold_substeps):
-            z = tape.addcol(tape.add(drive, tape.matmul(w_rec, h)), b)
+            z = tape.add(tape.matmul(w_rec, h), drive)
             if arch == "ltc":
                 f = tape.softplus(tape.tanh(z))
-                num = tape.add(h, tape.scale(tape.mulcol(f, leaves["cell.target"]), delta))
-                den = tape.add(
-                    tape.addcol(tape.scale(f, delta), tape.scale(inv_tau, delta)), 1.0
-                )
+                num = tape.add(h, tape.mulcol(f, tdel))
+                den = tape.addcol(tape.scale(f, delta), c)
                 h = tape.div(num, den)
             elif arch == "ctrnn":
                 f = tape.tanh(z)

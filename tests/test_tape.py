@@ -16,6 +16,14 @@ def test_sigmoid_derivative_at_zero():
     assert g[x.idx] == pytest.approx(0.25)
 
 
+def test_softplus_matches_logaddexp_on_the_tanh_range():
+    # the cell feeds softplus tanh outputs; log1p(exp(x)) is its form there
+    x = np.linspace(-1.0, 1.0, 2_000_001)
+    t = RefTape()
+    got = t.softplus(t.leaf(x)).value
+    np.testing.assert_allclose(got, np.logaddexp(0.0, x), rtol=1e-15, atol=0.0)
+
+
 def test_product_gradients():
     t = RefTape()
     x, y = t.leaf(np.array(2.0)), t.leaf(np.array(3.0))
