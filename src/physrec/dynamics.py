@@ -182,64 +182,122 @@ class SensingMask:
 # compiled evaluation
 
 
-class CompiledRhs:
-    """Vectorized evaluator over one spec's term table.
+# a 0-d array: numpy adds it to an array faster than the float 0.0
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
-    Operates on batches: ``x`` is (S, n) and ``u`` is (S, m), in any
-    memory layout; results are (S, n), column-major.  ``columns(coeff_rows)``
-    turns (S, p) coefficient rows into one weight×coefficient column per
-    term and runs once per solve.  ``full``, the one evaluation path,
-    multiplies each column by its term's factors in order and then by its
-    input, and keeps one running sum per state equation: starting from
-    0.0, it adds that equation's terms in term order, f-terms before
-    g-terms.  Every row therefore sees the same floating-point operations
-    as summing the terms one by one, whatever else is in the batch.  It
-    reads each state variable as a row of ``x.T``, which is contiguous
-    when ``x`` is column-major, as ``integrate_batch`` keeps it.
+
+class CompiledRhs:
+    """Vectorized evaluator over one spec's term table, in slot-major order.
+
+    Row ``l·n + e`` of the table is equation ``e``'s ``l``-th term (f-terms
+    before g-terms, in term order); an equation with fewer terms than the
+    longest one is padded with terms of zero weight.  A term is its
+    weight×coefficient column, times one factor per *level*: level ``i``
+    is the term's ``i``-th factor and the last level is its input channel.
+
+    Evaluation reads a column-major (S, C) work buffer (``work``): columns
+    ``[0, n)`` hold the state, then one column per distinct sin, cos or
+    power factor, which ``full`` derives from the state, then the ``m``
+    input channels (``input_cols``), then a column held at 1.0.  Each level
+    keeps one gather index per table row into these columns; a missing
+    factor, a drift term's input and every padding level point at the 1.0
+    column.
+
+    ``columns(coeff_rows)`` turns (S, p) coefficient rows into the
+    (slots·n, S) weight×coefficient array and runs once per solve.
+    ``full``, the one evaluation path, makes one call per derived factor
+    column, one gather of every level, one multiply per level, and one add
+    per slot.  Every element therefore sees the same floating-point
+    operations as summing the terms one by one: weight×coefficient, times
+    each factor in order, times the input, summed from +0.0 in term order,
+    whatever else is in the batch.  The padding changes no bit: ``v · 1.0``
+    is ``v``, a padding term is +0.0, and a sum started from +0.0 is never
+    −0.0, so adding +0.0 leaves it as it is.  The sums stay one ``np.add``
+    per slot, because one ``np.add.reduce`` over the slot axis sums
+    pairwise when the rest of the table is one element (n·S = 1).
     """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
+        n, p = spec.n, spec.p
         terms = (*spec.f_terms, *spec.g_terms)
-        self._scales = [
-            (t.weight, None if t.coeff is None else spec.coeff_index(t.coeff)) for t in terms
-        ]
-        # per state equation, its terms in term order: (column index,
-        # factors, input)
-        self._equations = [
-            [
-                (i, tuple((f.var, f.power, f.func) for f in t.factors), t.input)
-                for i, t in enumerate(terms)
-                if t.state == state
-            ]
-            for state in range(spec.n)
-        ]
+        by_eq = [[t for t in terms if t.state == e] for e in range(n)]
+        slots = max(1, *map(len, by_eq))
+        levels = max((len(t.factors) for t in terms), default=0) + 1
+        derived = list(
+            dict.fromkeys(
+                (f.var, f.power, f.func)
+                for t in terms
+                for f in t.factors
+                if (f.power, f.func) != (1, "identity")
+            )
+        )
+        col = {(v, 1, "identity"): v for v in range(n)}
+        # (ufunc, source column, target column, extra arguments), in order
+        self._derive = []
+        for c, (var, power, func) in enumerate(derived, n):
+            col[var, power, func] = c
+            src = var
+            if func != "identity":
+                self._derive.append((getattr(np, func), var, c, ()))
+                src = c
+            if power == 2:  # what ``x**2`` computes
+                self._derive.append((np.square, src, c, ()))
+            elif power > 2:
+                self._derive.append((np.power, src, c, (power,)))
+        first_input = n + len(derived)
+        self.input_cols = slice(first_input, first_input + spec.m)
+        self._width = first_input + spec.m + 1
+        ones = self._width - 1
 
-    def columns(self, coeff_rows) -> list[np.ndarray]:
-        """One (S,) weight×coefficient column per term, f-terms first."""
-        S = coeff_rows.shape[0]
-        return [
-            np.full(S, w) if ci is None else w * coeff_rows[:, ci]
-            for w, ci in self._scales
-        ]
+        self._weights = np.zeros(slots * n)
+        self._coeff = np.full(slots * n, p)  # p: the 1.0 column of ``columns``
+        self._gather = np.full((levels, slots * n), ones)
+        for e, eq_terms in enumerate(by_eq):
+            for slot, t in enumerate(eq_terms):
+                r = slot * n + e
+                self._weights[r] = t.weight
+                if t.coeff is not None:
+                    self._coeff[r] = spec.coeff_index(t.coeff)
+                for i, f in enumerate(t.factors):
+                    self._gather[i, r] = col[f.var, f.power, f.func]
+                if t.input is not None:
+                    self._gather[-1, r] = first_input + t.input
+        self._n = n
+        self._later_levels = range(1, levels)
+        self._slot_rows = [slice(r, r + n) for r in range(n, slots * n, n)]
 
-    def full(self, x, cols, u):
-        """``f(x, c) + g(x, c) u`` for every row; ``cols`` from ``columns``."""
-        xs, us = x.T, u.T
-        out = np.zeros((len(self._equations), x.shape[0]))
-        for total, terms in zip(out, self._equations):
-            for i, factors, inp in terms:
-                v = cols[i]
-                for var, power, func in factors:
-                    col = xs[var]
-                    if func == "sin":
-                        col = np.sin(col)
-                    elif func == "cos":
-                        col = np.cos(col)
-                    v = v * col if power == 1 else v * col**power
-                if inp is not None:
-                    v = v * us[inp]
-                np.add(total, v, out=total)
+    def columns(self, coeff_rows) -> np.ndarray:
+        """The (slots·n, S) weight×coefficient array, one row per table row."""
+        S, p = coeff_rows.shape
+        with_one = np.empty((p + 1, S))
+        with_one[:p] = coeff_rows.T
+        with_one[p] = 1.0
+        return self._weights[:, None] * with_one[self._coeff]
+
+    def work(self, x, u) -> np.ndarray:
+        """A column-major (S, C) work buffer holding state rows ``x`` (S, n)
+        and input rows ``u`` (S, m); ``full`` writes the derived columns."""
+        buf = np.empty((x.shape[0], self._width), order="F")
+        buf[:, : self._n] = x
+        buf[:, self.input_cols] = u
+        buf[:, -1] = 1.0
+        return buf
+
+    def full(self, work, cols):
+        """``f(x, c) + g(x, c) u`` for every row of ``work``, as an (S, n)
+        column-major array; ``cols`` from ``columns``."""
+        w = work.T
+        for func, src, dst, args in self._derive:
+            func(w[src], *args, out=w[dst])
+        gathered = w[self._gather]
+        v = cols * gathered[0]
+        for level in self._later_levels:
+            v *= gathered[level]
+        out = v[: self._n] + _ZERO
+        for rows in self._slot_rows:
+            out += v[rows]
         return out.T
 
 

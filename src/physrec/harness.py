@@ -819,6 +819,24 @@ def load_real_csv(trace_path) -> list[Trace]:
     irregularity, and any ``nan`` or ``inf`` field, is an error naming the
     row.
     """
+    data, labels, dt, starts = _read_trace_rows(trace_path)
+    bounds = [0, *starts.tolist(), len(data)]
+    traces = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b - a < 2:
+            continue
+        seg = data[a:b]
+        traces.append(
+            Trace(float(seg[0, 0]), dt, _channels(seg), np.zeros((0, b - a)), labels,
+                  {"source": str(trace_path)})
+        )
+    return traces
+
+
+def _read_trace_rows(trace_path):
+    """A trace CSV's checked rows: ``(data, labels, dt, starts)``, where
+    ``data`` holds the time and channel columns and ``starts`` the rows
+    that follow a gap longer than ``2 dt``."""
     with open(trace_path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if not header or header[0].strip() != "t":
@@ -845,21 +863,13 @@ def load_real_csv(trace_path) -> list[Trace]:
         raise ConfigError(
             f"{trace_path}:{ln}: non-uniform sample spacing ({diffs[i]:.9g} vs {dt:.9g})"
         )
-    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(data)]
+    return data, labels, dt, np.flatnonzero(gaps) + 1
 
-    traces = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 2:
-            continue
-        seg = data[a:b]
-        # row-contiguous channels: stacks of windows take this memory order,
-        # and the order in which numpy sums over them follows it
-        y = np.ascontiguousarray(seg[:, 1:].T)
-        traces.append(
-            Trace(float(seg[0, 0]), dt, y, np.zeros((0, b - a)), labels,
-                  {"source": str(trace_path)})
-        )
-    return traces
+
+def _channels(rows) -> np.ndarray:
+    # row-contiguous channels: stacks of windows take this memory order,
+    # and the order in which numpy sums over them follows it
+    return np.ascontiguousarray(rows[:, 1:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -909,20 +919,27 @@ def load_dataset(dirpath):
     traces = []
     for entry in doc["traces"]:
         trace_path = os.path.join(dirpath, entry["file"])
-        tr = load_real_csv(trace_path)[0]
-        if _off_grid(tr.dt, dt):
+        data, labels, csv_dt, starts = _read_trace_rows(trace_path)
+        if len(starts):
+            i = starts[0]
             raise ConfigError(
-                f"{trace_path}: sample spacing {tr.dt:.9g} differs from meta.json's dt {dt:.9g}"
+                f"{trace_path}: samples missing between t={data[i - 1, 0]:.9g}"
+                f" and t={data[i, 0]:.9g}"
             )
+        if _off_grid(csv_dt, dt):
+            raise ConfigError(
+                f"{trace_path}: sample spacing {csv_dt:.9g} differs from meta.json's dt {dt:.9g}"
+            )
+        y = _channels(data)
         meta = entry.get("meta", {})
         n_y = spec.n if "mask" not in meta else sum(meta["mask"])
         traces.append(
             Trace(
-                tr.t0,
+                float(data[0, 0]),
                 float(dt),
-                tr.y[:n_y],
-                tr.y[n_y:],
-                tr.labels,
+                y[:n_y],
+                y[n_y:],
+                labels,
                 {k: (tuple(v) if isinstance(v, list) else v) for k, v in meta.items()},
             )
         )

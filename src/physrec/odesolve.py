@@ -34,50 +34,69 @@ def integrate_batch(
     """Integrate S trajectories in lockstep on a shared uniform grid.
 
     ``coeff_rows`` is (S, p), ``x0_rows`` is (S, n) and ``u_rows`` is
-    (S, m, k_sig): each trajectory carries its own coefficients and its
-    own input samples on the output grid.  Each output interval ``j``
-    takes ``substeps`` classical RK4 steps of ``dt / substeps``, and all
-    four stages of each step read ``u_rows[:, :, min(j, k_sig - 1)]``
-    (strict zero-order hold; the last sample is held past the end).
-    Returns ``(states, diverged, t_fail)`` where states is (S, n, k_out)
-    and times of failure are relative to the grid start; diverged rows
-    are frozen at their last finite value so the remaining rows keep
-    integrating.
+    (S, m, k_sig) with k_sig >= 1: each trajectory carries its own
+    coefficients and its own input samples on the output grid.  Each
+    output interval ``j`` takes ``substeps`` classical RK4 steps of
+    ``dt / substeps``, and all four stages of each step read
+    ``u_rows[:, :, min(j, k_sig - 1)]`` (strict zero-order hold; the last
+    sample is held past the end).  Returns ``(states, diverged, t_fail)``
+    where states is (S, n, k_out) and times of failure are relative to the
+    grid start; diverged rows are frozen at their last finite value so the
+    remaining rows keep integrating.  Shapes, ``k_out >= 1``, ``dt`` and
+    ``substeps`` are checked first, with a SpecError naming the argument.
 
     Rows are independent: every operation acts row by row, so a row's
     states, divergence flag and failure time are bit-identical whether it
     is solved alone or inside any batch.  The coefficient columns are
-    computed once per call (``CompiledRhs.columns``); each stage is one
-    ``CompiledRhs.full`` call.  The working state is a column-major copy,
-    so ``full`` reads each state variable as one contiguous row.
-    Divergence is checked once per interval on the whole batch, ``max |x|
-    <= DIVERGENCE_LIMIT`` (NaN fails it); the per-row check and the
-    freezing run only when that fails or once a row has died.
+    computed once per call (``CompiledRhs.columns``).  One column-major
+    work buffer per call (``CompiledRhs.work``) holds the stage state in
+    its first n columns, the held input in ``input_cols``, written once
+    per interval, and a column of ones.  Each stage writes its state there
+    in place and is one ``CompiledRhs.full`` call on the buffer; each
+    interval's state goes straight into ``states``.  Divergence is checked
+    once per interval on the whole batch, ``max |x| <= DIVERGENCE_LIMIT``
+    (NaN fails it); the per-row check and the freezing run only when that
+    fails or once a row has died.
     """
-    if substeps < 1:
-        raise SpecError("substeps must be >= 1")
+    _check_inputs(spec, coeff_rows, x0_rows, u_rows, k_out, dt, substeps)
     rhs = compile_rhs(spec)
+    full = rhs.full
     cols = rhs.columns(coeff_rows)
     S, n = x0_rows.shape
     k_sig = u_rows.shape[2]
     h = dt / substeps
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    # 0-d arrays: numpy multiplies an array by them faster than by floats
+    h, half_h, sixth_h, two = (np.array(c) for c in (h, 0.5 * h, h / 6.0, 2.0))
 
     states = np.empty((S, n, k_out))
     states[:, :, 0] = x0_rows
+    work = rhs.work(x0_rows, u_rows[:, :, 0])
+    xw, uw = work[:, :n], work[:, rhs.input_cols]
     x = np.array(x0_rows, dtype=float, order="F")
     alive = np.ones(S, dtype=bool)
     all_alive = True
     t_fail = np.full(S, np.nan)
     with np.errstate(all="ignore"):
         for j in range(k_out - 1):
-            u = u_rows[:, :, min(j, k_sig - 1)]
+            if 0 < j < k_sig:
+                uw[...] = u_rows[:, :, j]
             for _ in range(substeps):
-                k1 = rhs.full(x, cols, u)
-                k2 = rhs.full(x + half_h * k1, cols, u)
-                k3 = rhs.full(x + half_h * k2, cols, u)
-                k4 = rhs.full(x + h * k3, cols, u)
-                x = x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                xw[...] = x
+                k1 = full(work, cols)
+                np.add(x, half_h * k1, out=xw)
+                k2 = full(work, cols)
+                np.add(x, half_h * k2, out=xw)
+                k3 = full(work, cols)
+                np.add(x, h * k3, out=xw)
+                k4 = full(work, cols)
+                # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                k2 *= two
+                k1 += k2
+                k3 *= two
+                k1 += k3
+                k1 += k4
+                k1 *= sixth_h
+                x += k1
             # initial=0.0 keeps an empty batch valid; NaN still propagates
             if not (all_alive and np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT):
                 bad = alive & (
@@ -91,3 +110,19 @@ def integrate_batch(
                 x[dead] = states[dead, :, j]  # freeze dead rows
             states[:, :, j + 1] = x
     return states, ~alive, t_fail
+
+
+def _check_inputs(spec, coeff_rows, x0_rows, u_rows, k_out, dt, substeps):
+    if substeps < 1:
+        raise SpecError(f"substeps must be >= 1, got {substeps}")
+    if k_out < 1:
+        raise SpecError(f"k_out must be >= 1, got {k_out}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise SpecError(f"dt must be positive and finite, got {dt}")
+    if x0_rows.ndim != 2 or x0_rows.shape[1] != spec.n:
+        raise SpecError(f"x0_rows must be (S, {spec.n}), got {x0_rows.shape}")
+    S = x0_rows.shape[0]
+    if coeff_rows.shape != (S, spec.p):
+        raise SpecError(f"coeff_rows must be ({S}, {spec.p}), got {coeff_rows.shape}")
+    if u_rows.ndim != 3 or u_rows.shape[:2] != (S, spec.m) or u_rows.shape[2] < 1:
+        raise SpecError(f"u_rows must be ({S}, {spec.m}, k >= 1), got {u_rows.shape}")

@@ -30,7 +30,7 @@ def rhs_at(spec, coeffs, x, u):
     rhs = compile_rhs(spec)
     x_row = np.asarray(x, dtype=float).reshape(1, spec.n)
     u_row = np.asarray(u, dtype=float).reshape(1, spec.m)
-    return rhs.full(x_row, rhs.columns(coeffs.values[None, :]), u_row)[0]
+    return rhs.full(rhs.work(x_row, u_row), rhs.columns(coeffs.values[None, :]))[0]
 
 
 def test_lotka_volterra_equilibrium():
@@ -219,24 +219,115 @@ def trig_cubic_system():
     return spec, spec.coefficients([0.7, 1.3])
 
 
+def ten_term_scalar_system():
+    # n = 1 with ten terms: at S = 1 the whole table is one column, where a
+    # one-call reduce over the terms would sum pairwise
+    F = Factor
+    spec = SystemSpec(
+        name="ten_terms",
+        n=1,
+        m=1,
+        f_terms=(
+            Term(0, "a", (F(0),)),
+            Term(0, "b", (F(0, 2),), -0.3),
+            Term(0, None, (F(0, 3),), 0.01),
+            Term(0, "a", (F(0, 1, "sin"),), 1.7),
+            Term(0, "b", (F(0, 1, "cos"),)),
+            Term(0, None, (), 0.125),
+            Term(0, "a", (F(0, 2, "sin"), F(0)), -2.0),
+            Term(0, "b", (F(0, 4),), 1e-3),
+        ),
+        g_terms=(
+            Term(0, "a", (), 1.0, input=0),
+            Term(0, None, (F(0),), 0.7, input=0),
+        ),
+        coeff_names=("a", "b"),
+        coeff_signs=("free", "free"),
+    )
+    return spec, spec.coefficients([0.9, -1.1])
+
+
+def idle_equation_system():
+    # equation 1 has no terms: its rows are all padding
+    F = Factor
+    spec = SystemSpec(
+        name="idle_equation",
+        n=3,
+        m=1,
+        f_terms=(Term(0, "a", (F(1), F(2))), Term(0, None, (F(0),), -1.0), Term(2, "a", (F(2),))),
+        g_terms=(Term(2, None, (), 1.0, input=0),),
+        coeff_names=("a",),
+        coeff_signs=("free",),
+    )
+    return spec, spec.coefficients([0.4])
+
+
+def constants_only_system():
+    # no factors and no inputs: every level is padding
+    spec = SystemSpec(
+        name="constants",
+        n=2,
+        m=0,
+        f_terms=(Term(0, "a", ()), Term(1, None, (), -2.5), Term(1, "a", (), 3.0)),
+        g_terms=(),
+        coeff_names=("a",),
+        coeff_signs=("free",),
+    )
+    return spec, spec.coefficients([1.5])
+
+
+def negative_zero_system():
+    # the lone term is 0 * x0, which is -0.0 wherever x0 < 0; the sum from
+    # +0.0 turns it into +0.0
+    spec = SystemSpec(
+        name="negative_zero",
+        n=1,
+        m=0,
+        f_terms=(Term(0, "a", (Factor(0),)),),
+        g_terms=(),
+        coeff_names=("a",),
+        coeff_signs=("free",),
+    )
+    return spec, spec.coefficients([0.0])
+
+
 def _kernel_systems():
     from physrec.harness import lv_unit_system
 
     systems = {name: builtin_system(name) for name in BUILTIN_NAMES}
     systems["lotka_volterra_unit"] = lv_unit_system()
     systems["trig_cubic"] = trig_cubic_system()
+    systems["ten_terms"] = ten_term_scalar_system()
+    systems["idle_equation"] = idle_equation_system()
+    systems["constants"] = constants_only_system()
+    systems["negative_zero"] = negative_zero_system()
     return systems
 
 
+KERNEL_SYSTEMS = [
+    *BUILTIN_NAMES,
+    "lotka_volterra_unit",
+    "trig_cubic",
+    "ten_terms",
+    "idle_equation",
+    "constants",
+    "negative_zero",
+]
+
+
 @pytest.mark.parametrize("S", [1, 4, 210])
-@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "lotka_volterra_unit", "trig_cubic"])
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
 def test_compiled_rhs_matches_term_by_term_reference(name, S):
     spec, coeffs = _kernel_systems()[name]
     rng = np.random.default_rng(S)
     x = rng.normal(size=(S, spec.n)) * 2.0
+    if name == "negative_zero":
+        x[0, 0] = -abs(x[0, 0])  # row 0 meets the -0.0 term at every S
     c = coeffs.values[None, :] * rng.uniform(0.5, 1.5, size=(S, spec.p))
     u = rng.normal(size=(S, spec.m))
     rhs = compile_rhs(spec)
-    out = rhs.full(x, rhs.columns(c), u)
+    out = rhs.full(rhs.work(x, u), rhs.columns(c))
+    want = reference_full(spec, x, c, u)
     assert out.shape == (S, spec.n)
-    assert np.array_equal(out, reference_full(spec, x, c, u))
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))

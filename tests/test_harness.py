@@ -454,3 +454,17 @@ def test_load_dataset_rejects_a_spacing_that_differs_from_meta_dt(tmp_path):
     harness.save_dataset(tmp_path, spec, coeffs, traces, {**meta, "dt": meta["dt"] * 1.001})
     with pytest.raises(ConfigError, match=r"trace_000\.csv: sample spacing 0\.1 differs"):
         harness.load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_a_trace_with_a_gap(tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data("scalar", {"n_traces": 2, "k": 100}, seed=5)
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    path = tmp_path / "trace_001.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    t_before, t_after = (float(lines[i].split(b",")[0]) for i in (40, 44))
+    path.write_bytes(b"".join(lines[:41] + lines[44:]))  # samples 40-42 deleted
+    with pytest.raises(ConfigError) as err:
+        harness.load_dataset(tmp_path)
+    assert str(err.value) == (
+        f"{path}: samples missing between t={t_before:.9g} and t={t_after:.9g}"
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from physrec.dynamics import (
     BUILTIN_NAMES,
+    CompiledRhs,
     Factor,
     SensingMask,
     SpecError,
@@ -15,6 +16,7 @@ from physrec.dynamics import (
 from physrec.neural import _initial_state
 from physrec.odesolve import integrate_batch
 from physrec.signals import Trace
+from physrec.sindy import FunctionLibrary, model_spec
 
 
 def decay_system(a=1.0):
@@ -208,23 +210,40 @@ def test_rk4_stays_fourth_order_under_a_held_input(name):
         assert a / b >= 12.0
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def sindy_21_model():
+    """A degree-2 SINDYc model of 2 states and 1 input: 21 of its 24 terms."""
+    rng = np.random.default_rng(21)
+    xi = rng.uniform(-0.5, 0.5, size=(12, 2))
+    xi.flat[[3, 10, 17]] = 0.0
+    return model_spec(xi, FunctionLibrary(poly_degree=2), 1)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "sindy_21"])
 def test_integrate_batch_rows_are_independent(name):
     # a row solved alone equals the same row inside a batch bit for bit,
     # also next to rows that diverge
-    spec, coeffs = builtin_system(name)
+    if name == "sindy_21":
+        spec, values = sindy_21_model(), np.zeros(0)
+        assert len(spec.f_terms) + len(spec.g_terms) == 21
+    else:
+        spec, coeffs = builtin_system(name)
+        values = coeffs.values
     rng = np.random.default_rng(7)
     S, k, dt = 6, 30, (5.0 if name == "bergman_aid" else 0.01)
-    coeff_rows = coeffs.values[None, :] * rng.uniform(0.8, 1.2, size=(S, spec.p))
-    coeff_rows[4] = np.nan  # NaN from the first stage on
+    coeff_rows = values[None, :] * rng.uniform(0.8, 1.2, size=(S, spec.p))
     x0_rows = spec.resting_state()[None, :] + rng.uniform(-0.1, 0.1, size=(S, spec.n))
+    if spec.p:
+        coeff_rows[4] = np.nan  # NaN from the first stage on
+    else:
+        x0_rows[4] = np.nan  # a weights-only model has no coefficient to spoil
     x0_rows[2] = 2e9  # past the divergence limit after the first step
     u_rows = rng.uniform(0.0, 0.5, size=(S, spec.m, k))
     states, diverged, t_fail = integrate_batch(spec, coeff_rows, x0_rows, u_rows, k, dt, 2)
     assert diverged.tolist() == [False, False, True, False, True, False]
     for r in (2, 4):
         assert t_fail[r] == dt
-        assert np.array_equal(states[r], np.repeat(x0_rows[r][:, None], k, axis=1))
+        frozen = np.repeat(x0_rows[r][:, None], k, axis=1)
+        assert np.array_equal(states[r], frozen, equal_nan=True)
     # the inputs' memory layout does not change a bit
     fortran = integrate_batch(
         spec, *(np.asfortranarray(a) for a in (coeff_rows, x0_rows, u_rows)), k, dt, 2
@@ -235,6 +254,79 @@ def test_integrate_batch_rows_are_independent(name):
         alone = integrate_batch(
             spec, coeff_rows[r : r + 1], x0_rows[r : r + 1], u_rows[r : r + 1], k, dt, 2
         )
-        assert np.array_equal(alone[0][0], states[r])
+        assert np.array_equal(alone[0][0], states[r], equal_nan=True)
         assert alone[1][0] == diverged[r]
         assert np.array_equal(alone[2], t_fail[r : r + 1], equal_nan=True)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_integrate_batch_calls_full_once_per_stage(substeps, monkeypatch):
+    # the benchmark's rhs call and row counts read one call per RK4 stage,
+    # each on the whole batch
+    spec, coeffs = builtin_system("bergman_aid")
+    S, k = 5, 7
+    rows = []
+    original = CompiledRhs.full
+
+    def counted(self, work, cols):
+        rows.append(work.shape[0])
+        return original(self, work, cols)
+
+    monkeypatch.setattr(CompiledRhs, "full", counted)
+    integrate_batch(
+        spec, np.tile(coeffs.values, (S, 1)), np.tile(spec.resting_state(), (S, 1)),
+        np.zeros((S, spec.m, k)), k, 5.0, substeps,
+    )
+    assert rows == [S] * (4 * substeps * (k - 1))
+
+
+def _lv_args(**changes):
+    spec, coeffs = builtin_system("lotka_volterra")
+    S, k = 2, 5
+    args = {
+        "spec": spec,
+        "coeff_rows": np.tile(coeffs.values, (S, 1)),
+        "x0_rows": np.tile(spec.resting_state(), (S, 1)),
+        "u_rows": np.zeros((S, 1, k)),
+        "k_out": k,
+        "dt": 0.1,
+        "substeps": 2,
+    }
+    return {**args, **changes}
+
+
+BAD_SOLVE_ARGS = [
+    ("two input channels", {"u_rows": np.zeros((2, 2, 5))}, "u_rows"),
+    ("missing input channel", {"u_rows": np.zeros((2, 0, 5))}, "u_rows"),
+    ("one input row for two states", {"u_rows": np.zeros((1, 1, 5))}, "u_rows"),
+    ("empty input axis", {"u_rows": np.zeros((2, 1, 0))}, "u_rows"),
+    ("2-d inputs", {"u_rows": np.zeros((2, 1))}, "u_rows"),
+    ("five coefficients for p=4", {"coeff_rows": np.ones((2, 5))}, "coeff_rows"),
+    ("too few coefficients", {"coeff_rows": np.ones((2, 3))}, "coeff_rows"),
+    ("one coefficient row", {"coeff_rows": np.ones((1, 4))}, "coeff_rows"),
+    ("wrong-width states", {"x0_rows": np.ones((2, 3))}, "x0_rows"),
+    ("1-d states", {"x0_rows": np.ones(2)}, "x0_rows"),
+    ("zero k_out", {"k_out": 0}, "k_out"),
+    ("zero dt", {"dt": 0.0}, "dt"),
+    ("negative dt", {"dt": -0.1}, "dt"),
+    ("nan dt", {"dt": float("nan")}, "dt"),
+    ("inf dt", {"dt": float("inf")}, "dt"),
+    ("zero substeps", {"substeps": 0}, "substeps"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes,argument", [c[1:] for c in BAD_SOLVE_ARGS], ids=[c[0] for c in BAD_SOLVE_ARGS]
+)
+def test_integrate_batch_names_a_bad_argument(changes, argument):
+    with pytest.raises(SpecError, match=rf"^{argument} "):
+        integrate_batch(**_lv_args(**changes))
+
+
+def test_integrate_batch_accepts_one_sample_k_out_and_no_inputs():
+    states, diverged, _ = integrate_batch(**_lv_args(k_out=1))
+    assert states.shape == (2, 2, 1) and not diverged.any()
+    spec = SystemSpec("free", 1, 0, (Term(0, "a", (Factor(0),), -1.0),), (), ("a",), ("free",))
+    states, _, _ = integrate_batch(spec, np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 0, 1)),
+                                   3, 0.1, 1)
+    assert states.shape == (1, 1, 3) and states[0, 0, 2] < states[0, 0, 1] < 1.0

@@ -205,7 +205,7 @@ def test_model_spec_matches_library_product(degree, m):
     assert (spec.n, spec.m, spec.p) == (n, m, 0)
     assert len(spec.f_terms) + len(spec.g_terms) == np.count_nonzero(xi)
     rhs = compile_rhs(spec)
-    got = rhs.full(x, rhs.columns(np.zeros((S, 0))), u)
+    got = rhs.full(rhs.work(x, u), rhs.columns(np.zeros((S, 0))))
     want = build_library(lib, x.T, u.T) @ xi
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
