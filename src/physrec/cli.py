@@ -6,6 +6,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +43,8 @@ def _preset_overrides(preset: str) -> dict:
 
 def _cmd_generate(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else {}
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"--overrides must be a JSON object, got {type(overrides).__name__}")
     overrides.update(_preset_overrides(args.preset))
     spec, coeffs, traces, meta = generate_benchmark_data(args.system, overrides, seed=args.seed)
     save_dataset(args.out, spec, coeffs, traces, meta)
@@ -89,9 +92,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
-    doc["experiment"] = args.experiment
-    cfg = ExperimentConfig.from_json(doc)
+        cfg = replace(ExperimentConfig.from_json(json.load(fh)), experiment=args.experiment)
     rows = run_experiment(cfg)
     fmt = "json" if str(args.out).endswith(".json") else "csv"
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)

@@ -406,7 +406,14 @@ def generate_benchmark_data(system: str, cfg: dict | None = None, seed: int = 0)
 
 
 def data_nyquist_rate(traces: list[Trace]) -> float:
-    """Max across observed channels of the spectral-90% rate estimate."""
+    """Max across observed channels of the spectral-90% rate estimate; a
+    trace shorter than the periodogram's 4 samples is a ConfigError."""
+    for tr in traces:
+        if tr.k < 4:
+            raise ConfigError(
+                f"the trace segment starting at t={tr.t0:.9g} has {tr.k} samples; "
+                "the Nyquist rate estimate needs at least 4"
+            )
     fs = 1.0 / traces[0].dt
     return max(nyquist_rate(ch, fs) for tr in traces for ch in tr.y)
 
@@ -469,6 +476,10 @@ class ExperimentConfig:
     sindy_degree: int = 2
     sindy_threshold: float = 0.05
     sindy_lambda: float = 1e-6
+
+    def __post_init__(self):
+        if self.rate_points < 1:
+            raise SpecError(f"ExperimentConfig.rate_points must be >= 1, got {self.rate_points!r}")
 
     @classmethod
     def from_json(cls, doc: dict) -> ExperimentConfig:
@@ -815,16 +826,19 @@ def load_real_csv(trace_path) -> list[Trace]:
     The first column is the time ``t``; every column after it is an
     observed channel, so the traces carry no inputs.  The nominal interval
     ``dt`` is the median sample spacing.  Sample gaps longer than twice
-    ``dt`` split the record into separate trace segments; any other grid
-    irregularity, and any ``nan`` or ``inf`` field, is an error naming the
-    row.
+    ``dt`` split the record into separate trace segments of at least two
+    samples each; a lone sample, any other grid irregularity, and any
+    ``nan`` or ``inf`` field, is an error naming the row.
     """
-    data, labels, dt, starts = _read_trace_rows(trace_path)
+    data, labels, dt, starts, line = _read_trace_rows(trace_path)
     bounds = [0, *starts.tolist(), len(data)]
     traces = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 2:
-            continue
+            raise ConfigError(
+                f"{trace_path}:{line(a)}: lone sample at t={data[a, 0]:.9g}; "
+                "a segment between gaps needs at least 2 samples"
+            )
         seg = data[a:b]
         traces.append(
             Trace(float(seg[0, 0]), dt, _channels(seg), np.zeros((0, b - a)), labels,
@@ -834,9 +848,10 @@ def load_real_csv(trace_path) -> list[Trace]:
 
 
 def _read_trace_rows(trace_path):
-    """A trace CSV's checked rows: ``(data, labels, dt, starts)``, where
-    ``data`` holds the time and channel columns and ``starts`` the rows
-    that follow a gap longer than ``2 dt``."""
+    """A trace CSV's checked rows: ``(data, labels, dt, starts, line)``,
+    where ``data`` holds the time and channel columns, ``starts`` the rows
+    that follow a gap longer than ``2 dt`` and ``line(i)`` the CSV line
+    number of row ``i``."""
     with open(trace_path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if not header or header[0].strip() != "t":
@@ -844,10 +859,13 @@ def _read_trace_rows(trace_path):
         body = fh.read()
     labels = tuple(h.strip() for h in header[1:])
     data = _csv_values(trace_path, body, len(header))
+
+    def line(i):  # parses the body again, so only an error path calls it
+        return _csv_records(trace_path, body, len(header))[0][i]
+
     non_finite = ~np.isfinite(data).all(axis=1)
     if np.any(non_finite):
-        ln = _csv_records(trace_path, body, len(header))[0][int(np.argmax(non_finite))]
-        raise ConfigError(f"{trace_path}:{ln}: non-finite value")
+        raise ConfigError(f"{trace_path}:{line(int(np.argmax(non_finite)))}: non-finite value")
     if len(data) < 2:
         raise ConfigError(f"{trace_path}: need at least two samples")
 
@@ -859,11 +877,10 @@ def _read_trace_rows(trace_path):
     uneven = ~gaps & _off_grid(diffs, dt)
     if np.any(uneven):
         i = int(np.argmax(uneven))
-        ln = _csv_records(trace_path, body, len(header))[0][i + 1]
         raise ConfigError(
-            f"{trace_path}:{ln}: non-uniform sample spacing ({diffs[i]:.9g} vs {dt:.9g})"
+            f"{trace_path}:{line(i + 1)}: non-uniform sample spacing ({diffs[i]:.9g} vs {dt:.9g})"
         )
-    return data, labels, dt, np.flatnonzero(gaps) + 1
+    return data, labels, dt, np.flatnonzero(gaps) + 1, line
 
 
 def _channels(rows) -> np.ndarray:
@@ -919,7 +936,7 @@ def load_dataset(dirpath):
     traces = []
     for entry in doc["traces"]:
         trace_path = os.path.join(dirpath, entry["file"])
-        data, labels, csv_dt, starts = _read_trace_rows(trace_path)
+        data, labels, csv_dt, starts, _ = _read_trace_rows(trace_path)
         if len(starts):
             i = starts[0]
             raise ConfigError(

@@ -19,8 +19,7 @@ initialization probe alike.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,8 +82,10 @@ def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
 
 
 def reject_unknown_keys(cls, doc: dict) -> None:
-    """ConfigError naming every key of ``doc`` that is not a field of the
-    dataclass ``cls``."""
+    """ConfigError when ``doc`` is not a dict, or naming every key of it
+    that is not a field of the dataclass ``cls``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
@@ -136,8 +137,7 @@ class TrainConfig:
     @classmethod
     def from_json(cls, doc: dict) -> TrainConfig:
         """Config from a decoded JSON object; JSON arrays become the tuple
-        fields.  Used for config files and checkpoints alike; a key that
-        names no field is a ConfigError."""
+        fields.  A key that names no field is a ConfigError."""
         reject_unknown_keys(cls, doc)
         kwargs = dict(doc)
         for key in ("shift_channels", "head_layers"):
@@ -667,7 +667,7 @@ def _head_forward(spec: SystemSpec, params, h, cfg: TrainConfig, rng, scales):
 
 
 # ---------------------------------------------------------------------------
-# optimizer and training state
+# optimizer and training
 
 
 @dataclass
@@ -698,18 +698,6 @@ class AdamState:
 
 
 @dataclass
-class TrainState:
-    """Everything needed to continue training bit-identically."""
-
-    arch: str
-    params: dict[str, np.ndarray]
-    adam: AdamState
-    rng_state: dict
-    epoch: int
-    cfg: TrainConfig
-
-
-@dataclass
 class RecoveryResult:
     coeffs: Coefficients
     shifts: np.ndarray
@@ -717,7 +705,6 @@ class RecoveryResult:
     rmse_y: float
     reconstructions: list[Trace]
     rmse_coeffs: float | None = None
-    state: TrainState | None = None
     diverged_windows: int = 0  # replayed windows behind an inf rmse_y
 
 
@@ -780,7 +767,6 @@ def train(
     batches: BatchSet,
     cfg: TrainConfig,
     coeffs_true: Coefficients | None = None,
-    state: TrainState | None = None,
 ) -> RecoveryResult:
     """Train a recovery network and aggregate the final estimates.
 
@@ -793,10 +779,6 @@ def train(
     and only arrays leave it: one recording, with the cell's saved
     per-substep arrays, is alive at a time.  The initialization probe and
     the evaluation groups record nothing and drop the backward closures.
-
-    Resuming from ``state`` needs the same ``arch`` and a ``cfg`` that
-    differs from the checkpoint's only in ``epochs``, and no fewer epochs
-    than it has done; ConfigError otherwise.
     """
     if arch not in ARCHS:
         raise SpecError(f"unknown architecture {arch!r}")
@@ -810,43 +792,21 @@ def train(
     n_channels = batches.windows[0].y.shape[0] + batches.windows[0].u.shape[0]
 
     scales = coefficient_scales(spec, list(batches.windows))
-    if state is None:
-        rng = np.random.default_rng(cfg.seed)
-        params = init_params(arch, spec, n_channels, cfg, rng, dt, k)
-        probe = batches.tensor(batches.train_idx[: min(8, len(batches.train_idx))])
-        params["head.w0"] /= _probe_hidden_scale(arch, params, probe, dt, cfg)
-        n_layers = len(cfg.head_layers) + 1
-        params[f"head.b{n_layers - 1}"][: spec.p] = resting_consistent_init(
-            spec, list(batches.windows), scales, prior=cfg.coeff_bias_init
-        )
-        adam = AdamState.fresh(params)
-        start_epoch = 0
-    else:
-        if state.arch != arch:
-            raise ConfigError(f"checkpoint was trained as {state.arch!r}, not {arch!r}")
-        changed = [
-            f.name for f in fields(cfg)
-            if f.name != "epochs" and getattr(cfg, f.name) != getattr(state.cfg, f.name)
-        ]
-        if changed:
-            raise ConfigError(f"resume changes the checkpoint's TrainConfig: {', '.join(changed)}")
-        if cfg.epochs < state.epoch:
-            raise ConfigError(f"epochs={cfg.epochs} is below the checkpoint's {state.epoch}")
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state.rng_state
-        params = {key: v.copy() for key, v in state.params.items()}
-        adam = AdamState(
-            m={key: v.copy() for key, v in state.adam.m.items()},
-            v={key: v.copy() for key, v in state.adam.v.items()},
-            t=state.adam.t,
-        )
-        start_epoch = state.epoch
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(arch, spec, n_channels, cfg, rng, dt, k)
+    probe = batches.tensor(batches.train_idx[: min(8, len(batches.train_idx))])
+    params["head.w0"] /= _probe_hidden_scale(arch, params, probe, dt, cfg)
+    n_layers = len(cfg.head_layers) + 1
+    params[f"head.b{n_layers - 1}"][: spec.p] = resting_consistent_init(
+        spec, list(batches.windows), scales, prior=cfg.coeff_bias_init
+    )
+    adam = AdamState.fresh(params)
 
     train_groups = batches.train_batches
     loss_history: list[float] = []
 
-    for _epoch in range(start_epoch, cfg.epochs):
-        lr_scale = min(1.0, (_epoch + 1) / cfg.warmup_epochs) if cfg.warmup_epochs else 1.0
+    for epoch in range(cfg.epochs):
+        lr_scale = min(1.0, (epoch + 1) / cfg.warmup_epochs) if cfg.warmup_epochs else 1.0
         epoch_losses = []
         any_alive = False
         for group in train_groups:
@@ -889,14 +849,6 @@ def train(
     ]
     rmse_c = None if coeffs_true is None else rmse_coeffs(coeffs, coeffs_true)
 
-    final_state = TrainState(
-        arch=arch,
-        params=params,
-        adam=adam,
-        rng_state=rng.bit_generator.state,
-        epoch=cfg.epochs,
-        cfg=cfg,
-    )
     return RecoveryResult(
         coeffs=coeffs,
         shifts=shifts,
@@ -904,7 +856,6 @@ def train(
         rmse_y=float(np.mean(rmses)),
         reconstructions=recons,
         rmse_coeffs=rmse_c,
-        state=final_state,
         diverged_windows=int(np.count_nonzero(diverged)),
     )
 
@@ -924,51 +875,3 @@ def recover(
     batches = make_batches(traces, cfg.batch_size, k_window, split_ratio, seed=cfg.seed)
     return train(arch, spec, batches, cfg, coeffs_true=coeffs_true)
 
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-
-def _arrays_to_lists(d):
-    return {k: np.asarray(v).tolist() for k, v in d.items()}
-
-
-def _lists_to_arrays(d):
-    return {k: np.array(v, dtype=float) for k, v in d.items()}
-
-
-def save_checkpoint(state: TrainState, path) -> None:
-    """Write a JSON checkpoint; reloading reproduces subsequent training
-    bit-identically (python float repr round-trips exactly)."""
-    doc = {
-        "arch": state.arch,
-        "epoch": state.epoch,
-        "params": _arrays_to_lists(state.params),
-        "adam_m": _arrays_to_lists(state.adam.m),
-        "adam_v": _arrays_to_lists(state.adam.v),
-        "adam_t": state.adam.t,
-        "rng_state": state.rng_state,
-        "cfg": asdict(state.cfg),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> TrainState:
-    with open(path) as fh:
-        doc = json.load(fh)
-    rng_state = doc["rng_state"]
-    # JSON turns ints into arbitrary precision fine, but nested state dicts
-    # need their integer leaves restored as python ints
-    return TrainState(
-        arch=doc["arch"],
-        params=_lists_to_arrays(doc["params"]),
-        adam=AdamState(
-            m=_lists_to_arrays(doc["adam_m"]),
-            v=_lists_to_arrays(doc["adam_v"]),
-            t=int(doc["adam_t"]),
-        ),
-        rng_state=rng_state,
-        epoch=int(doc["epoch"]),
-        cfg=TrainConfig.from_json(doc["cfg"]),
-    )

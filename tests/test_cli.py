@@ -144,17 +144,44 @@ def test_sweep_reports_diverged_replays(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_identical_sweeps_write_identical_reports(fmt, tmp_path):
+@pytest.mark.parametrize("experiment", ["c1", "c5"])
+def test_identical_sweeps_write_identical_reports(experiment, fmt, tmp_path):
+    # c5 simulates once and packages the truth once per injected shift
     reports = []
     for name in (f"a.{fmt}", f"b.{fmt}"):
-        code, out = _sweep(tmp_path, "c1", "ltc", name)
+        code, out = _sweep(tmp_path, experiment, "ltc", name)
         assert code == 0
         reports.append(out.read_bytes())
-    code, timed = _sweep(tmp_path, "c1", "ltc", f"timed.{fmt}", "--include-runtime")
+    code, timed = _sweep(tmp_path, experiment, "ltc", f"timed.{fmt}", "--include-runtime")
     assert code == 0
     assert reports[0] == reports[1]
     assert b"runtime_s" not in reports[0]
     assert b"runtime_s" in timed.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("generate", [1], "--overrides must be a JSON object, got list"),
+        ("sweep", [1], "ExperimentConfig config must be a JSON object, got list"),
+        ("recover", [1], "ExperimentConfig config must be a JSON object, got list"),
+        ("recover", {"train": [1]}, "TrainConfig config must be a JSON object, got list"),
+    ],
+    ids=["generate", "sweep", "recover", "recover-train"],
+)
+def test_a_config_that_is_not_a_json_object_is_named(command, config, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--system", "scalar", "--overrides", json.dumps(config)]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["sweep", "--experiment", "c1"] if command == "sweep" else [
+            "recover", "--arch", "sindyc", "--data", str(tmp_path / "data")]
+        argv += ["--config", str(path)]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"physrec: error: {message}\n" in capsys.readouterr().err
 
 
 def test_nyquist_prints_the_rate_of_the_loaded_traces(tmp_path, capsys):

@@ -20,16 +20,16 @@ def _parse(path):
 
 
 def _definitions(tree):
-    """(qualified name, bare name) of top-level definitions and methods."""
+    """(qualified name, node) of top-level definitions and of the
+    non-dunder methods of top-level classes."""
     for node in tree.body:
         if not isinstance(node, DEFS):
             continue
-        yield node.name, node.name
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                dunder = item.name.startswith("__") if isinstance(item, DEFS) else True
-                if isinstance(item, DEFS) and not dunder:
-                    yield f"{node.name}.{item.name}", item.name
+                if isinstance(item, DEFS) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
 
 
 def _references(tree):
@@ -52,7 +52,7 @@ def test_every_definition_is_referenced():
     dead = [
         f"{path.name}:{qual}"
         for path in sorted((ROOT / "src" / "physrec").glob("*.py"))
-        for qual, name in _definitions(_parse(path))
-        if name not in referenced
+        for qual, node in _definitions(_parse(path))
+        if node.name not in referenced
     ]
     assert not dead, f"defined but never referenced: {dead}"

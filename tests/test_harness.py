@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from physrec import harness
-from physrec.dynamics import ConfigError
+from physrec.dynamics import ConfigError, SpecError
 from physrec.harness import (
     ExperimentConfig,
     ReportRow,
     _sindy_rmse_y,
+    data_nyquist_rate,
     emit_report,
     generate_benchmark_data,
     load_real_csv,
@@ -136,6 +137,13 @@ def test_experiment_config_from_json_normalizes_arrays():
     assert cfg.mask == (1, 0) and cfg.injected_shifts == (5,)
     assert cfg.generation == (("k", 300), ("n_traces", 2))
     assert cfg.train == TrainConfig(epochs=2, head_layers=(8,))
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_experiment_config_rejects_rate_points_below_one(points):
+    message = f"ExperimentConfig.rate_points must be >= 1, got {points}"
+    with pytest.raises(SpecError, match=message):
+        ExperimentConfig.from_json({"rate_points": points})
 
 
 def test_c5_generation_honours_perturbation(monkeypatch):
@@ -379,15 +387,23 @@ CSV_ERRORS = [
     ("t,y1\n0.0,1\n0.5,nan\n1.0,1\n", r"trace\.csv:3: non-finite value"),
     ("t,y1\nnan,2\n0.5,1\n1.0,1\n", r"trace\.csv:2: non-finite value"),
     ("t,y1\n0.0,1\n0.5,1\n\n1,inf\n", r"trace\.csv:5: non-finite value"),
+    # a segment of one sample between gaps longer than 2 dt, or at either end
+    ("t,y1\n0,1\n0.5,1\n1,1\n3,1\n5,1\n5.5,1\n", r"trace\.csv:5: lone sample at t=3; a segment"),
+    ("t,y1\n0,1\n2,1\n2.5,1\n3,1\n", r"trace\.csv:2: lone sample at t=0;"),
+    ("t,y1\n0,1\n0.5,1\n1,1\n\n3,1\n", r"trace\.csv:6: lone sample at t=3;"),
+    # loads, but a segment is too short for the Nyquist rate estimate
+    ("t,y1\n0,1\n0.5,2\n1,1\n1.5,2\n3.5,1\n4,2\n",
+     r"segment starting at t=3\.5 has 2 samples; the Nyquist rate estimate needs at least 4"),
 ]
 
 
 @pytest.mark.parametrize("text,message", CSV_ERRORS)
 def test_load_real_csv_names_what_is_wrong(text, message, tmp_path):
+    # the ``physrec nyquist`` path: load, then estimate the rate
     path = tmp_path / "trace.csv"
     path.write_text(text)
     with pytest.raises(ConfigError, match=message):
-        load_real_csv(path)
+        data_nyquist_rate(load_real_csv(path))
 
 
 def test_write_trace_csv_golden_bytes(tmp_path):
