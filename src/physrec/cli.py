@@ -10,20 +10,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import ConfigError
+from .dynamics import ConfigError, from_json
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
     emit_report,
+    fit_traces,
     generate_benchmark_data,
     load_dataset,
     load_real_csv,
     data_nyquist_rate,
-    fit_sindyc,
     run_experiment,
     save_dataset,
 )
-from .neural import recover
 
 
 def _preset_overrides(preset: str) -> dict:
@@ -54,25 +53,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_recover(args) -> int:
     with open(args.config) as fh:
-        cfg = ExperimentConfig.from_json(json.load(fh))
+        cfg = replace(from_json(ExperimentConfig, json.load(fh)), arch=args.arch)
     spec, coeffs_true, traces, _ = load_dataset(args.data)
-    if cfg.mask is not None:
-        from .dynamics import SensingMask
-        from .harness import apply_mask_to_traces
-
-        traces = apply_mask_to_traces(traces, SensingMask(cfg.mask))
-    if args.arch == "sindyc":
-        result = fit_sindyc(spec, coeffs_true, traces, cfg)
-    else:
-        result = recover(
-            traces,
-            spec,
-            args.arch,
-            cfg.train,
-            k_window=cfg.k_window,
-            split_ratio=cfg.split_ratio,
-            coeffs_true=coeffs_true,
-        )
+    result = fit_traces(cfg, spec, coeffs_true, traces)
     out = {
         "arch": args.arch,
         "system": spec.name,
@@ -92,7 +75,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        cfg = replace(ExperimentConfig.from_json(json.load(fh)), experiment=args.experiment)
+        cfg = replace(from_json(ExperimentConfig, json.load(fh)), experiment=args.experiment)
     rows = run_experiment(cfg)
     fmt = "json" if str(args.out).endswith(".json") else "csv"
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)

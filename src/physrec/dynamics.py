@@ -11,8 +11,9 @@ input vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -460,6 +461,78 @@ def builtin_system(name: str) -> tuple[SystemSpec, Coefficients]:
 
 
 # ---------------------------------------------------------------------------
+# config dataclasses from JSON
+
+
+def json_value(tp, value, where: str):
+    """``value``, decoded from JSON, read as the type ``tp``: ``int``,
+    ``float`` (an int is stored as a float), ``bool`` and ``str`` values, a
+    config dataclass (through ``from_json``), the untyped ``tuple`` as
+    sorted ``(key, value)`` pairs from an object or a list of pairs,
+    ``tuple[T, ...]`` or ``tuple[T1, T2]`` from an array, and ``X | None``.
+    Any other value is a ConfigError naming ``where``."""
+    if tp in (int, float, bool, str):
+        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        if isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+            return value
+        want = tp.__name__
+    elif is_dataclass(tp):
+        return from_json(tp, value, where)
+    elif tp is tuple:
+        pairs = list(value.items()) if isinstance(value, dict) else value
+        if isinstance(pairs, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str) for p in pairs
+        ):
+            return tuple(sorted(dict(pairs).items()))
+        want = "an object or a list of [key, value] pairs"
+    elif get_origin(tp) is tuple:
+        args = get_args(tp)
+        if isinstance(value, (list, tuple)):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(json_value(t, v, f"{where}[{i}]")
+                             for i, (t, v) in enumerate(zip(kinds, value)))
+        want = f"[{', '.join(getattr(t, '__name__', '...') for t in args)}]"
+    else:  # X | None, the one other form a config field takes
+        return None if value is None else json_value(get_args(tp)[0], value, where)
+    raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    """``name -> (resolved type, required)`` of every field of ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def from_json(cls, doc, path: str = ""):
+    """The config dataclass ``cls`` from a decoded JSON object, each field
+    read by ``json_value`` as its resolved type; inverts ``asdict`` after a
+    JSON round trip, so a config keeps its digest.  A non-object, an
+    unknown key, a missing required field or a value of the wrong type is a
+    ConfigError naming its dotted path, which starts at ``path`` (the class
+    name by default); so is a nested dataclass's own SpecError."""
+    if not isinstance(doc, dict):
+        name = path or f"{cls.__name__} config"
+        raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    types, where = _field_types(cls), path or cls.__name__
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise ConfigError(f"{path}{': ' if path else ''}unknown {cls.__name__} keys: "
+                          f"{', '.join(unknown)}")
+    for name, (_, required) in types.items():
+        if required and name not in doc:
+            raise ConfigError(f"{where}: missing required field {name!r}")
+    kwargs = {key: json_value(types[key][0], v, f"{where}.{key}") for key, v in doc.items()}
+    try:
+        return cls(**kwargs)
+    except SpecError as e:
+        raise (ConfigError(f"{path}: {e}") if path else e) from None
+
+
+# ---------------------------------------------------------------------------
 # system config files (JSON)
 
 
@@ -499,36 +572,26 @@ def dump_system_config(spec: SystemSpec, coeffs: Coefficients, path) -> None:
         fh.write("\n")
 
 
-def _parse_factor(d: dict, path: str) -> Factor:
-    if not isinstance(d, dict) or "var" not in d:
-        raise ConfigError(f"{path}: factor must be an object with a 'var' field")
-    try:
-        return Factor(int(d["var"]), int(d.get("power", 1)), d.get("func", "identity"))
-    except (SpecError, ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+@dataclass(frozen=True)
+class _Coeff:
+    """One entry of a system config's ``coeffs`` list."""
+
+    name: str
+    sign: str
+    value: float
 
 
-def _parse_term(d: dict, path: str, want_input: bool) -> Term:
-    if not isinstance(d, dict) or "state" not in d:
-        raise ConfigError(f"{path}: term must be an object with a 'state' field")
-    factors = tuple(
-        _parse_factor(f, f"{path}.factors[{i}]") for i, f in enumerate(d.get("factors", []))
-    )
-    inp = d.get("input")
-    if want_input and inp is None:
-        raise ConfigError(f"{path}: input-effect term missing 'input' field")
-    return Term(
-        state=int(d["state"]),
-        coeff=d.get("coeff"),
-        factors=factors,
-        weight=float(d.get("weight", 1.0)),
-        input=None if inp is None else int(inp),
-    )
+# the fields of a system config file, all but ``resting`` required
+_SYSTEM_FIELDS = {"name": str, "n": int, "m": int, "coeffs": tuple[_Coeff, ...],
+                  "f_terms": tuple[Term, ...], "g_terms": tuple[Term, ...],
+                  "resting": tuple[float, ...] | None}
 
 
 def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
     """Load a system spec + coefficient values from a JSON config file.
 
+    Every field, coefficient entry and term is read by ``json_value``'s
+    rule, so a value of the wrong type is a ConfigError naming its field.
     Unknown top-level fields are ignored; dataset files written with a
     ``"rho"`` time-constant field therefore still load."""
     with open(path) as fh:
@@ -536,35 +599,16 @@ def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: not valid JSON ({e})") from None
-    for key in ("name", "n", "m", "coeffs", "f_terms", "g_terms"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required field {key!r}")
-    coeff_entries = doc["coeffs"]
-    names, signs, values = [], [], []
-    for i, entry in enumerate(coeff_entries):
-        for key in ("name", "sign", "value"):
-            if key not in entry:
-                raise ConfigError(f"coeffs[{i}]: missing field {key!r}")
-        names.append(entry["name"])
-        signs.append(entry["sign"])
-        values.append(float(entry["value"]))
-    f_terms = tuple(
-        _parse_term(t, f"f_terms[{i}]", want_input=False) for i, t in enumerate(doc["f_terms"])
-    )
-    g_terms = tuple(
-        _parse_term(t, f"g_terms[{i}]", want_input=True) for i, t in enumerate(doc["g_terms"])
-    )
     try:
-        spec = SystemSpec(
-            name=doc["name"],
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            f_terms=f_terms,
-            g_terms=g_terms,
-            coeff_names=tuple(names),
-            coeff_signs=tuple(signs),
-            resting=tuple(doc["resting"]) if "resting" in doc else None,
-        )
-        return spec, spec.coefficients(values)
-    except SpecError as e:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a system config must be a JSON object, got {type(doc).__name__}")
+        for key in _SYSTEM_FIELDS:
+            if key not in doc and key != "resting":
+                raise ConfigError(f"missing required field {key!r}")
+        read = {key: json_value(tp, doc.get(key), key) for key, tp in _SYSTEM_FIELDS.items()}
+        coeffs = read.pop("coeffs")
+        spec = SystemSpec(**read, coeff_names=tuple(c.name for c in coeffs),
+                          coeff_signs=tuple(c.sign for c in coeffs))
+        return spec, spec.coefficients([c.value for c in coeffs])
+    except (ConfigError, SpecError) as e:
         raise ConfigError(f"{path}: {e}") from None

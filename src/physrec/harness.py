@@ -32,9 +32,10 @@ from .dynamics import (
     Term,
     builtin_system,
     dump_system_config,
+    json_value,
     load_system_config,
 )
-from .neural import RecoveryResult, TrainConfig, recover, reject_unknown_keys, replay
+from .neural import ARCHS, RecoveryResult, TrainConfig, recover, replay
 from .odesolve import integrate_batch
 from .signals import Trace, decimate, nyquist_rate
 from .sindy import (
@@ -304,21 +305,24 @@ def _shift_samples(value) -> int:
 
 
 def _simulate(preset: str, overrides: dict, seed: int) -> _Truth:
-    """Merge ``overrides`` into the preset's defaults, draw the forcing and
-    integrate the true input, once for every ``injected_shift``."""
+    """Merge ``overrides`` into the preset's defaults, each read by
+    ``json_value`` as its default's type (a pair of numbers for a pair),
+    draw the forcing and integrate the true input, once for every
+    ``injected_shift``."""
     if preset not in _PRESETS:
         raise SpecError(f"no generation preset for system {preset!r}")
     row = _PRESETS[preset]
     # a preset without a perturbation default has no unperturbed variant
     cfg = {"injected_shift": 0, "perturbation": True, **row.defaults}
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in cfg:
             raise ConfigError(
                 f"preset {preset!r} reads no override {key!r}; it reads {', '.join(cfg)}"
             )
-    cfg.update(overrides)
+        default = cfg[key]
+        tp = tuple[tuple(map(type, default))] if isinstance(default, tuple) else type(default)
+        cfg[key] = json_value(tp, value, f"preset {preset!r} override {key!r}")
     cfg["injected_shift"] = _shift_samples(cfg["injected_shift"])
-    cfg["perturbation"] = bool(cfg["perturbation"])
     if not cfg["perturbation"] and "perturbation" not in row.defaults:
         raise ConfigError(f"preset {preset!r} has no unperturbed variant (perturbation: false)")
     spec, coeffs = row.system()
@@ -478,27 +482,21 @@ class ExperimentConfig:
     sindy_lambda: float = 1e-6
 
     def __post_init__(self):
-        if self.rate_points < 1:
-            raise SpecError(f"ExperimentConfig.rate_points must be >= 1, got {self.rate_points!r}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> ExperimentConfig:
-        """Config from a decoded JSON object: ``mask`` and ``injected_shifts``
-        arrays become tuples, ``generation`` (an object or a list of pairs)
-        sorted ``(key, value)`` pairs, and ``train`` a TrainConfig through
-        ``TrainConfig.from_json``.  Inverts ``asdict`` after a JSON round
-        trip, so the digest survives it.  A key that names no field is a
-        ConfigError."""
-        reject_unknown_keys(cls, doc)
-        kwargs = dict(doc)
-        if "train" in kwargs:
-            kwargs["train"] = TrainConfig.from_json(kwargs["train"])
-        for key in ("mask", "injected_shifts"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if "generation" in kwargs:
-            kwargs["generation"] = tuple(sorted(dict(kwargs["generation"]).items()))
-        return cls(**kwargs)
+        arches = (*ARCHS, "sindyc")
+        rules = (
+            ("experiment", self.experiment in EXPERIMENTS, f"one of {', '.join(EXPERIMENTS)}"),
+            ("arch", self.arch in arches, f"one of {', '.join(arches)}"),
+            ("rate_points", self.rate_points >= 1, ">= 1"),
+            ("k_window", self.k_window >= 2, ">= 2"),
+            ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
+            ("sindy_degree", self.sindy_degree >= 1, ">= 1"),
+            ("mask", self.mask is None or {*self.mask} <= {0, 1} and 1 in self.mask,
+             "null or 0/1 entries with at least one 1"),
+        )
+        for name, ok, want in rules:
+            if not ok:
+                value = getattr(self, name)
+                raise SpecError(f"ExperimentConfig.{name} must be {want}, got {value!r}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -530,26 +528,21 @@ REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 # fitting helpers shared by the sweeps
 
 
-def _windows_for(traces, mask: SensingMask | None, factor: int):
-    dec = [decimate(tr, factor) for tr in traces]
-    if mask is not None:
-        dec = apply_mask_to_traces(dec, mask)
-    return dec
-
-
-def _fit_neural(
-    spec, coeffs_true, traces, cfg: ExperimentConfig, train_cfg: TrainConfig
+def fit_traces(
+    cfg: ExperimentConfig, spec, coeffs_true, traces, factor: int = 1, train_cfg=None
 ) -> RecoveryResult:
-    k_window = min(cfg.k_window, min(tr.k for tr in traces))
-    return recover(
-        traces,
-        spec,
-        cfg.arch,
-        train_cfg,
-        k_window=k_window,
-        split_ratio=cfg.split_ratio,
-        coeffs_true=coeffs_true,
-    )
+    """Fit ``cfg.arch`` to ``traces`` decimated by ``factor`` and restricted
+    to ``cfg.mask``: SINDYc, or a neural recovery under ``train_cfg``
+    (``cfg.train`` by default) on windows of ``cfg.k_window`` samples, or
+    of the shortest trace's length if that is shorter."""
+    windows = [decimate(tr, factor) for tr in traces]
+    if cfg.mask is not None:
+        windows = apply_mask_to_traces(windows, SensingMask(cfg.mask))
+    if cfg.arch == "sindyc":
+        return fit_sindyc(spec, coeffs_true, windows, cfg)
+    k_window = min(cfg.k_window, min(tr.k for tr in windows))
+    return recover(windows, spec, cfg.arch, train_cfg or cfg.train, k_window=k_window,
+                   split_ratio=cfg.split_ratio, coeffs_true=coeffs_true)
 
 
 def _sindy_rmse_y(xi, lib, traces) -> tuple[float, int]:
@@ -624,13 +617,8 @@ def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok", dive
 
 def _fit_point(cfg, spec, coeffs_true, traces, factor, point, train_cfg) -> ReportRow:
     t0 = time.perf_counter()
-    mask = SensingMask(cfg.mask) if cfg.mask is not None else None
     try:
-        windows = _windows_for(traces, mask, factor)
-        if cfg.arch == "sindyc":
-            result = fit_sindyc(spec, coeffs_true, windows, cfg)
-        else:
-            result = _fit_neural(spec, coeffs_true, windows, cfg, train_cfg)
+        result = fit_traces(cfg, spec, coeffs_true, traces, factor, train_cfg)
         errors = tuple(
             float(abs(a - b)) for a, b in zip(result.coeffs.values, coeffs_true.values)
         )
@@ -722,9 +710,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
             rows.append(
                 _fit_point(cfg, spec, coeffs_true, traces, 1, f"input={kind}", cfg.train)
             )
-
-    else:
-        raise SpecError(f"unknown experiment {cfg.experiment!r}")
 
     return rows
 

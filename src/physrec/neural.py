@@ -19,7 +19,7 @@ initialization probe alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +81,6 @@ def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
 # training configuration
 
 
-def reject_unknown_keys(cls, doc: dict) -> None:
-    """ConfigError when ``doc`` is not a dict, or naming every key of it
-    that is not a field of the dataclass ``cls``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -133,17 +123,6 @@ class TrainConfig:
         for name, ok, want in rules:
             if not ok:
                 raise SpecError(f"TrainConfig.{name} must be {want}, got {getattr(self, name)!r}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> TrainConfig:
-        """Config from a decoded JSON object; JSON arrays become the tuple
-        fields.  A key that names no field is a ConfigError."""
-        reject_unknown_keys(cls, doc)
-        kwargs = dict(doc)
-        for key in ("shift_channels", "head_layers"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
     @property
     def n_shift(self) -> int:

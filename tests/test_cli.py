@@ -49,6 +49,13 @@ def test_recover_rejects_a_mask_of_the_wrong_length(mask, tmp_path, capsys):
     assert f"has {len(mask)} entries but the traces have 2 states" in capsys.readouterr().err
 
 
+def test_recover_clamps_k_window_to_the_shortest_trace(tmp_path):
+    # as a sweep point does: the dataset's traces have 200 samples
+    train = {"epochs": 1, "hidden_width": 4, "head_layers": [6]}
+    assert _recover(tmp_path, "ltc", {"k_window": 10_000, "train": train}) == 0
+    assert json.loads((tmp_path / "result.json").read_text())["loss_history"]
+
+
 @pytest.mark.parametrize(
     "config,keys",
     [({"train": {"explicit_loss": True}}, "unknown TrainConfig keys: explicit_loss"),
@@ -165,7 +172,7 @@ def test_identical_sweeps_write_identical_reports(experiment, fmt, tmp_path):
         ("generate", [1], "--overrides must be a JSON object, got list"),
         ("sweep", [1], "ExperimentConfig config must be a JSON object, got list"),
         ("recover", [1], "ExperimentConfig config must be a JSON object, got list"),
-        ("recover", {"train": [1]}, "TrainConfig config must be a JSON object, got list"),
+        ("recover", {"train": [1]}, "ExperimentConfig.train must be a JSON object, got list"),
     ],
     ids=["generate", "sweep", "recover", "recover-train"],
 )

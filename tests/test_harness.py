@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from physrec import harness
-from physrec.dynamics import ConfigError, SpecError
+from physrec.dynamics import ConfigError, SpecError, from_json
 from physrec.harness import (
     ExperimentConfig,
     ReportRow,
@@ -122,13 +122,13 @@ def test_experiment_config_json_round_trip():
         ),
     }
     for digest, cfg in pinned.items():
-        back = ExperimentConfig.from_json(json.loads(json.dumps(asdict(cfg))))
+        back = from_json(ExperimentConfig, json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
         assert back.digest() == digest
 
 
 def test_experiment_config_from_json_normalizes_arrays():
-    cfg = ExperimentConfig.from_json({
+    cfg = from_json(ExperimentConfig, {
         "mask": [1, 0],
         "injected_shifts": [5],
         "generation": {"n_traces": 2, "k": 300},
@@ -137,13 +137,15 @@ def test_experiment_config_from_json_normalizes_arrays():
     assert cfg.mask == (1, 0) and cfg.injected_shifts == (5,)
     assert cfg.generation == (("k", 300), ("n_traces", 2))
     assert cfg.train == TrainConfig(epochs=2, head_layers=(8,))
+    pairs = from_json(ExperimentConfig, {"generation": [["n_traces", 2], ["k", 300]]})
+    assert pairs.generation == cfg.generation
 
 
 @pytest.mark.parametrize("points", [0, -2])
 def test_experiment_config_rejects_rate_points_below_one(points):
     message = f"ExperimentConfig.rate_points must be >= 1, got {points}"
     with pytest.raises(SpecError, match=message):
-        ExperimentConfig.from_json({"rate_points": points})
+        from_json(ExperimentConfig, {"rate_points": points})
 
 
 def test_c5_generation_honours_perturbation(monkeypatch):

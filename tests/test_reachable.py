@@ -92,7 +92,19 @@ def _run_every_subcommand(tmp):
     return runs
 
 
+def _clear_caches():
+    """Empty the package's ``lru_cache``s, so that a cached function counts
+    as reached only when the command line calls it, not when an earlier
+    test left its result in the cache."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("physrec."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and obj.__module__ == name:
+                    obj.cache_clear()
+
+
 def test_every_function_is_reached_from_the_command_line(tmp_path, capsys):
+    _clear_caches()
     entered = set()
 
     def profile(frame, event, arg):
