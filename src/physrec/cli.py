@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import ConfigError, from_json
+from .dynamics import ConfigError, decode_json, from_json, load_json
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -41,7 +41,7 @@ def _preset_overrides(preset: str) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    overrides = json.loads(args.overrides) if args.overrides else {}
+    overrides = decode_json(args.overrides, "--overrides") if args.overrides else {}
     if not isinstance(overrides, dict):
         raise ConfigError(f"--overrides must be a JSON object, got {type(overrides).__name__}")
     overrides.update(_preset_overrides(args.preset))
@@ -52,8 +52,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    with open(args.config) as fh:
-        cfg = replace(from_json(ExperimentConfig, json.load(fh)), arch=args.arch)
+    cfg = replace(from_json(ExperimentConfig, load_json(args.config)), arch=args.arch)
     spec, coeffs_true, traces, _ = load_dataset(args.data)
     result = fit_traces(cfg, spec, coeffs_true, traces)
     out = {
@@ -74,8 +73,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg = replace(from_json(ExperimentConfig, json.load(fh)), experiment=args.experiment)
+    cfg = replace(from_json(ExperimentConfig, load_json(args.config)),
+                  experiment=args.experiment)
     rows = run_experiment(cfg)
     fmt = "json" if str(args.out).endswith(".json") else "csv"
     emit_report(rows, fmt, args.out, include_runtime=args.include_runtime)

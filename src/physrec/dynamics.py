@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -186,6 +186,22 @@ class SensingMask:
 # a 0-d array: numpy adds it to an array faster than the float 0.0
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
+# bound once for ``full``, which passes each output buffer positionally
+# (numpy parses that faster than out=)
+_multiply, _add = np.multiply, np.add
+
+
+class RhsScratch(NamedTuple):
+    """``CompiledRhs.full``'s views and buffers over one work buffer."""
+
+    take: object  # ``work.T.take``: the method, not ``np.take``'s Python wrapper
+    derive: tuple  # (ufunc, source row of w, target row of w, extra arguments)
+    gathered: np.ndarray  # (levels, slots·n, S): every level's gathered factors
+    level0: np.ndarray  # gathered[0]
+    later: tuple  # gathered[1:], one view per level
+    terms: np.ndarray  # (slots·n, S): each table row's product
+    slot0: np.ndarray  # terms[:n]
+    slots: tuple  # terms[l·n : (l+1)·n] for l >= 1, one view per slot
 
 
 class CompiledRhs:
@@ -207,16 +223,22 @@ class CompiledRhs:
 
     ``columns(coeff_rows)`` turns (S, p) coefficient rows into the
     (slots·n, S) weight×coefficient array and runs once per solve.
-    ``full``, the one evaluation path, makes one call per derived factor
-    column, one gather of every level, one multiply per level, and one add
-    per slot.  Every element therefore sees the same floating-point
-    operations as summing the terms one by one: weight×coefficient, times
-    each factor in order, times the input, summed from +0.0 in term order,
-    whatever else is in the batch.  The padding changes no bit: ``v · 1.0``
-    is ``v``, a padding term is +0.0, and a sum started from +0.0 is never
-    −0.0, so adding +0.0 leaves it as it is.  The sums stay one ``np.add``
-    per slot, because one ``np.add.reduce`` over the slot axis sums
-    pairwise when the rest of the table is one element (n·S = 1).
+    ``scratch(work)``, also once per solve, makes ``full``'s buffers for
+    that work buffer: the derived columns' views, a (levels, slots·n, S)
+    gather buffer and a (slots·n, S) product buffer, each with its level
+    or slot views sliced once.  ``full``, the one evaluation path, makes
+    one call per derived factor column, one gather of every level
+    (``take`` into the gather buffer), one multiply per level and one
+    add per slot, every one of them writing into a buffer it is given, and
+    allocates no array data when handed both ``out`` and ``scratch``.
+    Every element therefore sees the same floating-point operations as
+    summing the terms one by one: weight×coefficient, times each factor in
+    order, times the input, summed from +0.0 in term order, whatever else
+    is in the batch.  The padding changes no bit: ``v · 1.0`` is ``v``, a
+    padding term is +0.0, and a sum started from +0.0 is never −0.0, so
+    adding +0.0 leaves it as it is.  The sums stay one ``np.add`` per
+    slot, because one ``np.add.reduce`` over the slot axis sums pairwise
+    when the rest of the table is one element (n·S = 1).
     """
 
     def __init__(self, spec: SystemSpec):
@@ -266,8 +288,6 @@ class CompiledRhs:
                 if t.input is not None:
                     self._gather[-1, r] = first_input + t.input
         self._n = n
-        self._later_levels = range(1, levels)
-        self._slot_rows = [slice(r, r + n) for r in range(n, slots * n, n)]
 
     def columns(self, coeff_rows) -> np.ndarray:
         """The (slots·n, S) weight×coefficient array, one row per table row."""
@@ -286,19 +306,46 @@ class CompiledRhs:
         buf[:, -1] = 1.0
         return buf
 
-    def full(self, work, cols):
-        """``f(x, c) + g(x, c) u`` for every row of ``work``, as an (S, n)
-        column-major array; ``cols`` from ``columns``."""
+    def scratch(self, work) -> RhsScratch:
+        """``full``'s views of ``work`` and its buffers for ``work``'s S rows.
+        They serve every later ``full`` call on this same buffer, whatever
+        it then holds."""
         w = work.T
-        for func, src, dst, args in self._derive:
-            func(w[src], *args, out=w[dst])
-        gathered = w[self._gather]
-        v = cols * gathered[0]
-        for level in self._later_levels:
-            v *= gathered[level]
-        out = v[: self._n] + _ZERO
-        for rows in self._slot_rows:
-            out += v[rows]
+        gathered = np.empty((*self._gather.shape, work.shape[0]))
+        terms = np.empty(gathered.shape[1:])
+        n = self._n
+        return RhsScratch(
+            w.take,
+            tuple((func, w[src], w[dst], args) for func, src, dst, args in self._derive),
+            gathered,
+            gathered[0],
+            tuple(gathered[1:]),
+            terms,
+            terms[:n],
+            tuple(terms[r : r + n] for r in range(n, len(terms), n)),
+        )
+
+    def full(self, work, cols, out=None, scratch=None):
+        """``f(x, c) + g(x, c) u`` for every row of ``work``, as an (S, n)
+        column-major array; ``cols`` from ``columns``.  The sum goes into
+        ``out``, a C-order (n, S) array, and ``out.T`` is returned;
+        ``scratch`` must come from ``scratch(work)``.  Either is made here
+        when not given."""
+        if scratch is None:
+            scratch = self.scratch(work)
+        if out is None:
+            out = np.empty((self._n, work.shape[0]))
+        take, derive, gathered, level0, later, terms, slot0, slots = scratch
+        for func, src, dst, args in derive:
+            func(src, *args, dst)
+        # mode="clip": the indices are in range, and "raise" buffers ``out``
+        take(self._gather, 0, gathered, "clip")
+        _multiply(cols, level0, terms)
+        for level in later:
+            _multiply(terms, level, terms)
+        _add(slot0, _ZERO, out)
+        for rows in slots:
+            _add(out, rows, out)
         return out.T
 
 
@@ -587,6 +634,22 @@ _SYSTEM_FIELDS = {"name": str, "n": int, "m": int, "coeffs": tuple[_Coeff, ...],
                   "resting": tuple[float, ...] | None}
 
 
+def decode_json(text: str, source: str):
+    """``text`` decoded as JSON.  Invalid JSON is a ConfigError naming
+    ``source`` (a file or a command-line flag) that keeps the decoder's
+    line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{source}: not valid JSON ({e})") from None
+
+
+def load_json(path):
+    """The JSON document in the file ``path``, read by ``decode_json``."""
+    with open(path) as fh:
+        return decode_json(fh.read(), str(path))
+
+
 def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
     """Load a system spec + coefficient values from a JSON config file.
 
@@ -594,11 +657,7 @@ def load_system_config(path) -> tuple[SystemSpec, Coefficients]:
     rule, so a value of the wrong type is a ConfigError naming its field.
     Unknown top-level fields are ignored; dataset files written with a
     ``"rho"`` time-constant field therefore still load."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    doc = load_json(path)
     try:
         if not isinstance(doc, dict):
             raise ConfigError(f"a system config must be a JSON object, got {type(doc).__name__}")

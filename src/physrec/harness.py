@@ -33,6 +33,7 @@ from .dynamics import (
     builtin_system,
     dump_system_config,
     json_value,
+    load_json,
     load_system_config,
 )
 from .neural import ARCHS, RecoveryResult, TrainConfig, recover, replay
@@ -905,22 +906,55 @@ def _jsonable(obj):
     return obj
 
 
+def _dataset_index(doc):
+    """``meta.json``'s dataset object, its ``dt`` and its trace entries as
+    ``(file, meta)`` pairs, each field checked for its JSON type; a field
+    of the wrong type is a ConfigError naming it (``traces[0].file``)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"must be a JSON object, got {type(doc).__name__}")
+    dataset, entries = doc.get("dataset"), doc.get("traces")
+    if not isinstance(dataset, dict):
+        raise ConfigError(f"dataset must be a JSON object, got {dataset!r}")
+    dt = dataset.get("dt")
+    if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not dt > 0:
+        raise ConfigError(f"dataset.dt must be a positive number, not {dt!r}")
+    if not isinstance(entries, list):
+        raise ConfigError(f"traces must be a list, got {entries!r}")
+    index = []
+    for i, entry in enumerate(entries):
+        where = f"traces[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {entry!r}")
+        if "file" not in entry:
+            raise ConfigError(f"{where}: missing required field 'file'")
+        name = json_value(str, entry["file"], f"{where}.file")
+        meta = entry.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{where}.meta must be a JSON object, got {meta!r}")
+        if "mask" in meta:
+            json_value(tuple[int, ...], meta["mask"], f"{where}.meta.mask")
+        index.append((name, meta))
+    return dataset, float(dt), index
+
+
 def load_dataset(dirpath):
     """Read a directory written by :func:`save_dataset`.  Every trace takes
     ``meta.json``'s ``dataset.dt`` exactly, after its CSV's sample spacing
-    is checked against it."""
+    is checked against it.  A ``meta.json`` that is not valid JSON, or
+    whose fields have the wrong JSON type, is a ConfigError naming the
+    file and the field."""
     import os
 
     spec, coeffs = load_system_config(os.path.join(dirpath, "system.json"))
     meta_path = os.path.join(dirpath, "meta.json")
-    with open(meta_path) as fh:
-        doc = json.load(fh)
-    dt = doc["dataset"].get("dt")
-    if not isinstance(dt, (int, float)) or not dt > 0:
-        raise ConfigError(f"{meta_path}: dataset.dt must be a positive number, not {dt!r}")
+    doc = load_json(meta_path)
+    try:
+        dataset, dt, index = _dataset_index(doc)
+    except ConfigError as e:
+        raise ConfigError(f"{meta_path}: {e}") from None
     traces = []
-    for entry in doc["traces"]:
-        trace_path = os.path.join(dirpath, entry["file"])
+    for name, meta in index:
+        trace_path = os.path.join(dirpath, name)
         data, labels, csv_dt, starts, _ = _read_trace_rows(trace_path)
         if len(starts):
             i = starts[0]
@@ -933,16 +967,15 @@ def load_dataset(dirpath):
                 f"{trace_path}: sample spacing {csv_dt:.9g} differs from meta.json's dt {dt:.9g}"
             )
         y = _channels(data)
-        meta = entry.get("meta", {})
         n_y = spec.n if "mask" not in meta else sum(meta["mask"])
         traces.append(
             Trace(
                 float(data[0, 0]),
-                float(dt),
+                dt,
                 y[:n_y],
                 y[n_y:],
                 labels,
                 {k: (tuple(v) if isinstance(v, list) else v) for k, v in meta.items()},
             )
         )
-    return spec, coeffs, traces, doc["dataset"]
+    return spec, coeffs, traces, dataset

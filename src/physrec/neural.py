@@ -449,7 +449,9 @@ def _cell_forward(
     delta`` and ``1 + delta/tau``, then each sample's drive, so an LTC
     substep is matmul, add, tanh, exp, log1p and five arithmetic ops.  The
     unroll runs in plain numpy, with its column and scalar operands
-    broadcast to full (V, B) arrays once.  For its backward-through-time it
+    broadcast to full (V, B) arrays once; ``w_rec h`` and the LTC
+    numerator and denominator are written into one (V, B) buffer each,
+    made once per call.  For its backward-through-time it
     keeps the window's inputs and, per substep, the state it started from
     and ``tanh(z)``, in preallocated (substep, V, B) stacks; LTC also keeps
     ``f``.  The backward visits the samples last to first.  For each it
@@ -503,18 +505,19 @@ def _cell_forward(
     states[0] = 0.0
     tanhs = np.empty((n_steps, V, B))
     fs = np.empty((n_steps, V, B)) if arch == "ltc" else None
+    z, num, den = np.empty((V, B)), np.empty((V, B)), np.empty((V, B))
     for t in range(k):
         drive = w_in @ inputs[t] + b_col
         for i in range(t * n_sub, (t + 1) * n_sub):
             h = states[i]
-            z = w_rec @ h
+            np.matmul(w_rec, h, out=z)
             z += drive
             th = np.tanh(z, out=tanhs[i])
             if arch == "ltc":
                 f = np.log1p(np.exp(th, out=fs[i]), out=fs[i])
-                num = f * tdel_f
+                np.multiply(f, tdel_f, out=num)
                 num += h
-                den = f * delta_f
+                np.multiply(f, delta_f, out=den)
                 den += c_f
                 np.divide(num, den, out=states[i + 1])
             elif arch == "ctrnn":

@@ -57,6 +57,12 @@ def integrate_batch(
     once per interval on the whole batch, ``max |x| <= DIVERGENCE_LIMIT``
     (NaN fails it); the per-row check and the freezing run only when that
     fails or once a row has died.
+
+    The RK4 loop allocates no array data: every buffer is made once per
+    call.  ``CompiledRhs.scratch`` gives the kernel's gather and product
+    buffers, each of the four stages writes its derivative into its own
+    (n, S) buffer through ``full``'s ``out``, and one (S, n) step buffer
+    takes each ``h · k`` and one more takes ``|x|`` for the check.
     """
     _check_inputs(spec, coeff_rows, x0_rows, u_rows, k_out, dt, substeps)
     rhs = compile_rhs(spec)
@@ -67,10 +73,18 @@ def integrate_batch(
     h = dt / substeps
     # 0-d arrays: numpy multiplies an array by them faster than by floats
     h, half_h, sixth_h, two = (np.array(c) for c in (h, 0.5 * h, h / 6.0, 2.0))
+    # ufuncs bound once; each call below passes its output buffer as the
+    # positional argument after the inputs, which numpy parses faster than out=
+    add, multiply, absolute = np.add, np.multiply, np.abs
+    max_abs = np.maximum.reduce
 
     states = np.empty((S, n, k_out))
     states[:, :, 0] = x0_rows
     work = rhs.work(x0_rows, u_rows[:, :, 0])
+    scratch = rhs.scratch(work)
+    # one (n, S) buffer per stage; full returns its (S, n) transpose
+    out1, out2, out3, out4 = (np.empty((n, S)) for _ in range(4))
+    step, abs_x = np.empty((S, n), order="F"), np.empty((S, n), order="F")
     xw, uw = work[:, :n], work[:, rhs.input_cols]
     x = np.array(x0_rows, dtype=float, order="F")
     alive = np.ones(S, dtype=bool)
@@ -82,23 +96,24 @@ def integrate_batch(
                 uw[...] = u_rows[:, :, j]
             for _ in range(substeps):
                 xw[...] = x
-                k1 = full(work, cols)
-                np.add(x, half_h * k1, out=xw)
-                k2 = full(work, cols)
-                np.add(x, half_h * k2, out=xw)
-                k3 = full(work, cols)
-                np.add(x, h * k3, out=xw)
-                k4 = full(work, cols)
+                k1 = full(work, cols, out1, scratch)
+                add(x, multiply(half_h, k1, step), xw)
+                k2 = full(work, cols, out2, scratch)
+                add(x, multiply(half_h, k2, step), xw)
+                k3 = full(work, cols, out3, scratch)
+                add(x, multiply(h, k3, step), xw)
+                k4 = full(work, cols, out4, scratch)
                 # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-                k2 *= two
-                k1 += k2
-                k3 *= two
-                k1 += k3
-                k1 += k4
-                k1 *= sixth_h
-                x += k1
+                multiply(k2, two, k2)
+                add(k1, k2, k1)
+                multiply(k3, two, k3)
+                add(k1, k3, k1)
+                add(k1, k4, k1)
+                multiply(k1, sixth_h, k1)
+                add(x, k1, x)
             # initial=0.0 keeps an empty batch valid; NaN still propagates
-            if not (all_alive and np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT):
+            if not (all_alive and max_abs(absolute(x, abs_x), axis=None, initial=0.0)
+                    <= DIVERGENCE_LIMIT):
                 bad = alive & (
                     ~np.all(np.isfinite(x), axis=1)
                     | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)

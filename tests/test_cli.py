@@ -252,3 +252,24 @@ def test_generate_rejects_what_the_preset_cannot_do(system, overrides, message, 
                      "--overrides", json.dumps(overrides)])
     assert code == 1 and not out.exists()
     assert message in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep", "recover"])
+def test_invalid_json_names_the_flag_or_the_file(command, tmp_path, capsys):
+    # the decoder's own message, line and column are kept
+    out = tmp_path / "out"
+    if command == "generate":
+        source, decoded = "--overrides", "Expecting value: line 1 column 14 (char 13)"
+        argv = ["generate", "--system", "scalar", "--overrides", '{"n_traces": }']
+    else:
+        path = tmp_path / "config.json"
+        path.write_text('{"train": {"epochs": 1,\n')  # truncated
+        source = str(path)
+        decoded = "Expecting property name enclosed in double quotes: line 2 column 1 (char 24)"
+        argv = ["sweep", "--experiment", "c1"] if command == "sweep" else [
+            "recover", "--arch", "sindyc", "--data", str(tmp_path / "data")]
+        argv += ["--config", source]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"physrec: error: {source}: not valid JSON ({decoded})\n"

@@ -331,3 +331,27 @@ def test_compiled_rhs_matches_term_by_term_reference(name, S):
     assert out.shape == (S, spec.n)
     assert np.array_equal(out, want)
     assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
+@pytest.mark.parametrize("S", [1, 4, 210])
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_one_scratch_serves_every_state_of_its_work_buffer(name, S):
+    # as in a solve: one work buffer, scratch and out, rewritten between calls
+    spec, coeffs = _kernel_systems()[name]
+    rng = np.random.default_rng(S + 1)
+    c = coeffs.values[None, :] * rng.uniform(0.5, 1.5, size=(S, spec.p))
+    points = [(rng.normal(size=(S, spec.n)) * scale, rng.normal(size=(S, spec.m)))
+              for scale in (2.0, 0.5)]
+    if name == "negative_zero":
+        points[1][0][0, 0] = -abs(points[1][0][0, 0])
+    rhs = compile_rhs(spec)
+    cols = rhs.columns(c)
+    work = rhs.work(*points[0])
+    scratch, out = rhs.scratch(work), np.empty((spec.n, S))
+    for x, u in points:
+        work[:, : spec.n], work[:, rhs.input_cols] = x, u
+        got = rhs.full(work, cols, out, scratch)
+        want = rhs.full(rhs.work(x, u), cols)
+        assert got.base is out
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

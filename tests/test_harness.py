@@ -486,3 +486,37 @@ def test_load_dataset_rejects_a_trace_with_a_gap(tmp_path):
     assert str(err.value) == (
         f"{path}: samples missing between t={t_before:.9g} and t={t_after:.9g}"
     )
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc["traces"][0].pop("file"), "traces[0]: missing required field 'file'"),
+        (lambda doc: doc.update(traces=5), "traces must be a list, got 5"),
+        (lambda doc: doc["traces"][1].update(file=3), "traces[1].file must be str, got 3"),
+        (lambda doc: doc["traces"][0].update(meta=[1]), "traces[0].meta must be a JSON object"),
+        (lambda doc: doc["traces"][0]["meta"].update(mask=1),
+         "traces[0].meta.mask must be [int, ...], got 1"),
+        (lambda doc: doc.pop("dataset"), "dataset must be a JSON object, got None"),
+    ],
+    ids=["no-file", "traces-int", "file-int", "meta-list", "mask-int", "no-dataset"],
+)
+def test_load_dataset_names_the_meta_json_field(edit, message, tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data("scalar", {"n_traces": 2, "k": 50}, seed=5)
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    path = tmp_path / "meta.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        harness.load_dataset(tmp_path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_load_dataset_names_a_meta_json_that_is_not_json(tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data("scalar", {"n_traces": 1, "k": 50}, seed=5)
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    path = tmp_path / "meta.json"
+    path.write_text(path.read_text()[:20])
+    with pytest.raises(ConfigError, match=r"meta\.json: not valid JSON \(.*line 3 column"):
+        harness.load_dataset(tmp_path)

@@ -268,9 +268,9 @@ def test_integrate_batch_calls_full_once_per_stage(substeps, monkeypatch):
     rows = []
     original = CompiledRhs.full
 
-    def counted(self, work, cols):
+    def counted(self, work, cols, *args, **kwargs):
         rows.append(work.shape[0])
-        return original(self, work, cols)
+        return original(self, work, cols, *args, **kwargs)
 
     monkeypatch.setattr(CompiledRhs, "full", counted)
     integrate_batch(
@@ -278,6 +278,33 @@ def test_integrate_batch_calls_full_once_per_stage(substeps, monkeypatch):
         np.zeros((S, spec.m, k)), k, 5.0, substeps,
     )
     assert rows == [S] * (4 * substeps * (k - 1))
+
+
+def test_integrate_batch_stage_outputs_never_alias(monkeypatch):
+    # k1..k4 of one RK4 step are all live when the step combines them
+    spec, coeffs = builtin_system("lotka_volterra")
+    S, k, substeps = 3, 4, 2
+    calls = []
+    original = CompiledRhs.full
+
+    def kept(self, work, cols, *args, **kwargs):
+        out = original(self, work, cols, *args, **kwargs)
+        calls.append((out, work))
+        return out
+
+    monkeypatch.setattr(CompiledRhs, "full", kept)
+    integrate_batch(
+        spec, np.tile(coeffs.values, (S, 1)), np.tile(spec.resting_state(), (S, 1)),
+        np.zeros((S, spec.m, k)), k, 0.1, substeps,
+    )
+    assert len(calls) == 4 * substeps * (k - 1)
+    for i in range(0, len(calls), 4):
+        stages = [out for out, _ in calls[i : i + 4]]
+        work = calls[i][1]
+        for a in range(4):
+            assert not np.shares_memory(stages[a], work)
+            for b in range(a):
+                assert not np.shares_memory(stages[a], stages[b])
 
 
 def _lv_args(**changes):
