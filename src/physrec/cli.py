@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .dynamics import ConfigError, decode_json, from_json, load_json
 from .harness import (
@@ -22,6 +19,7 @@ from .harness import (
     data_nyquist_rate,
     run_experiment,
     save_dataset,
+    write_json,
 )
 
 
@@ -58,16 +56,14 @@ def _cmd_recover(args) -> int:
     out = {
         "arch": args.arch,
         "system": spec.name,
-        "coeffs_est": result.coeffs.values.tolist(),
+        "coeffs_est": result.coeffs.values,
         "coeff_names": list(spec.coeff_names),
-        "shifts": np.asarray(result.shifts).tolist(),
+        "shifts": result.shifts,
         "rmse_y": result.rmse_y,
         "rmse_coeffs": result.rmse_coeffs,
         "loss_history": result.loss_history,
     }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    write_json(out, args.out)
     print(f"rmse_y={result.rmse_y:.6g} rmse_coeffs={result.rmse_coeffs}")
     return 0
 

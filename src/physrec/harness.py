@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
@@ -742,10 +743,7 @@ def emit_report(rows: list[ReportRow], fmt: str, path, include_runtime: bool = F
             for r in rows:
                 writer.writerow([_format_value(getattr(r, c)) for c in cols])
     elif fmt == "json":
-        doc = [{c: getattr(r, c) for c in cols} for r in rows]
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json([{c: getattr(r, c) for c in cols} for r in rows], path)
     else:
         raise SpecError(f"unknown report format {fmt!r}")
 
@@ -888,21 +886,32 @@ def save_dataset(dirpath, spec, coeffs, traces, meta) -> None:
     for i, tr in enumerate(traces):
         name = f"trace_{i:03d}.csv"
         write_trace_csv(tr, os.path.join(dirpath, name))
-        index.append({"file": name, "meta": _jsonable(tr.meta)})
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        json.dump({"dataset": _jsonable(meta), "traces": index}, fh, indent=2)
+        index.append({"file": name, "meta": tr.meta})
+    write_json({"dataset": meta, "traces": index}, os.path.join(dirpath, "meta.json"))
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as strict JSON, indented, with a final
+    newline.  Tuples and numpy arrays become lists and numpy scalars plain
+    numbers; a non-finite float, inside a list too, becomes the CSV
+    report's text for it (``"inf"``, ``"-inf"`` or ``"nan"``), so a strict
+    parser reads the file."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 

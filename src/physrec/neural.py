@@ -446,21 +446,29 @@ def _cell_forward(
     input lies in (-1, 1), so ``exp`` cannot overflow.
 
     The constants are folded once per call: the LTC columns ``target
-    delta`` and ``1 + delta/tau``, then each sample's drive, so an LTC
-    substep is matmul, add, tanh, exp, log1p and five arithmetic ops.  The
-    unroll runs in plain numpy, with its column and scalar operands
-    broadcast to full (V, B) arrays once; ``w_rec h`` and the LTC
-    numerator and denominator are written into one (V, B) buffer each,
-    made once per call.  For its backward-through-time it
-    keeps the window's inputs and, per substep, the state it started from
-    and ``tanh(z)``, in preallocated (substep, V, B) stacks; LTC also keeps
-    ``f``.  The backward visits the samples last to first.  For each it
-    computes the factors that do not depend on the cotangent in one
-    operation over the sample's substeps (LTC rebuilds the step's
-    numerator and denominator from the saved arrays with the forward's
-    own expressions, so it sees the same values bit for bit); only the
-    cotangent's chain stays in the per-substep loop, which writes the
-    parts that feed parameter gradients into per-sample stacks.
+    delta`` and ``1 + delta/tau``, then every sample's drive in one stacked
+    matmul, so an LTC substep is matmul, add, tanh, exp, log1p and five
+    arithmetic ops.  The unroll runs in plain numpy, with its column and
+    scalar operands broadcast to full (V, B) arrays once; ``z`` (then
+    ``tanh(z)`` in place), LTC's ``f`` and its numerator and denominator
+    are (V, B) buffers made once per call.
+
+    For its backward-through-time the unroll keeps one per-substep array,
+    the state each substep starts from, in a preallocated (substep, V, B)
+    stack, beside the window's inputs and the (k, V, B) drives.  The
+    backward visits the samples last to first.  For each it recomputes
+    ``z = w_rec h + drive`` over the sample's substeps (one stacked matmul,
+    then one add), ``tanh(z)`` and, for LTC, ``f``, then computes the
+    factors that do not depend on the cotangent in one operation over the
+    substeps (LTC rebuilds the step's numerator and denominator with the
+    forward's own expressions); only the cotangent's chain stays in the
+    per-substep loop, which writes the parts that feed parameter gradients
+    into per-sample stacks.  The recomputed values equal the forward's bit
+    for bit: they come from the same numpy operations on the same inputs,
+    a stacked matmul runs the forward's 2-D gemm once per substep, and
+    the elementwise functions give each element the same bits whatever
+    its position in the array.  Recomputing costs three to five numpy
+    calls per sample and saves two whole-window stacks (LTC) or one.
 
     Both passes are bit-identical to recording the cell on a tape, one
     primitive per node, as the tests' ``reference_tape_cell`` does:
@@ -501,20 +509,21 @@ def _cell_forward(
     elif arch == "ctrnn":
         inv_f = wide(inv_tau[:, None])
     inputs = np.ascontiguousarray(np.transpose(window_tensor, (2, 1, 0)))  # k x C x B
+    drives = w_in @ inputs  # k x V x B: each sample's drive w_in u + b
+    drives += b_col
     states = np.empty((n_steps + 1, V, B))  # the state each substep starts from, then h
     states[0] = 0.0
-    tanhs = np.empty((n_steps, V, B))
-    fs = np.empty((n_steps, V, B)) if arch == "ltc" else None
     z, num, den = np.empty((V, B)), np.empty((V, B)), np.empty((V, B))
+    f = np.empty((V, B)) if arch == "ltc" else None
     for t in range(k):
-        drive = w_in @ inputs[t] + b_col
+        drive = drives[t]
         for i in range(t * n_sub, (t + 1) * n_sub):
             h = states[i]
             np.matmul(w_rec, h, out=z)
             z += drive
-            th = np.tanh(z, out=tanhs[i])
+            th = np.tanh(z, out=z)
             if arch == "ltc":
-                f = np.log1p(np.exp(th, out=fs[i]), out=fs[i])
+                np.log1p(np.exp(th, out=f), out=f)
                 np.multiply(f, tdel_f, out=num)
                 num += h
                 np.multiply(f, delta_f, out=den)
@@ -535,10 +544,14 @@ def _cell_forward(
             g_num_sub = np.empty((n_sub, V, B))
         for t in reversed(range(k)):
             steps = slice(t * n_sub, (t + 1) * n_sub)
-            h_prev, th = states[steps], tanhs[steps]
+            h_prev = states[steps]
+            z_all = w_rec @ h_prev
+            z_all += drives[t]
+            th = np.tanh(z_all, out=z_all)
             d_tanh = 1.0 - th * th
             if arch == "ltc":
-                f = fs[steps]
+                f = np.exp(th)
+                np.log1p(f, out=f)
                 neg_num = -(f * tdel_col + h_prev)
                 den = f * delta + c_col
                 den2 = den * den
@@ -758,8 +771,8 @@ def train(
     evaluated without dropout.  Deterministic for a given seed.
 
     Each training step records on its own tape inside ``_train_step``,
-    and only arrays leave it: one recording, with the cell's saved
-    per-substep arrays, is alive at a time.  The initialization probe and
+    and only arrays leave it: one recording, with the cell's saved stack
+    of per-substep states, is alive at a time.  The initialization probe and
     the evaluation groups record nothing and drop the backward closures.
     """
     if arch not in ARCHS:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ def _recover(tmp_path, arch, config):
     path.write_text(json.dumps(config))
     return cli.main(["recover", "--arch", arch, "--data", str(data), "--config", str(path),
                      "--out", str(tmp_path / "result.json")])
+
+
+def _refuse_constant(name):
+    # json's parse_constant hook: a strict reader has no Infinity or NaN
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_recover_writes_an_infinite_rmse_as_strict_json(tmp_path, monkeypatch):
+    fit = cli.fit_traces
+    monkeypatch.setattr(
+        cli, "fit_traces", lambda *a, **kw: replace(fit(*a, **kw), rmse_y=float("inf"))
+    )
+    assert _recover(tmp_path, "sindyc", {}) == 0
+    doc = json.loads((tmp_path / "result.json").read_text(), parse_constant=_refuse_constant)
+    assert doc["rmse_y"] == "inf" and len(doc["coeffs_est"]) == 4
 
 
 @pytest.mark.parametrize("mask", [[1], [1, 0, 1]])
@@ -141,10 +157,11 @@ def test_sweep_reports_diverged_replays(tmp_path, capsys):
     # row stays ok, carries the count, and the summary says so
     code, out = _sweep(tmp_path, "c1", "sindyc", "rows.json", generation={"n_traces": 1})
     assert code == 0
-    rows = json.loads(out.read_text())
+    rows = json.loads(out.read_text(), parse_constant=_refuse_constant)
     assert [row["status"] for row in rows] == ["ok"] * 4
     assert [row["diverged_windows"] for row in rows] == [0, 0, 0, 1]
-    assert rows[-1]["rmse_y"] == float("inf") and np.isfinite(rows[0]["rmse_y"])
+    # strict JSON: the inf is the CSV report's text
+    assert rows[-1]["rmse_y"] == "inf" and np.isfinite(rows[0]["rmse_y"])
     err = capsys.readouterr().err
     assert f"physrec: {rows[-1]['point']}: rmse_y inf, diverged replay windows: 1" in err
     assert "4 ok, 0 failed; diverged replay windows: 1" in err

@@ -341,6 +341,40 @@ def test_report_json_round_trip(tmp_path):
     assert got == want
 
 
+def _strict_json(path):
+    """The JSON document at ``path``, refusing ``Infinity`` and ``NaN``."""
+
+    def refuse(name):
+        raise ValueError(f"{path}: non-standard JSON constant {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_report_json_is_strict_and_matches_the_csv(tmp_path):
+    rows = [
+        ReportRow("abc", "c1", "lotka_volterra", "sindyc", "factor=60", 60, 0.75, float("inf"),
+                  (0.5, float("-inf")), (), 1.0, 7, diverged_windows=1),
+        ReportRow("abc", "c1", "lotka_volterra", "sindyc", "factor=1", 1, float("nan"),
+                  float("nan"), (), (), 2.0, 7, status="error: boom"),
+    ]
+    emit_report(rows, "json", tmp_path / "rows.json")
+    emit_report(rows, "csv", tmp_path / "rows.csv")
+    got = _strict_json(tmp_path / "rows.json")
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        header, *body = csv.reader(fh)
+
+    def as_csv_text(v):
+        if isinstance(v, list):
+            return ";".join(x if isinstance(x, str) else repr(float(x)) for x in v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    assert [list(doc) for doc in got] == [header] * 2
+    assert [[as_csv_text(v) for v in doc.values()] for doc in got] == body
+    assert got[0]["rmse_y"] == "inf" and got[0]["coeff_errors"] == [0.5, "-inf"]
+    assert got[1]["rmse_coeffs"] == got[1]["rmse_y"] == "nan"
+
+
 def test_load_real_csv_splits_at_gaps(tmp_path):
     # dt = 0.5; the 2.0 gap after t=1.5 is longer than 2 dt
     trace_path = tmp_path / "trace.csv"
