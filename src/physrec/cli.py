@@ -7,7 +7,7 @@ import re
 import sys
 from dataclasses import replace
 
-from .dynamics import ConfigError, decode_json, from_json, load_json
+from .dynamics import ConfigError, decode_json, from_json, load_json, write_json
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -19,7 +19,6 @@ from .harness import (
     data_nyquist_rate,
     run_experiment,
     save_dataset,
-    write_json,
 )
 
 

@@ -11,6 +11,8 @@ input vector.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import NamedTuple, get_args, get_origin, get_type_hints
@@ -513,14 +515,18 @@ def builtin_system(name: str) -> tuple[SystemSpec, Coefficients]:
 
 def json_value(tp, value, where: str):
     """``value``, decoded from JSON, read as the type ``tp``: ``int``,
-    ``float`` (an int is stored as a float), ``bool`` and ``str`` values, a
-    config dataclass (through ``from_json``), the untyped ``tuple`` as
-    sorted ``(key, value)`` pairs from an object or a list of pairs,
-    ``tuple[T, ...]`` or ``tuple[T1, T2]`` from an array, and ``X | None``.
-    Any other value is a ConfigError naming ``where``."""
-    if tp in (int, float, bool, str):
-        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+    ``float`` (finite only; an int is stored as a float), ``bool`` and
+    ``str`` values, a config dataclass (through ``from_json``), the untyped
+    ``tuple`` as sorted ``(key, value)`` pairs from an object or a list of
+    pairs, ``tuple[T, ...]`` or ``tuple[T1, T2]`` from an array, and
+    ``X | None``.  Any other value, NaN and infinity included, is a
+    ConfigError naming ``where``."""
+    if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # false for NaN, for infinity and for an int past the float range
+        if abs(value) <= sys.float_info.max:
             return float(value)
+        want = "a finite float"
+    elif tp in (int, float, bool, str):
         if isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
             return value
         want = tp.__name__
@@ -600,7 +606,8 @@ def _term_to_dict(t: Term) -> dict:
 
 
 def dump_system_config(spec: SystemSpec, coeffs: Coefficients, path) -> None:
-    """Write a system and its coefficient values as a JSON config file."""
+    """Write a system and its coefficient values as a JSON config file,
+    through ``write_json``."""
     doc = {
         "name": spec.name,
         "n": spec.n,
@@ -614,9 +621,7 @@ def dump_system_config(spec: SystemSpec, coeffs: Coefficients, path) -> None:
     }
     if spec.resting is not None:
         doc["resting"] = list(spec.resting)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 @dataclass(frozen=True)
@@ -648,6 +653,31 @@ def load_json(path):
     """The JSON document in the file ``path``, read by ``decode_json``."""
     with open(path) as fh:
         return decode_json(fh.read(), str(path))
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as strict JSON, indented, with a final
+    newline.  Tuples and numpy arrays become lists and numpy scalars plain
+    numbers; a non-finite float, inside a list too, becomes the CSV
+    report's text for it (``"inf"``, ``"-inf"`` or ``"nan"``), so a strict
+    parser reads the file."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(doc), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.integer, np.floating)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def load_system_config(path) -> tuple[SystemSpec, Coefficients]:

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
@@ -36,6 +35,7 @@ from .dynamics import (
     json_value,
     load_json,
     load_system_config,
+    write_json,
 )
 from .neural import ARCHS, RecoveryResult, TrainConfig, recover, replay
 from .odesolve import integrate_batch
@@ -888,31 +888,6 @@ def save_dataset(dirpath, spec, coeffs, traces, meta) -> None:
         write_trace_csv(tr, os.path.join(dirpath, name))
         index.append({"file": name, "meta": tr.meta})
     write_json({"dataset": meta, "traces": index}, os.path.join(dirpath, "meta.json"))
-
-
-def write_json(doc, path) -> None:
-    """Write ``doc`` to ``path`` as strict JSON, indented, with a final
-    newline.  Tuples and numpy arrays become lists and numpy scalars plain
-    numbers; a non-finite float, inside a list too, becomes the CSV
-    report's text for it (``"inf"``, ``"-inf"`` or ``"nan"``), so a strict
-    parser reads the file."""
-    with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 def _dataset_index(doc):

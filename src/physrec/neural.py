@@ -232,72 +232,62 @@ def reconstruction_losses(
     d_rows: np.ndarray,
     windows: list[Trace],
     cfg: TrainConfig,
-    want_grads: bool = True,
 ):
-    """Losses (and FD gradients) for a batch of per-window candidates.
+    """Losses and central-difference gradients for a batch of per-window
+    candidates.
 
     ``coeff_rows`` is (B, p) and ``d_rows`` is (B, q).  All windows must
-    share their grid and sensing mask (SpecError otherwise).  Returns
-    ``(losses, g_coeff, g_d)`` with gradient arrays zero when
-    ``want_grads`` is false or a variant diverged.
+    share their grid and sensing mask (SpecError otherwise).  Each window's
+    parameters are its coefficients followed by its shift fractions, and
+    it solves one table of 1 + 2(p + q) rows: row 0 is the candidate, and
+    rows 1 + 2i and 2 + 2i add and subtract ``eps`` on parameter i
+    (``fd_eps * max(1, |c|)`` on a coefficient, ``fd_eps`` on a shift
+    fraction).  All rows of all windows go through one ``replay``.
+    Returns ``(losses, g_coeff, g_d)``: row 0's losses and the gradient
+    split into its (B, p) and (B, q) parts, both views of one array.  An
+    entry is zero where its plus or minus row or row 0 diverged.
     """
     B = len(windows)
-    p, q = spec.p, cfg.n_shift
+    p, nrow = spec.p, 1 + 2 * (spec.p + cfg.n_shift)
 
-    nvar = 1 + (2 * p + 2 * q if want_grads else 0)
-    coeff_all = np.repeat(coeff_rows, nvar, axis=0)
+    eps = cfg.fd_eps * np.hstack([np.maximum(1.0, np.abs(coeff_rows)), np.ones_like(d_rows)])
+    rows = np.repeat(np.hstack([coeff_rows, d_rows])[:, None, :], nrow, axis=1)
+    i = np.arange(eps.shape[1])
+    rows[:, 1 + 2 * i, i] += eps
+    rows[:, 2 + 2 * i, i] -= eps
+
+    # rows 0 to 2p share the candidate's inputs; only the shift rows move them
+    n_same = 1 + 2 * p
     u_blocks = []
-    eps_c = cfg.fd_eps * np.maximum(1.0, np.abs(coeff_rows))
-    eps_d = np.full((B, q), cfg.fd_eps)
+    for w, table in zip(windows, rows):
+        u = [_shift_inputs(w.u, cfg.shift_samples(d), cfg.shift_channels)
+             for d in table[[0, *range(n_same, nrow)], p:]]
+        u_blocks.append(np.stack(u[:1] * n_same + u[1:]))
 
-    for b, w in enumerate(windows):
-        base = b * nvar
-        u_shifted = _shift_inputs(w.u, cfg.shift_samples(d_rows[b]), cfg.shift_channels)
-        block = np.repeat(u_shifted[None], nvar, axis=0)
-        u_blocks.append(block)
-        if want_grads:
-            for j in range(p):
-                coeff_all[base + 1 + 2 * j, j] += eps_c[b, j]
-                coeff_all[base + 2 + 2 * j, j] -= eps_c[b, j]
-            for i in range(q):
-                for sgn, off in ((+1, 1 + 2 * p + 2 * i), (-1, 2 + 2 * p + 2 * i)):
-                    d_bump = d_rows[b].copy()
-                    d_bump[i] += sgn * eps_d[b, i]
-                    block[off] = _shift_inputs(w.u, cfg.shift_samples(d_bump), cfg.shift_channels)
-
-    y_est, diverged, _ = replay(spec, coeff_all, u_blocks, windows, cfg.solve_substeps)
+    y_est, diverged, _ = replay(
+        spec, rows[:, :, :p].reshape(B * nrow, p), u_blocks, windows, cfg.solve_substeps
+    )
 
     n_obs, k = y_est.shape[1:]
-    est = y_est[:, :, 1:].reshape(B, nvar, n_obs, k - 1)
+    est = y_est[:, :, 1:].reshape(B, nrow, n_obs, k - 1)
     target = np.stack([w.y[:, 1:] for w in windows])[:, None, :, :]
     with np.errstate(all="ignore"):
         losses = np.mean((est - target) ** 2, axis=(2, 3))
     losses = np.where(
-        diverged.reshape(B, nvar) | ~np.isfinite(losses), DIVERGED_LOSS, losses
+        diverged.reshape(B, nrow) | ~np.isfinite(losses), DIVERGED_LOSS, losses
     )
 
-    base_loss = losses[:, 0]
-    g_coeff = np.zeros((B, p))
-    g_d = np.zeros((B, q))
-    if want_grads:
-        ok = base_loss < DIVERGED_LOSS
-        for j in range(p):
-            lp, lm = losses[:, 1 + 2 * j], losses[:, 2 + 2 * j]
-            good = ok & (lp < DIVERGED_LOSS) & (lm < DIVERGED_LOSS)
-            g_coeff[:, j] = np.where(good, (lp - lm) / (2 * eps_c[:, j]), 0.0)
-        for i in range(q):
-            lp, lm = losses[:, 1 + 2 * p + 2 * i], losses[:, 2 + 2 * p + 2 * i]
-            good = ok & (lp < DIVERGED_LOSS) & (lm < DIVERGED_LOSS)
-            g_d[:, i] = np.where(good, (lp - lm) / (2 * eps_d[:, i]), 0.0)
-        if cfg.grad_clip > 0:
-            # near-divergent candidates produce astronomic slopes that
-            # would poison the optimizer's second moments; keep the
-            # direction, cap the magnitude
-            norms = np.sqrt(np.sum(g_coeff**2, axis=1) + np.sum(g_d**2, axis=1))
-            factor = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-30))
-            g_coeff *= factor[:, None]
-            g_d *= factor[:, None]
-    return base_loss, g_coeff, g_d
+    plus, minus = losses[:, 1::2], losses[:, 2::2]
+    good = (losses[:, :1] < DIVERGED_LOSS) & (plus < DIVERGED_LOSS) & (minus < DIVERGED_LOSS)
+    grads = np.where(good, (plus - minus) / (2 * eps), 0.0)
+    g_coeff, g_d = grads[:, :p], grads[:, p:]
+    if cfg.grad_clip > 0:
+        # near-divergent candidates produce astronomic slopes that would
+        # poison the optimizer's second moments; keep the direction, cap
+        # the magnitude
+        norms = np.sqrt(np.sum(g_coeff**2, axis=1) + np.sum(g_d**2, axis=1))
+        grads *= np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-30))[:, None]
+    return losses[:, 0], g_coeff, g_d
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +381,8 @@ def init_params(
         params[f"head.b{li}"] = np.zeros(fan_out)
     # concentrate the initial estimates: a wide initial spread would throw
     # most candidates far off the stability manifold and clamp their
-    # losses before learning starts; the per-coefficient bias is filled in
-    # by the caller from the resting-consistency solve
-    last = len(sizes) - 2
-    params[f"head.w{last}"] *= cfg.head_init_scale
-    params[f"head.b{last}"][: spec.p] = cfg.coeff_bias_init
+    # losses before learning starts
+    params[f"head.w{len(sizes) - 2}"] *= cfg.head_init_scale
     return params
 
 
@@ -739,7 +726,7 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
     out_var = tape.custom_node(
         [h_var, *(leaves[key] for key in head_keys)], np.vstack((coeff, d)), head_back
     )
-    losses, g_c, g_d = reconstruction_losses(spec, coeff.T, d.T, windows, cfg, want_grads=True)
+    losses, g_c, g_d = reconstruction_losses(spec, coeff.T, d.T, windows, cfg)
     B = len(group)
     g_out = np.vstack((g_c.T, g_d.T))
     loss_var = tape.custom_node([out_var], np.mean(losses), lambda cot: [cot * g_out / B])

@@ -199,6 +199,61 @@ def test_dump_then_load_gives_an_equal_system(system, tmp_path):
     assert coeffs2.values.tolist() == coeffs.values.tolist()
 
 
+def _refuse(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("system", sorted({*BUILTIN_NAMES, *_PRESETS}))
+def test_a_system_dump_is_strict_json_indented_by_two(system, tmp_path):
+    spec, coeffs = _PRESETS[system].system() if system in _PRESETS else builtin_system(system)
+    path = tmp_path / "system.json"
+    dump_system_config(spec, coeffs, path)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text, parse_constant=_refuse), indent=2) + "\n"
+
+
+def _experiment(text, tmp_path):
+    return from_json(ExperimentConfig, json.loads(text))
+
+
+def _system(edit, tmp_path):
+    keys, text = edit
+    path, doc = _system_doc(tmp_path, "lotka_volterra")
+    _set(doc, keys, json.loads(text))
+    path.write_text(json.dumps(doc))
+    return load_system_config(path)
+
+
+def _override(text, tmp_path):
+    return generate_benchmark_data("scalar", {"n_traces": 1, "k": 40, **json.loads(text)})
+
+
+NON_FINITE = [
+    (_experiment, '{"train": {"grad_clip": NaN}}',
+     r"^ExperimentConfig\.train\.grad_clip must be a finite float, got nan$"),
+    (_experiment, '{"sindy_threshold": NaN}',
+     r"^ExperimentConfig\.sindy_threshold must be a finite float, got nan$"),
+    (_experiment, '{"train": {"lr": 1e400}}',
+     r"^ExperimentConfig\.train\.lr must be a finite float, got inf$"),
+    (_experiment, '{"train": {"lr": 1%s}}' % ("0" * 400),
+     r"^ExperimentConfig\.train\.lr must be a finite float, got 10000"),
+    (_system, (("resting",), "[NaN, 20.0]"), r"resting\[0\] must be a finite float, got nan$"),
+    (_system, (("f_terms", 1, "weight"), "-Infinity"),
+     r"f_terms\[1\]\.weight must be a finite float, got -inf$"),
+    (_override, '{"amp": [NaN, 1.0]}',
+     r"^preset 'scalar' override 'amp'\[0\] must be a finite float, got nan$"),
+]
+
+
+@pytest.mark.parametrize(
+    "load,arg,message", NON_FINITE,
+    ids=["grad_clip", "sindy_threshold", "overflow", "huge_int", "resting", "weight", "amp"],
+)
+def test_a_non_finite_float_is_named(load, arg, message, tmp_path):
+    with pytest.raises(ConfigError, match=message):
+        load(arg, tmp_path)
+
+
 OVERRIDE_ERRORS = [
     ({"perturbation": "no"}, "'perturbation' must be bool, got 'no'"),
     ({"k": 50.5}, "'k' must be int, got 50.5"),

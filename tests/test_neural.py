@@ -54,7 +54,6 @@ def test_reconstruction_losses_rejects_mixed_windows(first, odd, what):
             np.zeros((3, 0)),
             windows,
             TrainConfig(),
-            want_grads=False,
         )
     assert f"window 2 has {what} " in str(err.value)
 
@@ -68,7 +67,6 @@ def test_window_mask_must_cover_every_state(mask):
     with pytest.raises(ConfigError, match=f"has {len(mask)} entries but lotka_volterra has 2"):
         reconstruction_losses(
             spec, coeffs.values[None, :], np.zeros((1, 0)), [window], TrainConfig(),
-            want_grads=False,
         )
 
 
@@ -153,9 +151,135 @@ def test_reconstruction_losses_shared_grid_at_equilibrium():
         np.zeros((2, 0)),
         [_window(), _window()],
         TrainConfig(),
-        want_grads=False,
     )
     assert np.all(losses < 1e-20)
+
+
+def _row_errors(spec, coeff, d, w, cfg):
+    """One candidate solved alone: its squared errors against the window's
+    observations after the first, and whether it diverged.  ``coeff`` are
+    its coefficients and ``d`` the shift fractions of the window's shift
+    channels; the state starts at rest with the observed entries set to
+    the window's first sample."""
+    seen = [i for i, flag in enumerate(w.meta["mask"]) if flag]
+    x0 = spec.resting_state()
+    x0[seen] = w.y[:, 0]
+    u = w.u.copy()
+    for frac, ch in zip(d, cfg.shift_channels):
+        u[ch] = shift_signed(w.u[ch], float(np.clip(frac * cfg.s_max, -(w.k - 1), w.k - 1)))
+    states, diverged, _ = integrate_batch(
+        spec, coeff[None, :], x0[None, :], u[None], w.k, w.dt, cfg.solve_substeps
+    )
+    with np.errstate(all="ignore"):
+        return (states[0, seen, 1:] - w.y[:, 1:]) ** 2, bool(diverged[0])
+
+
+def _fd_oracle(spec, coeff_rows, d_rows, windows, cfg):
+    """``reconstruction_losses`` one row at a time.  Per window the rows are
+    the candidate, then a plus and a minus row for every coefficient (step
+    ``fd_eps * max(1, |c|)``) and every shift fraction (step ``fd_eps``),
+    each solved by ``_row_errors``.  A gradient entry is its central
+    difference, zero where any of the base, plus and minus rows diverged;
+    each window's gradient is then scaled to a norm of at most
+    ``grad_clip``.  Returns ``(losses, g_coeff, g_d, row_losses)``, the
+    last (windows, rows) in the order above."""
+    p = spec.p
+    errors, bad, steps = [], [], []
+    for c, d, w in zip(coeff_rows, d_rows, windows):
+        params = np.concatenate([c, d])
+        eps = [cfg.fd_eps * max(1.0, abs(v)) for v in c] + [cfg.fd_eps] * len(d)
+        rows = [params]
+        for j, e in enumerate(eps):
+            up, down = params.copy(), params.copy()
+            up[j] = params[j] + e
+            down[j] = params[j] - e
+            rows += [up, down]
+        solved = [_row_errors(spec, row[:p], row[p:], w, cfg) for row in rows]
+        errors.append([err for err, _ in solved])
+        bad.append([flag for _, flag in solved])
+        steps.append(eps)
+    with np.errstate(all="ignore"):
+        row_losses = np.array([[np.mean(err) for err in row] for row in errors])
+    row_losses[np.array(bad) | ~np.isfinite(row_losses)] = neural.DIVERGED_LOSS
+    grads = np.zeros((len(windows), len(steps[0])))
+    for b, eps in enumerate(steps):
+        for j, e in enumerate(eps):
+            base, lp, lm = row_losses[b, [0, 1 + 2 * j, 2 + 2 * j]]
+            if max(base, lp, lm) < neural.DIVERGED_LOSS:
+                grads[b, j] = (lp - lm) / (2 * e)
+        if cfg.grad_clip > 0:
+            norm = np.sqrt(np.sum(grads[b, :p] ** 2) + np.sum(grads[b, p:] ** 2))
+            grads[b] *= min(1.0, cfg.grad_clip / max(norm, 1e-30))
+    return row_losses[:, 0], grads[:, :p], grads[:, p:], row_losses
+
+
+def _lv_fd_case():
+    """Six LV windows (p = 4) that observe the prey only, with per-window
+    candidates near the truth and shift fractions for the one input
+    channel (q = 1).  One observed state keeps each row's mean a sum in
+    sample order: with more, the batched mean's summation order follows
+    the replay's memory layout, and a one-row mean can differ from it in
+    the last bit."""
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 100}, seed=1
+    )
+    traces = apply_mask_to_traces(traces, SensingMask((1, 0)))
+    windows = list(make_batches(traces, 4, 25, 1.0, seed=1).windows[:6])
+    rng = np.random.default_rng(5)
+    coeff_rows = coeffs.values * rng.uniform(0.7, 1.3, (6, spec.p))
+    return spec, coeff_rows, rng.uniform(-0.3, 0.3, (6, 1)), windows
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 0.4], ids=["unclipped", "clipped"])
+def test_fd_loss_matches_a_row_by_row_oracle(grad_clip):
+    spec, coeff_rows, d_rows, windows = _lv_fd_case()
+    cfg = TrainConfig(shift_channels=(0,), grad_clip=grad_clip)
+    got = reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)
+    want = _fd_oracle(spec, coeff_rows, d_rows, windows, cfg)
+    for g, w in zip(got, want[:3]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    losses, g_c, g_d = got
+    assert np.all(losses < neural.DIVERGED_LOSS)
+    assert np.all(g_c != 0.0) and np.all(g_d != 0.0)
+    if grad_clip:
+        # the clip binds on some windows and leaves the others alone
+        unclipped = replace(cfg, grad_clip=0.0)
+        raw = np.hstack(_fd_oracle(spec, coeff_rows, d_rows, windows, unclipped)[1:3])
+        clipped = np.linalg.norm(raw, axis=1) > grad_clip
+        assert 0 < np.count_nonzero(clipped) < len(windows)
+        g = np.hstack([g_c, g_d])
+        assert np.allclose(np.linalg.norm(g[clipped], axis=1), grad_clip)
+        assert np.array_equal(g[~clipped], raw[~clipped])
+
+
+def test_fd_loss_zeroes_diverged_pairs_and_windows():
+    # fd_eps = 2 sends one row of some coefficient pairs past the
+    # divergence limit.  A huge prey growth rate diverges every row of
+    # window 0.  A predator cull at the centre of window 1 diverges its row
+    # 0, while its shift rows move the cull out of the window and stay
+    # finite, so only row 0 can zero that pair.
+    spec, coeff_rows, d_rows, windows = _lv_fd_case()
+    coeff_rows[0, 0] = 1e3
+    cull = windows[1].u.copy()
+    cull[0, 10:14] -= 1e4
+    windows[1] = replace(windows[1], u=cull)
+    d_rows[1] = 0.0
+    cfg = TrainConfig(shift_channels=(0,), fd_eps=2.0, grad_clip=0.0)
+    got = reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)
+    *want, row_losses = _fd_oracle(spec, coeff_rows, d_rows, windows, cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    losses, g_c, g_d = got
+    diverged = row_losses == neural.DIVERGED_LOSS
+    plus, minus = diverged[:, 1::2], diverged[:, 2::2]
+    assert diverged[:2, 0].all() and not diverged[2:, 0].any()
+    assert not plus[1, -1] and not minus[1, -1]
+    assert not np.any(g_c[:2]) and not np.any(g_d[:2])
+    # elsewhere a pair with a diverged row gives 0, and the other pairs of
+    # the same windows keep their differences
+    g, plus, minus = np.hstack([g_c, g_d])[2:], plus[2:], minus[2:]
+    assert np.any(plus != minus) and np.any(~plus & ~minus)
+    assert not np.any(g[plus | minus]) and np.all(g[~plus & ~minus] != 0.0)
 
 
 def reference_final_states(arch, params, tensor, dt, substeps):
