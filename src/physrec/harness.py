@@ -492,6 +492,8 @@ class ExperimentConfig:
             ("k_window", self.k_window >= 2, ">= 2"),
             ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
             ("sindy_degree", self.sindy_degree >= 1, ">= 1"),
+            ("sindy_threshold", 0 <= self.sindy_threshold < np.inf, "finite and >= 0"),
+            ("sindy_lambda", 0 <= self.sindy_lambda < np.inf, "finite and >= 0"),
             ("mask", self.mask is None or {*self.mask} <= {0, 1} and 1 in self.mask,
              "null or 0/1 entries with at least one 1"),
         )

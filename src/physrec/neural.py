@@ -107,17 +107,21 @@ class TrainConfig:
     def __post_init__(self):
         rules = (
             ("epochs", self.epochs >= 0, ">= 0"),
-            ("lr", self.lr > 0, "> 0"),
+            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("adam_eps", 0 < self.adam_eps < np.inf, "finite and > 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("unfold_substeps", self.unfold_substeps >= 1, ">= 1"),
             ("solve_substeps", self.solve_substeps >= 1, ">= 1"),
-            ("s_max", self.s_max >= 0, ">= 0"),
+            ("s_max", 0 <= self.s_max < np.inf, "finite and >= 0"),
             ("hidden_width", self.hidden_width >= 1, ">= 1"),
             ("head_layers", all(w >= 1 for w in self.head_layers), "widths >= 1"),
             ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
-            ("fd_eps", self.fd_eps > 0, "> 0"),
+            ("fd_eps", 0 < self.fd_eps < np.inf, "finite and > 0"),
+            # 0 switches a clip off
+            ("grad_clip", 0 <= self.grad_clip < np.inf, "finite and >= 0"),
+            ("weight_grad_clip", 0 <= self.weight_grad_clip < np.inf, "finite and >= 0"),
             ("warmup_epochs", self.warmup_epochs >= 0, ">= 0"),
         )
         for name, ok, want in rules:
@@ -402,13 +406,15 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     return max(rms, 1e-3)
 
 
-def _add_in_reverse(total, parts):
-    """``total`` plus each of ``parts`` from the last to the first, one add
-    at a time; a ``None`` total starts from the last part, as the tape
-    does."""
+def _add_in_reverse(total, parts, fresh):
+    """Add each of ``parts`` into ``total`` in place, one add at a time from
+    the last to the first; a ``fresh`` total starts as a copy of the last
+    part, as the tape's first contribution does."""
+    if fresh:
+        np.copyto(total, parts[-1])
+        parts = parts[:-1]
     for part in parts[::-1]:
-        total = part if total is None else total + part
-    return total
+        np.add(total, part, total)
 
 
 def _cell_forward(
@@ -433,29 +439,35 @@ def _cell_forward(
     input lies in (-1, 1), so ``exp`` cannot overflow.
 
     The constants are folded once per call: the LTC columns ``target
-    delta`` and ``1 + delta/tau``, then every sample's drive in one stacked
-    matmul, so an LTC substep is matmul, add, tanh, exp, log1p and five
-    arithmetic ops.  The unroll runs in plain numpy, with its column and
-    scalar operands broadcast to full (V, B) arrays once; ``z`` (then
-    ``tanh(z)`` in place), LTC's ``f`` and its numerator and denominator
-    are (V, B) buffers made once per call.
+    delta`` and ``1 + delta/tau``, broadcast with the other column and
+    scalar operands to full (V, B) arrays.  Each arch's substep is one
+    closure, ``step``, that writes ``tanh(z)`` (and LTC's ``f``, numerator
+    and denominator, or a CT-RNN/NODE temporary) into the work buffers it
+    is given and the next state into ``nxt``, so an LTC substep is matmul,
+    add, tanh, exp, log1p and five arithmetic ops, all in place.  Each
+    sample's drive goes into one (V, B) buffer.
 
-    For its backward-through-time the unroll keeps one per-substep array,
-    the state each substep starts from, in a preallocated (substep, V, B)
-    stack, beside the window's inputs and the (k, V, B) drives.  The
-    backward visits the samples last to first.  For each it recomputes
-    ``z = w_rec h + drive`` over the sample's substeps (one stacked matmul,
-    then one add), ``tanh(z)`` and, for LTC, ``f``, then computes the
-    factors that do not depend on the cotangent in one operation over the
-    substeps (LTC rebuilds the step's numerator and denominator with the
-    forward's own expressions); only the cotangent's chain stays in the
-    per-substep loop, which writes the parts that feed parameter gradients
-    into per-sample stacks.  The recomputed values equal the forward's bit
-    for bit: they come from the same numpy operations on the same inputs,
-    a stacked matmul runs the forward's 2-D gemm once per substep, and
-    the elementwise functions give each element the same bits whatever
-    its position in the array.  Recomputing costs three to five numpy
-    calls per sample and saves two whole-window stacks (LTC) or one.
+    The forward keeps one (V, B) state per sample boundary: the zero
+    state, then the state after each sample, the last being ``h``, in a
+    (k + 1, V, B) stack beside the window's inputs.  Inside a sample the
+    substeps alternate two scratch buffers and the last one writes the
+    next boundary slot.  The backward visits the samples last to first
+    and replays each from its saved boundary state: it calls the same
+    ``step`` on the same operands, now into per-substep views of (n_sub,
+    V, B) stacks of the states, ``tanh(z)`` and LTC's ``f``, numerator and
+    denominator, and skips the last substep's state update, whose result
+    is the saved next boundary.  The replay gives the forward's bits
+    because both passes make the same numpy calls on equal operands of
+    the same shape and layout (contiguous (V, B) arrays); only their
+    addresses differ.  The factors that do not depend on the cotangent
+    (``1 - tanh(z)^2`` and, for LTC, ``1 + exp(-tanh(z))``, the squared
+    denominator and the negated numerator) then take one call each over
+    the sample's stacks, where an elementwise function gives each element
+    the same bits whatever its position in the array.  Only the
+    cotangent's chain runs per substep, through two alternating (V, B)
+    buffers, so the caller's cotangent is never written.  Every stack,
+    per-substep view and buffer of the backward is made once per call,
+    and every ufunc writes through a positional output.
 
     Both passes are bit-identical to recording the cell on a tape, one
     primitive per node, as the tests' ``reference_tape_cell`` does:
@@ -467,19 +479,18 @@ def _cell_forward(
     backward applies each primitive's backward expression and adds every
     fan-out and every per-substep or per-sample weight contribution in
     ``Tape.backward``'s order (reverse recording order, first contribution
-    first).  Per sample, each parameter's parts come
-    from one operation over the stack (a B-axis ``np.add.reduce``, which
-    sums each row alone as a per-substep ``np.sum`` does, or one stacked
-    matmul) and are added to the running total by ``_add_in_reverse``, one
-    add at a time from the last substep back: a reduction over the
-    substep axis could sum pairwise instead.
+    first).  Per sample, each parameter's parts come from one operation
+    over the stack (a B-axis ``np.add.reduce``, which sums each row alone
+    as a per-substep ``np.sum`` does, or one stacked matmul) and are added
+    into the running total by ``_add_in_reverse``, one add at a time from
+    the last substep back: a reduction over the substep axis could sum
+    pairwise instead.
     """
     names = [key for key in CELL_LEAVES if key in params]
     w_in, w_rec, b = (params[key] for key in CELL_LEAVES[:3])
     B, _, k = window_tensor.shape
     V = w_rec.shape[0]
     n_sub = cfg.unfold_substeps
-    n_steps = k * n_sub
     delta = dt / n_sub
 
     def wide(operand):  # a scalar or a (V, 1) column as a full (V, B) array
@@ -489,91 +500,157 @@ def _cell_forward(
     if arch in ("ltc", "ctrnn"):
         tau = params["cell.tau"]
         inv_tau = 1.0 / tau
+
+    def tanh_z(h, drive, th):  # th <- tanh(w_rec h + drive)
+        np.matmul(w_rec, h, th)
+        np.add(th, drive, th)
+        np.tanh(th, th)
+
     if arch == "ltc":
         tdel_col = (params["cell.target"] * delta)[:, None]
         c_col = (inv_tau * delta + 1.0)[:, None]
         tdel_f, c_f = wide(tdel_col), wide(c_col)
+
+        def step(drive, h, nxt, th, f, num, den):
+            tanh_z(h, drive, th)
+            np.log1p(np.exp(th, f), f)
+            np.multiply(f, tdel_f, num)
+            np.add(num, h, num)
+            np.multiply(f, delta_f, den)
+            np.add(den, c_f, den)
+            if nxt is not None:
+                np.divide(num, den, nxt)
+
     elif arch == "ctrnn":
         inv_f = wide(inv_tau[:, None])
+
+        def step(drive, h, nxt, th, tmp):
+            tanh_z(h, drive, th)
+            if nxt is not None:
+                np.multiply(h, inv_f, tmp)
+                np.subtract(th, tmp, tmp)
+                np.multiply(tmp, delta_f, tmp)
+                np.add(h, tmp, nxt)
+
+    else:
+
+        def step(drive, h, nxt, th, tmp):
+            tanh_z(h, drive, th)
+            if nxt is not None:
+                np.multiply(th, delta_f, tmp)
+                np.add(h, tmp, nxt)
+
+    n_work = 4 if arch == "ltc" else 2  # the arrays after ``nxt`` in ``step``
     inputs = np.ascontiguousarray(np.transpose(window_tensor, (2, 1, 0)))  # k x C x B
-    drives = w_in @ inputs  # k x V x B: each sample's drive w_in u + b
-    drives += b_col
-    states = np.empty((n_steps + 1, V, B))  # the state each substep starts from, then h
+    drive = np.empty((V, B))
+
+    def drive_of(t):  # drive <- w_in u_t + b
+        np.matmul(w_in, inputs[t], drive)
+        np.add(drive, b_col, drive)
+
+    states = np.empty((k + 1, V, B))  # the zero state, then the state after each sample
     states[0] = 0.0
-    z, num, den = np.empty((V, B)), np.empty((V, B)), np.empty((V, B))
-    f = np.empty((V, B)) if arch == "ltc" else None
+    work = tuple(np.empty((n_work, V, B)))
+    scratch = tuple(np.empty((2, V, B)))
     for t in range(k):
-        drive = drives[t]
-        for i in range(t * n_sub, (t + 1) * n_sub):
-            h = states[i]
-            np.matmul(w_rec, h, out=z)
-            z += drive
-            th = np.tanh(z, out=z)
-            if arch == "ltc":
-                np.log1p(np.exp(th, out=f), out=f)
-                np.multiply(f, tdel_f, out=num)
-                num += h
-                np.multiply(f, delta_f, out=den)
-                den += c_f
-                np.divide(num, den, out=states[i + 1])
-            elif arch == "ctrnn":
-                np.add(h, (th - h * inv_f) * delta_f, out=states[i + 1])
-            else:
-                np.add(h, th * delta_f, out=states[i + 1])
+        drive_of(t)
+        h = states[t]
+        for s in range(n_sub):
+            nxt = states[t + 1] if s == n_sub - 1 else scratch[s % 2]
+            step(drive, h, nxt, *work)
+            h = nxt
 
     def vjp(g):
         w_rec_t = w_rec.T
-        g_w_in = g_w_rec = g_b = g_vec = None
-        g_z_sub = np.empty((n_sub, V, B))
-        if arch in ("ltc", "ctrnn"):
-            g_sub = np.empty((n_sub, V, B))  # LTC: g_den; CT-RNN: g_leak
+        # the replay: the state each substep starts from and the step's work
+        hs = np.empty((n_sub, V, B))
+        kept = np.empty((n_work, n_sub, V, B))
+        replay_args = [
+            (hs[s], hs[s + 1] if s + 1 < n_sub else None, *kept[:, s]) for s in range(n_sub)
+        ]
+        th_all = kept[0]  # tanh(z), then its derivative 1 - tanh(z)^2
+        # the cotangent chain and the parts that feed parameter gradients
+        chain = tuple(np.empty((2, V, B)))
+        tmp = np.empty((V, B))
+        g_z = np.empty((n_sub, V, B))
+        n_vec = {"ltc": 2, "ctrnn": 1, "node": 0}[arch]
+        vec_parts = np.empty((n_sub, n_vec, V))  # per substep, the parts of each tau column
+        g_vec = np.empty((n_vec, V))
+        w_rec_parts = np.empty((n_sub, V, V))
+        g_w_rec = np.empty((V, V))
+        g_drive, g_b, b_part = np.empty((V, B)), np.empty(V), np.empty(V)
+        g_w_in, w_in_part = np.empty(w_in.shape), np.empty(w_in.shape)
         if arch == "ltc":
-            g_num_sub = np.empty((n_sub, V, B))
+            _, f_all, num_all, den_all = kept
+            sig_den, den2 = np.empty((n_sub, V, B)), np.empty((n_sub, V, B))
+            g_num, g_den, g_f = np.empty((n_sub, V, B)), np.empty((n_sub, V, B)), np.empty((V, B))
+            sub_views = list(zip(g_num, g_den, den_all, num_all, den2, sig_den, g_z, th_all))
+        else:
+            g_leak = np.empty((n_sub, V, B))
+            sub_views = list(zip(g_leak, g_z, th_all))
+        n_done = 0
         for t in reversed(range(k)):
-            steps = slice(t * n_sub, (t + 1) * n_sub)
-            h_prev = states[steps]
-            z_all = w_rec @ h_prev
-            z_all += drives[t]
-            th = np.tanh(z_all, out=z_all)
-            d_tanh = 1.0 - th * th
+            fresh = t == k - 1
+            drive_of(t)
+            hs[0] = states[t]
+            for args in replay_args:
+                step(drive, *args)
             if arch == "ltc":
-                f = np.exp(th)
-                np.log1p(f, out=f)
-                neg_num = -(f * tdel_col + h_prev)
-                den = f * delta + c_col
-                den2 = den * den
-                sig_den = 1.0 + np.exp(-th)
-                for s in reversed(range(n_sub)):
-                    g_num = np.divide(g, den[s], out=g_num_sub[s])
-                    g_den = np.multiply(g, neg_num[s], out=g_sub[s])
-                    np.divide(g_den, den2[s], out=g_den)
-                    g_f = g_den * delta_f
-                    g_f += g_num * tdel_f
-                    g_z = np.divide(g_f, sig_den[s], out=g_z_sub[s])
-                    np.multiply(g_z, d_tanh[s], out=g_z)
-                    g = w_rec_t @ g_z
-                    g += g_num
+                np.negative(th_all, sig_den)
+                np.exp(sig_den, sig_den)
+                np.add(1.0, sig_den, sig_den)
+                np.multiply(den_all, den_all, den2)
+                np.negative(num_all, num_all)
+            np.multiply(th_all, th_all, th_all)
+            np.subtract(1.0, th_all, th_all)
+            for views in reversed(sub_views):
+                g_new = chain[n_done % 2]
+                n_done += 1
+                if arch == "ltc":
+                    g_num_s, g_den_s, den, neg_num, den2_s, sig_den_s, g_z_s, d_tanh = views
+                    np.divide(g, den, g_num_s)
+                    np.multiply(g, neg_num, g_den_s)
+                    np.divide(g_den_s, den2_s, g_den_s)
+                    np.multiply(g_den_s, delta_f, g_f)
+                    np.multiply(g_num_s, tdel_f, tmp)
+                    np.add(g_f, tmp, g_f)
+                    np.divide(g_f, sig_den_s, g_z_s)
+                    np.multiply(g_z_s, d_tanh, g_z_s)
+                    np.matmul(w_rec_t, g_z_s, g_new)
+                    np.add(g_new, g_num_s, g_new)
+                elif arch == "ctrnn":
+                    g_leak_s, g_z_s, d_tanh = views
+                    np.multiply(g, delta_f, tmp)
+                    np.negative(tmp, g_leak_s)
+                    np.multiply(tmp, d_tanh, g_z_s)
+                    np.multiply(g_leak_s, inv_f, tmp)
+                    np.add(g, tmp, g_new)
+                    np.matmul(w_rec_t, g_z_s, tmp)
+                    np.add(g_new, tmp, g_new)
+                else:
+                    _, g_z_s, d_tanh = views
+                    np.multiply(g, delta_f, g_z_s)
+                    np.multiply(g_z_s, d_tanh, g_z_s)
+                    np.matmul(w_rec_t, g_z_s, tmp)
+                    np.add(g, tmp, g_new)
+                g = g_new
+            if arch == "ltc":
                 # per substep, the parts of 1 + delta/tau and of target delta
-                vec_parts = np.stack(
-                    (np.add.reduce(g_sub, axis=2), np.add.reduce(g_num_sub * f, axis=2)), axis=1
-                )
-            elif arch == "ctrnn":
-                for s in reversed(range(n_sub)):
-                    g_d = g * delta_f
-                    g_leak = np.negative(g_d, out=g_sub[s])
-                    g_z = np.multiply(g_d, d_tanh[s], out=g_z_sub[s])
-                    g = g + g_leak * inv_f + w_rec_t @ g_z
-                vec_parts = np.add.reduce(g_sub * h_prev, axis=2)[:, None]  # 1/tau
-            else:
-                for s in reversed(range(n_sub)):
-                    g_z = np.multiply(g * delta_f, d_tanh[s], out=g_z_sub[s])
-                    g = g + w_rec_t @ g_z
-            if arch != "node":
-                g_vec = _add_in_reverse(g_vec, vec_parts)
-            g_w_rec = _add_in_reverse(g_w_rec, g_z_sub @ h_prev.transpose(0, 2, 1))
-            g_drive = _add_in_reverse(None, g_z_sub)
-            g_b = _add_in_reverse(g_b, [np.add.reduce(g_drive, axis=1)])
-            g_w_in = _add_in_reverse(g_w_in, [g_drive @ inputs[t].T])
+                np.add.reduce(g_den, axis=2, out=vec_parts[:, 0])
+                np.multiply(g_num, f_all, g_num)
+                np.add.reduce(g_num, axis=2, out=vec_parts[:, 1])
+            elif arch == "ctrnn":  # of 1/tau
+                np.multiply(g_leak, hs, g_leak)
+                np.add.reduce(g_leak, axis=2, out=vec_parts[:, 0])
+            if n_vec:
+                _add_in_reverse(g_vec, vec_parts, fresh)
+            np.matmul(g_z, hs.transpose(0, 2, 1), w_rec_parts)
+            _add_in_reverse(g_w_rec, w_rec_parts, fresh)
+            _add_in_reverse(g_drive, g_z, True)
+            np.add.reduce(g_drive, axis=1, out=b_part)
+            _add_in_reverse(g_b, (b_part,), fresh)
+            np.matmul(g_drive, inputs[t].T, w_in_part)
+            _add_in_reverse(g_w_in, (w_in_part,), fresh)
         grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_b}
         if arch == "ltc":
             grads["cell.tau"] = -(g_vec[0] * delta) / (tau * tau)
@@ -707,8 +784,8 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
 
     The tape records three nodes on the parameter leaves: the cell, the
     head (its value is the coefficients stacked over the shift fractions)
-    and the mean loss.  The tape, the cell's saved arrays and the head's
-    are locals here and die on return."""
+    and the mean loss.  The tape, the cell's saved boundary states and the
+    head's saved arrays are locals here and die on return."""
     windows = [batches.windows[i] for i in group]
     tape = Tape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
@@ -758,9 +835,10 @@ def train(
     evaluated without dropout.  Deterministic for a given seed.
 
     Each training step records on its own tape inside ``_train_step``,
-    and only arrays leave it: one recording, with the cell's saved stack
-    of per-substep states, is alive at a time.  The initialization probe and
-    the evaluation groups record nothing and drop the backward closures.
+    and only arrays leave it: one recording, with the cell's (k + 1, V,
+    B) stack of sample-boundary states, is alive at a time.  The
+    initialization probe and the evaluation groups record nothing and
+    drop the backward closures.
     """
     if arch not in ARCHS:
         raise SpecError(f"unknown architecture {arch!r}")

@@ -73,6 +73,39 @@ def test_experiment_config_rejects_values_outside_its_rules(doc, message):
         from_json(ExperimentConfig, doc)
 
 
+NAN, INF = float("nan"), float("inf")
+SAFEGUARD_RULES = [
+    (TrainConfig, "grad_clip", NAN, "finite and >= 0"),
+    (TrainConfig, "grad_clip", -1.0, "finite and >= 0"),
+    (TrainConfig, "grad_clip", INF, "finite and >= 0"),
+    (TrainConfig, "weight_grad_clip", -1.0, "finite and >= 0"),
+    (TrainConfig, "weight_grad_clip", NAN, "finite and >= 0"),
+    (TrainConfig, "adam_eps", INF, "finite and > 0"),
+    (TrainConfig, "adam_eps", 0.0, "finite and > 0"),
+    (TrainConfig, "adam_eps", NAN, "finite and > 0"),
+    (TrainConfig, "lr", INF, "finite and > 0"),
+    (TrainConfig, "fd_eps", INF, "finite and > 0"),
+    (TrainConfig, "s_max", INF, "finite and >= 0"),
+    (TrainConfig, "s_max", NAN, "finite and >= 0"),
+    (ExperimentConfig, "sindy_threshold", NAN, "finite and >= 0"),
+    (ExperimentConfig, "sindy_threshold", -0.05, "finite and >= 0"),
+    (ExperimentConfig, "sindy_lambda", INF, "finite and >= 0"),
+    (ExperimentConfig, "sindy_lambda", -1e-6, "finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,field,value,want", SAFEGUARD_RULES,
+    ids=[f"{field}={value}" for _, field, value, _ in SAFEGUARD_RULES],
+)
+def test_a_config_built_in_python_rejects_a_value_that_disables_a_safeguard(
+    cls, field, value, want
+):
+    message = rf"^{cls.__name__}\.{field} must be {want}, got {value!r}$"
+    with pytest.raises(SpecError, match=message):
+        cls(**{field: value})
+
+
 def test_a_json_int_for_a_float_field_is_the_float():
     cfg = from_json(ExperimentConfig, {"split_ratio": 1, "train": {"lr": 1, "s_max": 25}})
     want = ExperimentConfig(split_ratio=1.0, train=TrainConfig(lr=1.0))
@@ -81,6 +114,7 @@ def test_a_json_int_for_a_float_field_is_the_float():
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_nonneg = st.floats(0.0, allow_infinity=False, width=64)
 _unit = st.floats(0.0, 1.0, exclude_max=True)
 TRAIN_CONFIGS = st.builds(
     TrainConfig,
@@ -88,7 +122,7 @@ TRAIN_CONFIGS = st.builds(
     lr=st.floats(1e-12, 1e3),
     beta1=_unit,
     beta2=_unit,
-    adam_eps=_floats,
+    adam_eps=st.floats(0.0, exclude_min=True, allow_infinity=False, width=64),
     batch_size=st.integers(1, 512),
     unfold_substeps=st.integers(1, 16),
     solve_substeps=st.integers(1, 16),
@@ -99,8 +133,8 @@ TRAIN_CONFIGS = st.builds(
     head_layers=st.lists(st.integers(1, 256), max_size=3).map(tuple),
     dropout=_unit,
     fd_eps=st.floats(1e-12, 1.0),
-    grad_clip=_floats,
-    weight_grad_clip=_floats,
+    grad_clip=_nonneg,
+    weight_grad_clip=_nonneg,
     head_init_scale=_floats,
     coeff_bias_init=_floats,
     warmup_epochs=st.integers(0, 100),
@@ -123,8 +157,8 @@ EXPERIMENT_CONFIGS = st.builds(
     generation=st.dictionaries(st.text(max_size=8), _json_scalars, max_size=4)
     .map(lambda d: tuple(sorted(d.items()))),
     sindy_degree=st.integers(1, 5),
-    sindy_threshold=_floats,
-    sindy_lambda=_floats,
+    sindy_threshold=_nonneg,
+    sindy_lambda=_nonneg,
 )
 
 
