@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from . import sindy
+from . import neural, signals, sindy
 from .dynamics import (
     Coefficients,
     ConfigError,
@@ -37,18 +37,15 @@ from .dynamics import (
     load_system_config,
     write_json,
 )
-from .neural import ARCHS, RecoveryResult, TrainConfig, recover, replay
+from .neural import ARCHS, RecoveryResult, TrainConfig, replay, rmse_coeffs
 from .odesolve import integrate_batch
 from .signals import Trace, decimate, nyquist_rate
 from .sindy import (
-    FunctionLibrary,
-    SparseModel,
     build_library,
     estimate_derivatives,
-    library_labels,
+    library_columns,
     map_to_coefficients,
     model_spec,
-    rmse_with_spurious,
 )
 
 # ---------------------------------------------------------------------------
@@ -491,6 +488,7 @@ class ExperimentConfig:
             ("rate_points", self.rate_points >= 1, ">= 1"),
             ("k_window", self.k_window >= 2, ">= 2"),
             ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
+            ("injected_shifts", all(s >= 0 for s in self.injected_shifts), "entries >= 0"),
             ("sindy_degree", self.sindy_degree >= 1, ">= 1"),
             ("sindy_threshold", 0 <= self.sindy_threshold < np.inf, "finite and >= 0"),
             ("sindy_lambda", 0 <= self.sindy_lambda < np.inf, "finite and >= 0"),
@@ -545,16 +543,18 @@ def fit_traces(
     if cfg.arch == "sindyc":
         return fit_sindyc(spec, coeffs_true, windows, cfg)
     k_window = min(cfg.k_window, min(tr.k for tr in windows))
-    return recover(windows, spec, cfg.arch, train_cfg or cfg.train, k_window=k_window,
-                   split_ratio=cfg.split_ratio, coeffs_true=coeffs_true)
+    tc = train_cfg or cfg.train
+    # looked up on the modules, so that wrappers installed there see sweep fits
+    batches = signals.make_batches(windows, tc.batch_size, k_window, cfg.split_ratio, seed=tc.seed)
+    return neural.train(cfg.arch, spec, batches, tc, coeffs_true=coeffs_true)
 
 
-def _sindy_rmse_y(xi, lib, traces) -> tuple[float, int]:
+def _sindy_rmse_y(xi, columns, traces) -> tuple[float, int]:
     """Mean per-trace RMSE of the recovered sparse model and the number of
     traces whose replay diverged.  Every trace is replayed from its first
     sample by RK4 with one step per sample, all four stages of step ``j``
     reading the held input ``u[j]``; a trace that diverges scores inf."""
-    spec = model_spec(xi, lib, traces[0].m)
+    spec = model_spec(xi, columns, traces[0].m)
     u_blocks = [tr.u[None] for tr in traces]
     _, diverged, rmses = replay(spec, np.zeros((len(traces), 0)), u_blocks, traces, substeps=1)
     return float(np.mean(rmses)), int(np.count_nonzero(diverged))
@@ -566,11 +566,11 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
     reconstruction.  Keeps no reconstructed traces, shifts or loss history."""
     if any(tr.y.shape[0] != spec.n for tr in traces):
         raise SpecError("the sparse-regression baseline needs full-state data")
-    lib = FunctionLibrary(poly_degree=cfg.sindy_degree)
+    columns = library_columns(spec.n, traces[0].m, cfg.sindy_degree)
     pooled_y = np.hstack([tr.y for tr in traces])
     pooled_u = np.hstack([tr.u for tr in traces])
     pooled_dots = np.hstack([estimate_derivatives(tr) for tr in traces])
-    A = build_library(lib, pooled_y, pooled_u if traces[0].m else None)
+    A = build_library(columns, pooled_y, pooled_u)
     # looked up on the module, so that a wrapper installed there sees each call
     xi = np.column_stack(
         [
@@ -578,16 +578,16 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
             for i in range(pooled_y.shape[0])
         ]
     )
-    model = SparseModel(xi=xi, labels=tuple(library_labels(lib, pooled_y.shape[0], traces[0].m)))
-    theta_est, spurious = map_to_coefficients(model, spec)
-    rmse_y, diverged_windows = _sindy_rmse_y(xi, lib, traces)
+    theta_est, spurious = map_to_coefficients(xi, columns, spec)
+    rmse_y, diverged_windows = _sindy_rmse_y(xi, columns, traces)
     return RecoveryResult(
         coeffs=Coefficients(theta_est),
         shifts=np.zeros(0),
         loss_history=[],
         rmse_y=rmse_y,
         reconstructions=[],
-        rmse_coeffs=rmse_with_spurious(theta_est, coeffs_true, spurious),
+        rmse_coeffs=rmse_coeffs(np.append(theta_est, spurious),
+                                np.append(coeffs_true.values, np.zeros(len(spurious)))),
         diverged_windows=diverged_windows,
     )
 
@@ -691,14 +691,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
             )
 
     elif cfg.experiment in ("c5", "aid"):
-        shifts = [_shift_samples(s) for s in cfg.injected_shifts]
         truth = _simulate(_fitted_system(cfg), gen_overrides, cfg.seed)
         spec, coeffs_true, base_traces, meta = _package(truth, truth.cfg["injected_shift"])
         off = replace(cfg.train, shift_channels=())
         on = replace(cfg.train, shift_channels=tuple(meta["ext_channels"]))
         rows.append(_fit_point(cfg, spec, coeffs_true, base_traces, 1, "baseline", off))
-        for s, shift in zip(cfg.injected_shifts, shifts):
-            traces = _package(truth, shift)[2]
+        for s in cfg.injected_shifts:
+            traces = _package(truth, int(s))[2]
             rows.append(
                 _fit_point(cfg, spec, coeffs_true, traces, 1, f"shift={s}/search_off", off)
             )

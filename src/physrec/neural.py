@@ -115,6 +115,7 @@ class TrainConfig:
             ("unfold_substeps", self.unfold_substeps >= 1, ">= 1"),
             ("solve_substeps", self.solve_substeps >= 1, ">= 1"),
             ("s_max", 0 <= self.s_max < np.inf, "finite and >= 0"),
+            ("shift_channels", len({*self.shift_channels}) == self.n_shift, "free of repeats"),
             ("hidden_width", self.hidden_width >= 1, ">= 1"),
             ("head_layers", all(w >= 1 for w in self.head_layers), "widths >= 1"),
             ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
@@ -918,20 +919,3 @@ def train(
         rmse_coeffs=rmse_c,
         diverged_windows=int(np.count_nonzero(diverged)),
     )
-
-
-def recover(
-    traces: list[Trace],
-    spec: SystemSpec,
-    arch: str,
-    cfg: TrainConfig,
-    k_window: int = 200,
-    split_ratio: float = 0.75,
-    coeffs_true: Coefficients | None = None,
-) -> RecoveryResult:
-    """Window the traces, train, and report the aggregated estimates."""
-    from .signals import make_batches
-
-    batches = make_batches(traces, cfg.batch_size, k_window, split_ratio, seed=cfg.seed)
-    return train(arch, spec, batches, cfg, coeffs_true=coeffs_true)
-

@@ -3,67 +3,53 @@
 Recovers per-state dynamics by regressing estimated derivatives onto a
 library of monomials and their products with every input, and
 iteratively hard-thresholding small coefficients.
+
+The library is one table, ``library_columns``: an ordered tuple of column
+keys ``(exponents, input)``, where ``input`` is None for a monomial and
+``j`` for a monomial times input ``j``.  ``build_library`` evaluates it,
+``model_spec`` turns coefficients over it into a system, and
+``map_to_coefficients`` matches a system's terms to it by key.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Coefficients, Factor, SpecError, SystemSpec, Term
-from .neural import rmse_coeffs
+from .dynamics import Factor, SpecError, SystemSpec, Term
 from .signals import Trace
 
-
-@dataclass(frozen=True)
-class FunctionLibrary:
-    poly_degree: int = 2
-
-    def __post_init__(self):
-        if self.poly_degree < 1:
-            raise SpecError("library degree must be >= 1")
+Column = tuple[tuple[int, ...], int | None]  # (exponents, input)
 
 
-def _monomial_exponents(n_states: int, degree: int):
-    """All exponent tuples with total degree 0..degree, graded lexicographic:
-    1, x1, x2, ..., x1^2, x1 x2, ..."""
-    out = []
+def library_columns(n_states: int, n_inputs: int, degree: int) -> tuple[Column, ...]:
+    """The candidate library's column keys ``(exponents, input)``: every
+    monomial of total degree 0..``degree`` in graded lexicographic order
+    (1, x1, x2, ..., x1^2, x1 x2, ...) with input None, then each monomial
+    times input ``j`` for j = 0..n_inputs-1."""
+    if degree < 1:
+        raise SpecError("library degree must be >= 1")
+    monomials = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(n_states), total):
             e = [0] * n_states
             for i in combo:
                 e[i] += 1
-            out.append(tuple(e))
-    return out
+            monomials.append(tuple(e))
+    return tuple((e, None) for e in monomials) + tuple(
+        (e, j) for j in range(n_inputs) for e in monomials
+    )
 
 
-def _monomial_label(expo, prefix="x"):
-    if not any(expo):
-        return "1"
-    parts = []
-    for i, e in enumerate(expo):
-        if e == 1:
-            parts.append(f"{prefix}{i+1}")
-        elif e > 1:
-            parts.append(f"{prefix}{i+1}^{e}")
-    return "*".join(parts)
-
-
-def library_labels(lib: FunctionLibrary, n_states: int, n_inputs: int) -> list[str]:
-    base = [_monomial_label(e) for e in _monomial_exponents(n_states, lib.poly_degree)]
-    return base + [
-        f"u{j+1}" if lbl == "1" else f"{lbl}*u{j+1}" for j in range(n_inputs) for lbl in base
-    ]
-
-
-def build_library(lib: FunctionLibrary, y_rows: np.ndarray, u_rows: np.ndarray | None = None):
-    """Design matrix (samples x columns) over state and input samples: the
-    monomials up to ``lib.poly_degree``, then each monomial times each input.
+def build_library(
+    columns: tuple[Column, ...], y_rows: np.ndarray, u_rows: np.ndarray | None = None
+):
+    """Design matrix (samples x columns) over state and input samples, one
+    column per key of ``columns``: the monomial, times ``u[input]`` for an
+    input column.
 
     ``y_rows`` is (n_states, k); ``u_rows`` is (n_inputs, k) or None.
-    Column order matches :func:`library_labels`.
     """
     y = np.atleast_2d(np.asarray(y_rows, dtype=float))
     n_states, k = y.shape
@@ -73,14 +59,19 @@ def build_library(lib: FunctionLibrary, y_rows: np.ndarray, u_rows: np.ndarray |
         u = np.atleast_2d(np.asarray(u_rows, dtype=float))
         if u.shape[1] != k:
             raise SpecError("state and input sample counts differ")
-    cols = []
-    for expo in _monomial_exponents(n_states, lib.poly_degree):
-        col = np.ones(k)
-        for i, e in enumerate(expo):
-            if e:
-                col = col * y[i] ** e
-        cols.append(col)
-    return np.column_stack(cols + [col * u_j for u_j in u for col in cols])
+    monomials = {}
+    for expo, j in columns:
+        if len(expo) != n_states or j is not None and j >= len(u):
+            raise SpecError(f"library column {expo, j} reads a state or input the samples lack")
+        if expo not in monomials:
+            col = np.ones(k)
+            for i, e in enumerate(expo):
+                if e:
+                    col = col * y[i] ** e
+            monomials[expo] = col
+    return np.column_stack(
+        [monomials[expo] if j is None else monomials[expo] * u[j] for expo, j in columns]
+    )
 
 
 def estimate_derivatives(tr: Trace) -> np.ndarray:
@@ -145,30 +136,18 @@ def stridge(
     return w / norms
 
 
-@dataclass(frozen=True)
-class SparseModel:
-    """Sparse per-state coefficients over library columns."""
-
-    xi: np.ndarray  # columns x n_states
-    labels: tuple[str, ...]
-
-
-def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpec:
-    """The fitted model ``xdot = build_library(lib, x, u) @ xi`` as a
+def model_spec(xi: np.ndarray, columns: tuple[Column, ...], n_inputs: int) -> SystemSpec:
+    """The fitted model ``xdot = build_library(columns, x, u) @ xi`` as a
     weights-only system spec: each nonzero ``xi[col, state]`` becomes one
     ``Term`` with that weight and no named coefficient, in column order.
     Input columns become g-terms."""
     n = xi.shape[1]
-    base = [
-        tuple(Factor(i, e) for i, e in enumerate(expo) if e)
-        for expo in _monomial_exponents(n, lib.poly_degree)
-    ]
-    columns = [(f, None) for f in base] + [(f, j) for j in range(n_inputs) for f in base]
     if len(columns) != xi.shape[0]:
         raise SpecError(f"xi has {xi.shape[0]} rows but the library has {len(columns)} columns")
     terms = [
-        Term(state, None, factors, float(xi[col, state]), inp)
-        for col, (factors, inp) in enumerate(columns)
+        Term(state, None, tuple(Factor(i, e) for i, e in enumerate(expo) if e),
+             float(xi[col, state]), inp)
+        for col, (expo, inp) in enumerate(columns)
         for state in range(n)
         if xi[col, state] != 0.0
     ]
@@ -177,58 +156,38 @@ def model_spec(xi: np.ndarray, lib: FunctionLibrary, n_inputs: int) -> SystemSpe
     return SystemSpec("sparse_model", n, n_inputs, f_terms, g_terms, (), ())
 
 
-def _term_label(term, n_states: int) -> str:
-    expo = [0] * n_states
-    for fac in term.factors:
-        if fac.func != "identity":
-            return ""  # the library has no trig columns
-        expo[fac.var] += fac.power
-    lbl = _monomial_label(tuple(expo))
-    if term.input is not None:
-        lbl = f"u{term.input+1}" if lbl == "1" else f"{lbl}*u{term.input+1}"
-    return lbl
-
-
 def map_to_coefficients(
-    model: SparseModel, spec: SystemSpec
-) -> tuple[np.ndarray, list[tuple[str, int, float]]]:
+    xi: np.ndarray, columns: tuple[Column, ...], spec: SystemSpec
+) -> tuple[np.ndarray, list[float]]:
     """Translate library coefficients onto a system's named coefficients.
 
-    For every spec term whose monomial is a library column, the implied
-    coefficient estimate is ``xi[col, state] / weight``; estimates from
-    multiple terms of one coefficient are averaged.  Returns the estimate
-    vector plus the list of spurious nonzero library entries (label,
-    state, value) that match no spec term; those count against the model
-    as terms whose true value is zero.
+    A spec term claims the column whose key ``(exponents, input)`` it
+    multiplies out to; a term with a sin or cos factor has no key.  The
+    implied estimate of the term's coefficient is ``xi[col, state] /
+    weight``, and estimates from several terms of one coefficient are
+    averaged.  Returns the estimate vector plus the values of the nonzero
+    ``xi`` entries no term claims, in (column, state) order; those count
+    against the model as terms whose true value is zero.
     """
-    label_to_col = {l: i for i, l in enumerate(model.labels)}
+    col_of = {key: col for col, key in enumerate(columns)}
     estimates: dict[str, list[float]] = {name: [] for name in spec.coeff_names}
     claimed = set()
-    for term in list(spec.f_terms) + list(spec.g_terms):
-        lbl = _term_label(term, spec.n)
-        col = label_to_col.get(lbl)
+    for term in (*spec.f_terms, *spec.g_terms):
+        if any(fac.func != "identity" for fac in term.factors):
+            continue
+        expo = [0] * spec.n
+        for fac in term.factors:
+            expo[fac.var] += fac.power
+        col = col_of.get((tuple(expo), term.input))
         if col is None:
             continue
         claimed.add((col, term.state))
         if term.coeff is not None:
-            estimates[term.coeff].append(model.xi[col, term.state] / term.weight)
+            estimates[term.coeff].append(xi[col, term.state] / term.weight)
     theta = np.array(
         [np.mean(estimates[name]) if estimates[name] else 0.0 for name in spec.coeff_names]
     )
     spurious = [
-        (model.labels[col], state, float(model.xi[col, state]))
-        for col in range(model.xi.shape[0])
-        for state in range(model.xi.shape[1])
-        if model.xi[col, state] != 0.0 and (col, state) not in claimed
+        float(xi[col, state]) for col, state in zip(*np.nonzero(xi)) if (col, state) not in claimed
     ]
     return theta, spurious
-
-
-def rmse_with_spurious(
-    theta_est: np.ndarray, theta_true: Coefficients, spurious: list[tuple[str, int, float]]
-) -> float:
-    """``rmse_coeffs`` where spurious recovered terms count as errors
-    against a true value of zero."""
-    extra = [v for (_, _, v) in spurious]
-    truth = np.append(theta_true.values, np.zeros(len(extra)))
-    return rmse_coeffs(np.append(theta_est, extra), truth)

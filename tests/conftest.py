@@ -20,22 +20,23 @@ def gc_disabled():
 
 @pytest.fixture
 def sindyc_fit(monkeypatch):
-    """``fit(spec, coeffs, traces, cfg) -> (model, result)``: the pooled
-    ``harness.fit_sindyc``, with the ``SparseModel`` it builds caught where
-    the fit maps it onto the spec's coefficients."""
+    """``fit(spec, coeffs, traces, cfg) -> (xi, columns, result)``: the
+    pooled ``harness.fit_sindyc``, with the library coefficients and column
+    table it fits caught where the fit maps them onto the spec's
+    coefficients."""
     from physrec import harness
 
-    models = []
+    caught = []
     real = harness.map_to_coefficients
 
-    def spy(model, spec):
-        models.append(model)
-        return real(model, spec)
+    def spy(xi, columns, spec):
+        caught.append((xi, columns))
+        return real(xi, columns, spec)
 
     monkeypatch.setattr(harness, "map_to_coefficients", spy)
 
     def fit(spec, coeffs, traces, cfg):
         result = harness.fit_sindyc(spec, coeffs, traces, cfg)
-        return models.pop(), result
+        return (*caught.pop(), result)
 
     return fit

@@ -2,6 +2,7 @@
 the value rule that system config files and generation overrides share."""
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -64,6 +65,7 @@ EXPERIMENT_RULES = [
     ({"sindy_degree": 0}, "sindy_degree must be >= 1, got 0"),
     ({"mask": [0, 0]}, r"mask must be null or 0/1 entries with at least one 1, got \(0, 0\)"),
     ({"mask": [1, 2]}, r"mask must be null or 0/1 entries with at least one 1, got \(1, 2\)"),
+    ({"injected_shifts": [3, -1]}, r"injected_shifts must be entries >= 0, got \(3, -1\)"),
 ]
 
 
@@ -106,6 +108,25 @@ def test_a_config_built_in_python_rejects_a_value_that_disables_a_safeguard(
         cls(**{field: value})
 
 
+TUPLE_RULES = [
+    # a repeated channel's second shift would overwrite the first's
+    (TrainConfig, "shift_channels", (0, 0), "free of repeats"),
+    (TrainConfig, "shift_channels", (1, 0, 1), "free of repeats"),
+    (ExperimentConfig, "injected_shifts", (-1,), "entries >= 0"),
+    (ExperimentConfig, "injected_shifts", (3, 0, -2), "entries >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,field,value,want", TUPLE_RULES,
+    ids=[f"{field}={value}" for _, field, value, _ in TUPLE_RULES],
+)
+def test_a_config_built_in_python_rejects_a_tuple_outside_its_rule(cls, field, value, want):
+    message = f"{cls.__name__}.{field} must be {want}, got {value!r}"
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        cls(**{field: value})
+
+
 def test_a_json_int_for_a_float_field_is_the_float():
     cfg = from_json(ExperimentConfig, {"split_ratio": 1, "train": {"lr": 1, "s_max": 25}})
     want = ExperimentConfig(split_ratio=1.0, train=TrainConfig(lr=1.0))
@@ -127,7 +148,7 @@ TRAIN_CONFIGS = st.builds(
     unfold_substeps=st.integers(1, 16),
     solve_substeps=st.integers(1, 16),
     s_max=st.floats(0.0, 1e3),
-    shift_channels=st.lists(st.integers(0, 4), max_size=3).map(tuple),
+    shift_channels=st.lists(st.integers(0, 4), max_size=3, unique=True).map(tuple),
     seed=st.integers(-(2**40), 2**40),
     hidden_width=st.integers(1, 256),
     head_layers=st.lists(st.integers(1, 256), max_size=3).map(tuple),

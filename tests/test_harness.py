@@ -22,17 +22,17 @@ from physrec.harness import (
 )
 from physrec.neural import TrainConfig, replay, train
 from physrec.signals import Trace, make_batches, rmse_signal
-from physrec.sindy import FunctionLibrary, build_library, library_labels
+from physrec.sindy import build_library, library_columns
 
 
-def reference_sindy_rmse_y(xi, lib, traces, last_stage_reads_next=False):
+def reference_sindy_rmse_y(xi, columns, traces, last_stage_reads_next=False):
     """Plain RK4 per trace, one step per sample, rebuilding the library at
     every stage; all four stages of step j read u[j].  With
     ``last_stage_reads_next`` the last stage reads u[j+1] instead, the
     hold rule the solver used to have."""
 
     def rhs(x, u):
-        return build_library(lib, x[:, None], u[:, None] if u.size else None)[0] @ xi
+        return build_library(columns, x[:, None], u[:, None])[0] @ xi
 
     rmses = []
     for tr in traces:
@@ -67,34 +67,32 @@ def _lv_data():
 
 def test_sindy_rmse_y_matches_plain_rk4(sindyc_fit):
     spec, coeffs, traces = _lv_data()
-    lib = FunctionLibrary(poly_degree=2)
     cfg = ExperimentConfig(sindy_degree=2, sindy_threshold=0.05)
-    xi = sindyc_fit(spec, coeffs, traces[:1], cfg)[0].xi
-    # the fit keeps no input term; give x1 one and the traces an input step
-    # half way through, so that the hold rule shows in the replay
-    xi[library_labels(lib, 2, 1).index("u1"), 0] = 1.0
+    xi, columns, _ = sindyc_fit(spec, coeffs, traces[:1], cfg)
+    # the fit keeps no input term; give x1 one (u1) and the traces an input
+    # step half way through, so that the hold rule shows in the replay
+    xi[columns.index(((0, 0), 0)), 0] = 1.0
     steps = [
         Trace(tr.t0, tr.dt, tr.y, np.where(np.arange(tr.k) < tr.k // 2, 0.0, 0.05)[None, :],
               tr.labels, dict(tr.meta))
         for tr in traces
     ]
-    got, diverged = _sindy_rmse_y(xi, lib, steps)
+    got, diverged = _sindy_rmse_y(xi, columns, steps)
     assert diverged == 0
-    want = reference_sindy_rmse_y(xi, lib, steps)
+    want = reference_sindy_rmse_y(xi, columns, steps)
     assert np.isfinite(want) and want > 0
     assert abs(got - want) <= 1e-12 * want
-    old = reference_sindy_rmse_y(xi, lib, steps, last_stage_reads_next=True)
+    old = reference_sindy_rmse_y(xi, columns, steps, last_stage_reads_next=True)
     assert abs(old - want) > 1e-12 * want
 
 
 def test_sindy_rmse_y_divergent_model_is_inf():
     traces = _lv_data()[2]
-    lib = FunctionLibrary(poly_degree=2)
-    labels = library_labels(lib, 2, 1)
-    xi = np.zeros((len(labels), 2))
-    xi[labels.index("x1^2"), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
-    assert reference_sindy_rmse_y(xi, lib, traces) == float("inf")
-    assert _sindy_rmse_y(xi, lib, traces) == (float("inf"), len(traces))
+    columns = library_columns(2, 1, 2)
+    xi = np.zeros((len(columns), 2))
+    xi[columns.index(((2, 0), None)), 0] = 50.0  # x1' = 50 x1^2 blows up within the trace
+    assert reference_sindy_rmse_y(xi, columns, traces) == float("inf")
+    assert _sindy_rmse_y(xi, columns, traces) == (float("inf"), len(traces))
 
 
 def test_experiment_digest_is_stable():
@@ -191,9 +189,10 @@ def test_shift_sweeps_make_one_generation_solve(experiment, monkeypatch):
     rows = run_experiment(cfg)
     assert [r.status for r in rows] == ["ok"] * 7
     assert solves == [2]  # the ltc fits solve through neural's own binding
-    with pytest.raises(ConfigError, match=r"injected_shift must be >= 0 samples, got -1"):
-        run_experiment(replace(cfg, injected_shifts=(3, -1)))
-    assert solves == [2]
+    # a negative shift is refused when the config is built, before any solve
+    with pytest.raises(SpecError, match=r"^ExperimentConfig\.injected_shifts must be entries "
+                                        r">= 0, got \(3, -1\)$"):
+        replace(cfg, injected_shifts=(3, -1))
 
 
 TINY_PRESETS = [

@@ -16,7 +16,7 @@ from physrec.dynamics import (
 from physrec.neural import _initial_state
 from physrec.odesolve import integrate_batch
 from physrec.signals import Trace
-from physrec.sindy import FunctionLibrary, model_spec
+from physrec.sindy import library_columns, model_spec
 
 
 def decay_system(a=1.0):
@@ -215,7 +215,7 @@ def sindy_21_model():
     rng = np.random.default_rng(21)
     xi = rng.uniform(-0.5, 0.5, size=(12, 2))
     xi.flat[[3, 10, 17]] = 0.0
-    return model_spec(xi, FunctionLibrary(poly_degree=2), 1)
+    return model_spec(xi, library_columns(2, 1, 2), 1)
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "sindy_21"])

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from physrec import sindy
-from physrec.dynamics import SpecError, compile_rhs
+from physrec.dynamics import Factor, SpecError, SystemSpec, Term, compile_rhs
 from physrec.harness import ExperimentConfig, fit_sindyc
 from physrec.signals import Trace
 from physrec.sindy import (
-    FunctionLibrary,
     build_library,
     estimate_derivatives,
-    library_labels,
+    library_columns,
     map_to_coefficients,
     model_spec,
     stridge,
@@ -20,24 +19,33 @@ from physrec.sindy import (
 
 class TestBuildLibrary:
     def test_scalar_degree_two(self):
-        lib = FunctionLibrary(poly_degree=2)
-        row = build_library(lib, np.array([[2.0]]))
+        row = build_library(library_columns(1, 0, 2), np.array([[2.0]]))
         assert np.array_equal(row[0], [1.0, 2.0, 4.0])
 
     def test_two_states_degree_two_order(self):
-        lib = FunctionLibrary(poly_degree=2)
-        row = build_library(lib, np.array([[1.0], [3.0]]))
+        columns = library_columns(2, 0, 2)
+        row = build_library(columns, np.array([[1.0], [3.0]]))
         assert np.array_equal(row[0], [1.0, 1.0, 3.0, 1.0, 3.0, 9.0])
-        labels = library_labels(lib, 2, 0)
-        assert labels == ["1", "x1", "x2", "x1^2", "x1*x2", "x2^2"]
+        expos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        assert columns == tuple((e, None) for e in expos)
 
     def test_control_cross_terms(self):
-        lib = FunctionLibrary(poly_degree=1)
-        row = build_library(lib, np.array([[3.0]]), np.array([[2.0]]))
-        labels = library_labels(lib, 1, 1)
-        assert "x1*u1" in labels
-        assert row[0, labels.index("x1*u1")] == 6.0
-        assert row[0, labels.index("u1")] == 2.0
+        columns = library_columns(1, 1, 1)
+        assert columns == (((0,), None), ((1,), None), ((0,), 0), ((1,), 0))
+        row = build_library(columns, np.array([[3.0]]), np.array([[2.0]]))
+        assert row[0, columns.index(((1,), 0))] == 6.0
+        assert row[0, columns.index(((0,), 0))] == 2.0
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(SpecError, match="degree must be >= 1"):
+            library_columns(2, 1, 0)
+
+    def test_columns_the_samples_lack_are_rejected(self):
+        columns = library_columns(2, 1, 1)
+        with pytest.raises(SpecError, match="lack"):
+            build_library(columns, np.ones((3, 4)), np.ones((1, 4)))
+        with pytest.raises(SpecError, match="lack"):
+            build_library(columns, np.ones((2, 4)))
 
 
 class TestEstimateDerivatives:
@@ -152,10 +160,11 @@ class TestSindycRecover:
     def test_exact_support_on_clean_data(self, sindyc_fit):
         spec, coeffs, tr = self._lv_unit_trace()
         cfg = ExperimentConfig(sindy_degree=2, sindy_lambda=1e-10, sindy_threshold=0.02)
-        model, result = sindyc_fit(spec, coeffs, [tr], cfg)
-        support = [tuple(np.asarray(model.labels)[model.xi[:, i] != 0.0]) for i in range(2)]
-        assert support == [("x1", "x1*x2"), ("x2", "x1*x2", "u1")]
-        theta, spurious = map_to_coefficients(model, spec)
+        xi, columns, result = sindyc_fit(spec, coeffs, [tr], cfg)
+        support = [[columns[c] for c in np.nonzero(xi[:, i])[0]] for i in range(2)]
+        x1, x2, x1x2 = ((1, 0), None), ((0, 1), None), ((1, 1), None)
+        assert support == [[x1, x1x2], [x2, x1x2, ((0, 0), 0)]]
+        theta, spurious = map_to_coefficients(xi, columns, spec)
         assert spurious == []
         assert np.max(np.abs(theta - coeffs.values)) < 1e-2
         assert np.array_equal(result.coeffs.values, theta)
@@ -194,23 +203,78 @@ class TestSindycRecover:
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("m", [0, 2], ids=["no-inputs", "inputs"])
 def test_model_spec_matches_library_product(degree, m):
-    lib = FunctionLibrary(poly_degree=degree)
     n, S = 3, 40
+    columns = library_columns(n, m, degree)
     rng = np.random.default_rng(degree)
-    n_cols = len(library_labels(lib, n, m))
+    n_cols = len(columns)
     xi = rng.normal(size=(n_cols, n)) * (rng.uniform(size=(n_cols, n)) < 0.6)
     x = rng.normal(size=(S, n))
     u = rng.normal(size=(S, m))
-    spec = model_spec(xi, lib, m)
+    spec = model_spec(xi, columns, m)
     assert (spec.n, spec.m, spec.p) == (n, m, 0)
     assert len(spec.f_terms) + len(spec.g_terms) == np.count_nonzero(xi)
     rhs = compile_rhs(spec)
     got = rhs.full(rhs.work(x, u), rhs.columns(np.zeros((S, 0))))
-    want = build_library(lib, x.T, u.T) @ xi
+    want = build_library(columns, x.T, u.T) @ xi
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_model_spec_rejects_mismatched_xi():
-    lib = FunctionLibrary(poly_degree=2)
     with pytest.raises(SpecError):
-        model_spec(np.ones((5, 2)), lib, 1)
+        model_spec(np.ones((5, 2)), library_columns(2, 1, 2), 1)
+
+
+class TestMapToCoefficients:
+    """``map_to_coefficients`` on a hand spec over the degree-2 library of
+    two states and one input."""
+
+    COLUMNS = library_columns(2, 1, 2)
+
+    def col(self, expo, inp=None):
+        return self.COLUMNS.index((expo, inp))
+
+    def spec(self, f_terms, g_terms=()):
+        names = sorted({t.coeff for t in (*f_terms, *g_terms) if t.coeff is not None})
+        return SystemSpec("hand", 2, 1, tuple(f_terms), tuple(g_terms),
+                          tuple(names), ("free",) * len(names))
+
+    def test_a_shared_coefficient_averages_over_weights(self):
+        # a appears as x1' = -a x1 and x2' = 2 a x1 x2
+        spec = self.spec([Term(0, "a", (Factor(0),), -1.0),
+                          Term(1, "a", (Factor(0), Factor(1)), 2.0)])
+        xi = np.zeros((len(self.COLUMNS), 2))
+        xi[self.col((1, 0)), 0] = -0.5
+        xi[self.col((1, 1)), 1] = 1.4
+        theta, spurious = map_to_coefficients(xi, self.COLUMNS, spec)
+        assert theta.tolist() == [np.mean([0.5, 0.7])]
+        assert spurious == []
+
+    def test_a_fixed_weight_term_claims_its_column(self):
+        # x1' = a x1^2 + 1 * u1, the input term with no named coefficient
+        spec = self.spec([Term(0, "a", (Factor(0, 2),))], [Term(0, None, (), 1.0, 0)])
+        xi = np.zeros((len(self.COLUMNS), 2))
+        xi[self.col((2, 0)), 0] = 0.3
+        xi[self.col((0, 0), 0), 0] = 0.9
+        theta, spurious = map_to_coefficients(xi, self.COLUMNS, spec)
+        assert theta.tolist() == [0.3]
+        assert spurious == []
+
+    def test_a_sin_term_matches_nothing(self):
+        # x1' = -a sin(x1): the library's x1 column is not sin(x1)
+        spec = self.spec([Term(0, "a", (Factor(0, 1, "sin"),), -1.0)])
+        xi = np.zeros((len(self.COLUMNS), 2))
+        xi[self.col((1, 0)), 0] = -0.4
+        theta, spurious = map_to_coefficients(xi, self.COLUMNS, spec)
+        assert theta.tolist() == [0.0]
+        assert spurious == [-0.4]
+
+    def test_unclaimed_entries_come_back_as_spurious_values(self):
+        spec = self.spec([Term(0, "a", (Factor(0),))])
+        xi = np.zeros((len(self.COLUMNS), 2))
+        xi[self.col((1, 0)), 0] = 0.8
+        xi[self.col((0, 2)), 0] = -0.25  # x1' also gets x2^2
+        xi[self.col((1, 0)), 1] = 0.125  # and x2' gets x1
+        xi[self.col((0, 1), 0), 1] = 3.0  # and x2 u1
+        theta, spurious = map_to_coefficients(xi, self.COLUMNS, spec)
+        assert theta.tolist() == [0.8]
+        assert spurious == [0.125, -0.25, 3.0]  # in (column, state) order
