@@ -37,7 +37,7 @@ from .dynamics import (
     load_system_config,
     write_json,
 )
-from .neural import ARCHS, RecoveryResult, TrainConfig, replay, rmse_coeffs
+from .neural import ARCHS, RecoveryResult, TrainConfig, common_grid, replay, rmse_coeffs
 from .odesolve import integrate_batch
 from .signals import Trace, decimate, nyquist_rate
 from .sindy import (
@@ -488,7 +488,8 @@ class ExperimentConfig:
             ("rate_points", self.rate_points >= 1, ">= 1"),
             ("k_window", self.k_window >= 2, ">= 2"),
             ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
-            ("injected_shifts", all(s >= 0 for s in self.injected_shifts), "entries >= 0"),
+            ("injected_shifts", all(float(s).is_integer() and s >= 0 for s in self.injected_shifts),
+             "whole numbers >= 0"),
             ("sindy_degree", self.sindy_degree >= 1, ">= 1"),
             ("sindy_threshold", 0 <= self.sindy_threshold < np.inf, "finite and >= 0"),
             ("sindy_lambda", 0 <= self.sindy_lambda < np.inf, "finite and >= 0"),
@@ -555,8 +556,9 @@ def _sindy_rmse_y(xi, columns, traces) -> tuple[float, int]:
     sample by RK4 with one step per sample, all four stages of step ``j``
     reading the held input ``u[j]``; a trace that diverges scores inf."""
     spec = model_spec(xi, columns, traces[0].m)
-    u_blocks = [tr.u[None] for tr in traces]
-    _, diverged, rmses = replay(spec, np.zeros((len(traces), 0)), u_blocks, traces, substeps=1)
+    common_grid(spec, traces)  # the SpecError on unequal traces comes before the stack
+    u_table = np.stack([tr.u for tr in traces])
+    _, diverged, rmses = replay(spec, np.zeros((len(traces), 0)), u_table, traces, substeps=1)
     return float(np.mean(rmses)), int(np.count_nonzero(diverged))
 
 

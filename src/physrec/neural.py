@@ -193,28 +193,24 @@ def rmse_coeffs(est: Coefficients | np.ndarray, truth: Coefficients | np.ndarray
     return float(np.sqrt(np.mean((e - t) ** 2)))
 
 
-def replay(
-    spec: SystemSpec, coeff_rows: np.ndarray, u_blocks: list, windows: list[Trace], substeps: int
-):
+def replay(spec: SystemSpec, coeff_rows, u_table, windows: list[Trace], substeps: int):
     """Solve candidate rows from their windows' first observations.
 
-    ``u_blocks`` holds one (r, m, k) input block per window and
-    ``coeff_rows`` the matching (len(windows) * r, p) coefficients, window
-    by window.  Every row starts from the resting state with the observed
-    entries set to its window's ``y[:, 0]``; all rows go through one
-    ``integrate_batch`` call on the windows' common grid (SpecError when
-    they do not share one).  Returns ``(y_est, diverged, rmses)``: the
-    observed channels of every row (rows, n_obs, k), the rows' divergence
-    flags, and per window the ``rmse_signal`` of its first row against its
-    ``y``, inf where that row diverged.
+    ``u_table`` (rows, m, k) and ``coeff_rows`` (rows, p) hold an equal
+    run of rows per window, window by window.  Each row starts from rest
+    with the observed entries set to its window's ``y[:, 0]``; all go
+    through one ``integrate_batch`` on the windows' common grid
+    (SpecError when they do not share one).  Returns ``(y_est, diverged,
+    rmses)``: every row's observed channels (rows, n_obs, k), which are
+    the solver's ``states`` when all are observed, the divergence flags,
+    and per window its first row's ``rmse_signal``, inf if it diverged.
     """
     mask, k, dt = common_grid(spec, windows)
-    r = len(u_blocks[0])
+    r = len(u_table) // len(windows)
     x0 = np.repeat(np.stack([_initial_state(spec, w, mask) for w in windows]), r, axis=0)
-    states, diverged, _ = integrate_batch(
-        spec, coeff_rows, x0, np.concatenate(u_blocks), k, dt, substeps
-    )
-    y_est = states[:, list(mask.observed), :]
+    y_est, diverged, _ = integrate_batch(spec, coeff_rows, x0, u_table, k, dt, substeps)
+    if len(mask.observed) < spec.n:
+        y_est = y_est[:, list(mask.observed), :]
     rmses = [
         float("inf") if diverged[b * r] else rmse_signal(y_est[b * r], w.y)
         for b, w in enumerate(windows)
@@ -247,12 +243,16 @@ def reconstruction_losses(
     it solves one table of 1 + 2(p + q) rows: row 0 is the candidate, and
     rows 1 + 2i and 2 + 2i add and subtract ``eps`` on parameter i
     (``fd_eps * max(1, |c|)`` on a coefficient, ``fd_eps`` on a shift
-    fraction).  All rows of all windows go through one ``replay``.
+    fraction).  Their inputs fill one table, and all rows go through one
+    ``replay``.  A row's loss, its mean squared error over the observed
+    channels and the samples after the first, is formed in place in the
+    states and summed pairwise per channel, the channels added in order.
     Returns ``(losses, g_coeff, g_d)``: row 0's losses and the gradient
     split into its (B, p) and (B, q) parts, both views of one array.  An
     entry is zero where its plus or minus row or row 0 diverged.
     """
-    B = len(windows)
+    mask, k, _ = common_grid(spec, windows)  # before the table is filled
+    B, n_obs = len(windows), len(mask.observed)
     p, nrow = spec.p, 1 + 2 * (spec.p + cfg.n_shift)
 
     eps = cfg.fd_eps * np.hstack([np.maximum(1.0, np.abs(coeff_rows)), np.ones_like(d_rows)])
@@ -263,24 +263,23 @@ def reconstruction_losses(
 
     # rows 0 to 2p share the candidate's inputs; only the shift rows move them
     n_same = 1 + 2 * p
-    u_blocks = []
-    for w, table in zip(windows, rows):
-        u = [_shift_inputs(w.u, cfg.shift_samples(d), cfg.shift_channels)
-             for d in table[[0, *range(n_same, nrow)], p:]]
-        u_blocks.append(np.stack(u[:1] * n_same + u[1:]))
+    u_table = np.empty((B * nrow, windows[0].m, k))
+    for w, table, u in zip(windows, rows, u_table.reshape(B, nrow, -1, k)):
+        for j in (0, *range(n_same, nrow)):
+            u[j] = _shift_inputs(w.u, cfg.shift_samples(table[j, p:]), cfg.shift_channels)
+        u[1:n_same] = u[0]
 
     y_est, diverged, _ = replay(
-        spec, rows[:, :, :p].reshape(B * nrow, p), u_blocks, windows, cfg.solve_substeps
+        spec, rows[:, :, :p].reshape(B * nrow, p), u_table, windows, cfg.solve_substeps
     )
 
-    n_obs, k = y_est.shape[1:]
-    est = y_est[:, :, 1:].reshape(B, nrow, n_obs, k - 1)
-    target = np.stack([w.y[:, 1:] for w in windows])[:, None, :, :]
+    err = y_est.reshape(B, nrow, n_obs, k)[..., 1:]
     with np.errstate(all="ignore"):
-        losses = np.mean((est - target) ** 2, axis=(2, 3))
-    losses = np.where(
-        diverged.reshape(B, nrow) | ~np.isfinite(losses), DIVERGED_LOSS, losses
-    )
+        for e, w in zip(err, windows):
+            e -= w.y[:, 1:]
+        np.square(err, out=err)
+        losses = sum(np.moveaxis(np.add.reduce(err, axis=3), 2, 0)) / (n_obs * (k - 1))
+    losses = np.where(diverged.reshape(B, nrow) | ~np.isfinite(losses), DIVERGED_LOSS, losses)
 
     plus, minus = losses[:, 1::2], losses[:, 2::2]
     good = (losses[:, :1] < DIVERGED_LOSS) & (plus < DIVERGED_LOSS) & (minus < DIVERGED_LOSS)
@@ -899,14 +898,13 @@ def train(
 
     # every eval window replayed in one batch; rows are independent
     windows = [batches.windows[i] for i in eval_idx]
-    u_blocks = [_shift_inputs(w.u, shifts, cfg.shift_channels)[None] for w in windows]
+    u_table = np.stack([_shift_inputs(w.u, shifts, cfg.shift_channels) for w in windows])
     y_est, diverged, rmses = replay(
-        spec, np.repeat(coeffs.values[None, :], len(windows), axis=0), u_blocks, windows,
-        cfg.solve_substeps,
+        spec, np.tile(coeffs.values, (len(windows), 1)), u_table, windows, cfg.solve_substeps
     )
     recons = [
-        Trace(w.t0, w.dt, y, u[0], w.labels, dict(w.meta))
-        for w, y, u in zip(windows, y_est, u_blocks)
+        Trace(w.t0, w.dt, y, u, w.labels, dict(w.meta))
+        for w, y, u in zip(windows, y_est, u_table)
     ]
     rmse_c = None if coeffs_true is None else rmse_coeffs(coeffs, coeffs_true)
 

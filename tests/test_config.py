@@ -65,7 +65,7 @@ EXPERIMENT_RULES = [
     ({"sindy_degree": 0}, "sindy_degree must be >= 1, got 0"),
     ({"mask": [0, 0]}, r"mask must be null or 0/1 entries with at least one 1, got \(0, 0\)"),
     ({"mask": [1, 2]}, r"mask must be null or 0/1 entries with at least one 1, got \(1, 2\)"),
-    ({"injected_shifts": [3, -1]}, r"injected_shifts must be entries >= 0, got \(3, -1\)"),
+    ({"injected_shifts": [3, -1]}, r"injected_shifts must be whole numbers >= 0, got \(3, -1\)"),
 ]
 
 
@@ -112,8 +112,12 @@ TUPLE_RULES = [
     # a repeated channel's second shift would overwrite the first's
     (TrainConfig, "shift_channels", (0, 0), "free of repeats"),
     (TrainConfig, "shift_channels", (1, 0, 1), "free of repeats"),
-    (ExperimentConfig, "injected_shifts", (-1,), "entries >= 0"),
-    (ExperimentConfig, "injected_shifts", (3, 0, -2), "entries >= 0"),
+    (ExperimentConfig, "injected_shifts", (-1,), "whole numbers >= 0"),
+    (ExperimentConfig, "injected_shifts", (3, 0, -2), "whole numbers >= 0"),
+    # the data would be shifted by int(s) samples under the label s
+    (ExperimentConfig, "injected_shifts", (2.5,), "whole numbers >= 0"),
+    (ExperimentConfig, "injected_shifts", (3, float("inf")), "whole numbers >= 0"),
+    (ExperimentConfig, "injected_shifts", (float("nan"),), "whole numbers >= 0"),
 ]
 
 

@@ -190,8 +190,8 @@ def test_shift_sweeps_make_one_generation_solve(experiment, monkeypatch):
     assert [r.status for r in rows] == ["ok"] * 7
     assert solves == [2]  # the ltc fits solve through neural's own binding
     # a negative shift is refused when the config is built, before any solve
-    with pytest.raises(SpecError, match=r"^ExperimentConfig\.injected_shifts must be entries "
-                                        r">= 0, got \(3, -1\)$"):
+    with pytest.raises(SpecError, match=r"^ExperimentConfig\.injected_shifts must be whole "
+                                        r"numbers >= 0, got \(3, -1\)$"):
         replace(cfg, injected_shifts=(3, -1))
 
 
@@ -264,7 +264,7 @@ def test_true_coefficients_replay_the_generated_data(system, overrides):
     spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
     rows = np.repeat(coeffs.values[None, :], len(traces), axis=0)
     y_est, diverged, _ = replay(
-        spec, rows, [tr.u[None] for tr in traces], traces, TrainConfig().solve_substeps
+        spec, rows, np.stack([tr.u for tr in traces]), traces, TrainConfig().solve_substeps
     )
     assert not np.any(diverged)
     for est, tr in zip(y_est, traces):
