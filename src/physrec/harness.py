@@ -37,7 +37,7 @@ from .dynamics import (
     load_system_config,
     write_json,
 )
-from .neural import ARCHS, RecoveryResult, TrainConfig, common_grid, replay, rmse_coeffs
+from .neural import ARCHS, RecoveryResult, TrainConfig, replay, rmse_coeffs
 from .odesolve import integrate_batch
 from .signals import Trace, decimate, nyquist_rate
 from .sindy import (
@@ -554,12 +554,22 @@ def _sindy_rmse_y(xi, columns, traces) -> tuple[float, int]:
     """Mean per-trace RMSE of the recovered sparse model and the number of
     traces whose replay diverged.  Every trace is replayed from its first
     sample by RK4 with one step per sample, all four stages of step ``j``
-    reading the held input ``u[j]``; a trace that diverges scores inf."""
+    reading the held input ``u[j]``; a trace that diverges scores inf.
+    Traces that share a grid (``k`` and ``dt``) are replayed in one call,
+    and the mean is taken in trace order."""
     spec = model_spec(xi, columns, traces[0].m)
-    common_grid(spec, traces)  # the SpecError on unequal traces comes before the stack
-    u_table = np.stack([tr.u for tr in traces])
-    _, diverged, rmses = replay(spec, np.zeros((len(traces), 0)), u_table, traces, substeps=1)
-    return float(np.mean(rmses)), int(np.count_nonzero(diverged))
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, tr in enumerate(traces):
+        groups.setdefault((tr.k, tr.dt), []).append(i)
+    rmses, n_diverged = np.empty(len(traces)), 0
+    for idx in groups.values():
+        group = [traces[i] for i in idx]
+        u_table = np.stack([tr.u for tr in group])
+        _, diverged, rmses[idx] = replay(
+            spec, np.zeros((len(group), 0)), u_table, group, substeps=1
+        )
+        n_diverged += int(np.count_nonzero(diverged))
+    return float(np.mean(rmses)), n_diverged
 
 
 def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResult:

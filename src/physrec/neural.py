@@ -1,16 +1,17 @@
 """Recurrent recovery architectures with an ODE-solver reconstruction loss.
 
 A recurrent cell (liquid-time-constant, CT-RNN or plain neural-ODE style)
-reads each (observed + input)-channel window; a dense head maps the final
-hidden state to coefficient estimates and per-channel input-shift
-fractions; the loss reconstructs the observed trace by integrating the
-candidate model from the window's first observation and penalizes the
-mean-square mismatch.  Cell and head run on plain arrays, each with a
-hand-written backward: the cell's whole window unroll backpropagates
-through time in one closure, the head's layers in another.  Sensitivities
-through the solver are obtained by central finite differences over the
-(coefficients, shifts) head outputs.  A training step splices the three
-as nodes on a ``Tape`` and calls its ``backward`` once.
+reads each (observed + input)-channel window, one step per sample; a dense
+head maps the final hidden state to coefficient estimates and per-channel
+input-shift fractions; the loss reconstructs the observed trace by
+integrating the candidate model from the window's first observation and
+penalizes the mean-square mismatch.  Cell and head run on plain arrays,
+each with a hand-written backward: the cell's whole window unroll
+backpropagates through time in one closure, the head's layers in another.
+Sensitivities through the solver are obtained by central finite
+differences over the (coefficients, shifts) head outputs.  A training
+step splices the three as nodes on a ``Tape`` and calls its ``backward``
+once.
 
 Each cell has one implementation, ``_cell_forward``, and the head one,
 ``_head_forward``; they serve training, evaluation and the
@@ -83,13 +84,16 @@ def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings.  The cell takes one step per sample and has no
+    step count of its own; ``solve_substeps`` is the number of RK4 steps
+    per sample of the loss's candidate solves."""
+
     epochs: int = 200
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 32
-    unfold_substeps: int = 6
     solve_substeps: int = 2
     s_max: float = 25.0
     shift_channels: tuple[int, ...] = ()
@@ -112,7 +116,6 @@ class TrainConfig:
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
             ("adam_eps", 0 < self.adam_eps < np.inf, "finite and > 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("unfold_substeps", self.unfold_substeps >= 1, ">= 1"),
             ("solve_substeps", self.solve_substeps >= 1, ">= 1"),
             ("s_max", 0 <= self.s_max < np.inf, "finite and >= 0"),
             ("shift_channels", len({*self.shift_channels}) == self.n_shift, "free of repeats"),
@@ -390,7 +393,7 @@ def init_params(
     return params
 
 
-def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
+def _probe_hidden_scale(arch, params, tensor, dt) -> float:
     """RMS of the final hidden state over a probe batch of windows.
 
     Used once at initialization to normalize the head's first layer:
@@ -399,22 +402,11 @@ def _probe_hidden_scale(arch, params, tensor, dt, cfg) -> float:
     coefficient proposals far off the stability manifold.  Raises
     TrainingError when the hidden state diverges.
     """
-    h = _cell_forward(arch, params, tensor, dt, cfg)[0]
+    h = _cell_forward(arch, params, tensor, dt)[0]
     rms = float(np.sqrt(np.mean(np.square(h))))
     if not np.isfinite(rms):
         raise TrainingError(f"{arch} hidden state diverged in the initialization probe")
     return max(rms, 1e-3)
-
-
-def _add_in_reverse(total, parts, fresh):
-    """Add each of ``parts`` into ``total`` in place, one add at a time from
-    the last to the first; a ``fresh`` total starts as a copy of the last
-    part, as the tape's first contribution does."""
-    if fresh:
-        np.copyto(total, parts[-1])
-        parts = parts[:-1]
-    for part in parts[::-1]:
-        np.add(total, part, total)
 
 
 def _cell_forward(
@@ -422,81 +414,67 @@ def _cell_forward(
     params: dict[str, np.ndarray],
     window_tensor: np.ndarray,  # B x C x k
     dt: float,
-    cfg: TrainConfig,
 ):
-    """Unroll the recurrent cell over the window from a zero state, holding
-    each sample's input for ``cfg.unfold_substeps`` steps of ``delta = dt /
-    unfold_substeps``.  Returns ``(h, vjp)``: the final hidden state (V x
-    B) and a closure mapping its cotangent to the gradients of the cell
-    parameters present in ``params``, as a list in ``CELL_LEAVES`` order.
+    """Unroll the recurrent cell over the window from a zero state, one
+    fused step of ``dt`` per sample.  Returns ``(h, vjp)``: the final
+    hidden state (V x B) and a closure mapping its cotangent to the
+    gradients of the cell parameters present in ``params``, as a list in
+    ``CELL_LEAVES`` order.
 
     LTC: ``hdot = -h/tau + f (target - h)`` with ``f = softplus(tanh(z))``,
     advanced by the fused semi-implicit step of Hasani et al. (AAAI 2021),
-    ``h <- (h + f target delta) / (f delta + 1 + delta/tau)``.  CT-RNN:
-    explicit Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on
-    ``hdot = tanh(z)``.  Here ``z = w_rec h + drive`` with the per-sample
-    ``drive = w_in u + b``.  The softplus is ``log1p(exp(tanh(z)))``: its
-    input lies in (-1, 1), so ``exp`` cannot overflow.
+    ``h <- (h + f target dt) / (f dt + 1 + dt/tau)``.  CT-RNN: explicit
+    Euler on ``hdot = -h/tau + tanh(z)``.  NODE: explicit Euler on ``hdot =
+    tanh(z)``.  Here ``z = w_rec h + drive`` with the per-sample ``drive =
+    w_in u + b``.  The softplus is ``log1p(exp(tanh(z)))``: its input lies
+    in (-1, 1), so ``exp`` cannot overflow.  One step per sample kept
+    every arch's coefficient error within its seeds' spread at the LTC
+    paper's six unfolds per sample, in under half the time (CHANGES.md).
 
-    The constants are folded once per call: the LTC columns ``target
-    delta`` and ``1 + delta/tau``, broadcast with the other column and
-    scalar operands to full (V, B) arrays.  Each arch's substep is one
-    closure, ``step``, that writes ``tanh(z)`` (and LTC's ``f``, numerator
-    and denominator, or a CT-RNN/NODE temporary) into the work buffers it
-    is given and the next state into ``nxt``, so an LTC substep is matmul,
-    add, tanh, exp, log1p and five arithmetic ops, all in place.  Each
-    sample's drive goes into one (V, B) buffer.
+    The constants are folded once per call: the LTC columns ``target dt``
+    and ``1 + dt/tau``, broadcast with the other column and scalar
+    operands to full (V, B) arrays.  Each arch's step is one closure,
+    ``step``, that writes ``tanh(z)`` (and LTC's ``f``, numerator and
+    denominator, or a CT-RNN/NODE temporary) into the work buffers it is
+    given and the next state into ``nxt``, so an LTC step is matmul, add,
+    tanh, exp, log1p and five arithmetic ops, all in place.  Each sample's
+    drive goes into one (V, B) buffer.
 
-    The forward keeps one (V, B) state per sample boundary: the zero
-    state, then the state after each sample, the last being ``h``, in a
-    (k + 1, V, B) stack beside the window's inputs.  Inside a sample the
-    substeps alternate two scratch buffers and the last one writes the
-    next boundary slot.  The backward visits the samples last to first
-    and replays each from its saved boundary state: it calls the same
-    ``step`` on the same operands, now into per-substep views of (n_sub,
-    V, B) stacks of the states, ``tanh(z)`` and LTC's ``f``, numerator and
-    denominator, and skips the last substep's state update, whose result
-    is the saved next boundary.  The replay gives the forward's bits
-    because both passes make the same numpy calls on equal operands of
-    the same shape and layout (contiguous (V, B) arrays); only their
-    addresses differ.  The factors that do not depend on the cotangent
-    (``1 - tanh(z)^2`` and, for LTC, ``1 + exp(-tanh(z))``, the squared
-    denominator and the negated numerator) then take one call each over
-    the sample's stacks, where an elementwise function gives each element
-    the same bits whatever its position in the array.  Only the
-    cotangent's chain runs per substep, through two alternating (V, B)
-    buffers, so the caller's cotangent is never written.  Every stack,
-    per-substep view and buffer of the backward is made once per call,
-    and every ufunc writes through a positional output.
+    The forward writes each step straight into a (k + 1, V, B) stack: the
+    zero state, then the state after each sample, the last being ``h``.
+    The backward visits the samples last to first and recomputes each
+    step's work from its saved starting state: the same ``step`` on the
+    same operands, now into the backward's own (V, B) buffers and without
+    the state update, whose result is the saved next state.  The
+    recomputation gives the forward's bits because both passes make the
+    same numpy calls on equal operands of the same shape and layout
+    (contiguous (V, B) arrays); only their addresses differ.  Every buffer
+    of the backward is made once per call, every ufunc writes through a
+    positional output, and the cotangent's chain alternates two buffers,
+    so the caller's cotangent is never written.
 
     Both passes are bit-identical to recording the cell on a tape, one
     primitive per node, as the tests' ``reference_tape_cell`` does:
-    ``1/tau``, ``scale(target, delta)`` and ``1 + scale(1/tau, delta)``
-    once, ``addcol(w_in u, b)`` per sample, and per substep ``add(w_rec h,
-    drive)`` and tanh, then for LTC softplus and ``div(add(h, mulcol(f,
-    target delta)), addcol(scale(f, delta), 1 + delta/tau))``.  The
-    forward repeats their numpy operations in their order, and the
-    backward applies each primitive's backward expression and adds every
-    fan-out and every per-substep or per-sample weight contribution in
-    ``Tape.backward``'s order (reverse recording order, first contribution
-    first).  Per sample, each parameter's parts come from one operation
-    over the stack (a B-axis ``np.add.reduce``, which sums each row alone
-    as a per-substep ``np.sum`` does, or one stacked matmul) and are added
-    into the running total by ``_add_in_reverse``, one add at a time from
-    the last substep back: a reduction over the substep axis could sum
-    pairwise instead.
+    ``1/tau``, ``scale(target, dt)`` and ``1 + scale(1/tau, dt)`` once,
+    then per sample ``addcol(w_in u, b)``, ``add(w_rec h, drive)`` and
+    tanh, then for LTC softplus and ``div(add(h, mulcol(f, target dt)),
+    addcol(scale(f, dt), 1 + dt/tau))``.  The forward repeats their numpy
+    operations in their order, and the backward applies each primitive's
+    backward expression and adds every fan-out in ``Tape.backward``'s
+    order (reverse recording order, first contribution first): each
+    parameter's per-sample part (a B-axis ``np.add.reduce`` or a matmul)
+    starts its total at the last sample and is added into it at every
+    earlier one.
     """
     names = [key for key in CELL_LEAVES if key in params]
     w_in, w_rec, b = (params[key] for key in CELL_LEAVES[:3])
     B, _, k = window_tensor.shape
     V = w_rec.shape[0]
-    n_sub = cfg.unfold_substeps
-    delta = dt / n_sub
 
     def wide(operand):  # a scalar or a (V, 1) column as a full (V, B) array
         return np.array(np.broadcast_to(operand, (V, B)))
 
-    delta_f, b_col = wide(delta), b[:, None]
+    dt_f, b_col = wide(dt), b[:, None]
     if arch in ("ltc", "ctrnn"):
         tau = params["cell.tau"]
         inv_tau = 1.0 / tau
@@ -507,8 +485,8 @@ def _cell_forward(
         np.tanh(th, th)
 
     if arch == "ltc":
-        tdel_col = (params["cell.target"] * delta)[:, None]
-        c_col = (inv_tau * delta + 1.0)[:, None]
+        tdel_col = (params["cell.target"] * dt)[:, None]
+        c_col = (inv_tau * dt + 1.0)[:, None]
         tdel_f, c_f = wide(tdel_col), wide(c_col)
 
         def step(drive, h, nxt, th, f, num, den):
@@ -516,7 +494,7 @@ def _cell_forward(
             np.log1p(np.exp(th, f), f)
             np.multiply(f, tdel_f, num)
             np.add(num, h, num)
-            np.multiply(f, delta_f, den)
+            np.multiply(f, dt_f, den)
             np.add(den, c_f, den)
             if nxt is not None:
                 np.divide(num, den, nxt)
@@ -529,7 +507,7 @@ def _cell_forward(
             if nxt is not None:
                 np.multiply(h, inv_f, tmp)
                 np.subtract(th, tmp, tmp)
-                np.multiply(tmp, delta_f, tmp)
+                np.multiply(tmp, dt_f, tmp)
                 np.add(h, tmp, nxt)
 
     else:
@@ -537,7 +515,7 @@ def _cell_forward(
         def step(drive, h, nxt, th, tmp):
             tanh_z(h, drive, th)
             if nxt is not None:
-                np.multiply(th, delta_f, tmp)
+                np.multiply(th, dt_f, tmp)
                 np.add(h, tmp, nxt)
 
     n_work = 4 if arch == "ltc" else 2  # the arrays after ``nxt`` in ``step``
@@ -551,110 +529,84 @@ def _cell_forward(
     states = np.empty((k + 1, V, B))  # the zero state, then the state after each sample
     states[0] = 0.0
     work = tuple(np.empty((n_work, V, B)))
-    scratch = tuple(np.empty((2, V, B)))
     for t in range(k):
         drive_of(t)
-        h = states[t]
-        for s in range(n_sub):
-            nxt = states[t + 1] if s == n_sub - 1 else scratch[s % 2]
-            step(drive, h, nxt, *work)
-            h = nxt
+        step(drive, states[t], states[t + 1], *work)
 
     def vjp(g):
         w_rec_t = w_rec.T
-        # the replay: the state each substep starts from and the step's work
-        hs = np.empty((n_sub, V, B))
-        kept = np.empty((n_work, n_sub, V, B))
-        replay_args = [
-            (hs[s], hs[s + 1] if s + 1 < n_sub else None, *kept[:, s]) for s in range(n_sub)
-        ]
-        th_all = kept[0]  # tanh(z), then its derivative 1 - tanh(z)^2
-        # the cotangent chain and the parts that feed parameter gradients
-        chain = tuple(np.empty((2, V, B)))
-        tmp = np.empty((V, B))
-        g_z = np.empty((n_sub, V, B))
+        kept = tuple(np.empty((n_work, V, B)))  # the recomputed step's work
+        th = kept[0]  # tanh(z), then its derivative 1 - tanh(z)^2
+        chain = tuple(np.empty((2, V, B)))  # the cotangent, alternating
+        tmp, g_z = np.empty((V, B)), np.empty((V, B))
         n_vec = {"ltc": 2, "ctrnn": 1, "node": 0}[arch]
-        vec_parts = np.empty((n_sub, n_vec, V))  # per substep, the parts of each tau column
-        g_vec = np.empty((n_vec, V))
-        w_rec_parts = np.empty((n_sub, V, V))
-        g_w_rec = np.empty((V, V))
-        g_drive, g_b, b_part = np.empty((V, B)), np.empty(V), np.empty(V)
-        g_w_in, w_in_part = np.empty(w_in.shape), np.empty(w_in.shape)
+        # each parameter's (total, per-sample part); LTC's columns are 1 +
+        # dt/tau and target dt, CT-RNN's is 1/tau
+        g_vec, vec_part = np.empty((2, n_vec, V))
+        g_w_rec, w_rec_part = np.empty((2, V, V))
+        g_b, b_part = np.empty((2, V))
+        g_w_in, w_in_part = np.empty((2, *w_in.shape))
+        totals = ((g_vec, vec_part), (g_w_rec, w_rec_part), (g_b, b_part), (g_w_in, w_in_part))
         if arch == "ltc":
-            _, f_all, num_all, den_all = kept
-            sig_den, den2 = np.empty((n_sub, V, B)), np.empty((n_sub, V, B))
-            g_num, g_den, g_f = np.empty((n_sub, V, B)), np.empty((n_sub, V, B)), np.empty((V, B))
-            sub_views = list(zip(g_num, g_den, den_all, num_all, den2, sig_den, g_z, th_all))
+            _, f, num, den = kept
+            sig_den, den2, g_num, g_den, g_f = np.empty((5, V, B))
         else:
-            g_leak = np.empty((n_sub, V, B))
-            sub_views = list(zip(g_leak, g_z, th_all))
-        n_done = 0
+            g_leak = np.empty((V, B))
         for t in reversed(range(k)):
-            fresh = t == k - 1
+            fresh, g_new = t == k - 1, chain[t % 2]
+            h = states[t]
             drive_of(t)
-            hs[0] = states[t]
-            for args in replay_args:
-                step(drive, *args)
+            step(drive, h, None, *kept)
             if arch == "ltc":
-                np.negative(th_all, sig_den)
+                np.negative(th, sig_den)
                 np.exp(sig_den, sig_den)
                 np.add(1.0, sig_den, sig_den)
-                np.multiply(den_all, den_all, den2)
-                np.negative(num_all, num_all)
-            np.multiply(th_all, th_all, th_all)
-            np.subtract(1.0, th_all, th_all)
-            for views in reversed(sub_views):
-                g_new = chain[n_done % 2]
-                n_done += 1
-                if arch == "ltc":
-                    g_num_s, g_den_s, den, neg_num, den2_s, sig_den_s, g_z_s, d_tanh = views
-                    np.divide(g, den, g_num_s)
-                    np.multiply(g, neg_num, g_den_s)
-                    np.divide(g_den_s, den2_s, g_den_s)
-                    np.multiply(g_den_s, delta_f, g_f)
-                    np.multiply(g_num_s, tdel_f, tmp)
-                    np.add(g_f, tmp, g_f)
-                    np.divide(g_f, sig_den_s, g_z_s)
-                    np.multiply(g_z_s, d_tanh, g_z_s)
-                    np.matmul(w_rec_t, g_z_s, g_new)
-                    np.add(g_new, g_num_s, g_new)
-                elif arch == "ctrnn":
-                    g_leak_s, g_z_s, d_tanh = views
-                    np.multiply(g, delta_f, tmp)
-                    np.negative(tmp, g_leak_s)
-                    np.multiply(tmp, d_tanh, g_z_s)
-                    np.multiply(g_leak_s, inv_f, tmp)
-                    np.add(g, tmp, g_new)
-                    np.matmul(w_rec_t, g_z_s, tmp)
-                    np.add(g_new, tmp, g_new)
-                else:
-                    _, g_z_s, d_tanh = views
-                    np.multiply(g, delta_f, g_z_s)
-                    np.multiply(g_z_s, d_tanh, g_z_s)
-                    np.matmul(w_rec_t, g_z_s, tmp)
-                    np.add(g, tmp, g_new)
-                g = g_new
+                np.multiply(den, den, den2)
+                np.negative(num, num)
+            np.multiply(th, th, th)
+            np.subtract(1.0, th, th)
             if arch == "ltc":
-                # per substep, the parts of 1 + delta/tau and of target delta
-                np.add.reduce(g_den, axis=2, out=vec_parts[:, 0])
-                np.multiply(g_num, f_all, g_num)
-                np.add.reduce(g_num, axis=2, out=vec_parts[:, 1])
-            elif arch == "ctrnn":  # of 1/tau
-                np.multiply(g_leak, hs, g_leak)
-                np.add.reduce(g_leak, axis=2, out=vec_parts[:, 0])
-            if n_vec:
-                _add_in_reverse(g_vec, vec_parts, fresh)
-            np.matmul(g_z, hs.transpose(0, 2, 1), w_rec_parts)
-            _add_in_reverse(g_w_rec, w_rec_parts, fresh)
-            _add_in_reverse(g_drive, g_z, True)
-            np.add.reduce(g_drive, axis=1, out=b_part)
-            _add_in_reverse(g_b, (b_part,), fresh)
-            np.matmul(g_drive, inputs[t].T, w_in_part)
-            _add_in_reverse(g_w_in, (w_in_part,), fresh)
+                np.divide(g, den, g_num)
+                np.multiply(g, num, g_den)
+                np.divide(g_den, den2, g_den)
+                np.multiply(g_den, dt_f, g_f)
+                np.multiply(g_num, tdel_f, tmp)
+                np.add(g_f, tmp, g_f)
+                np.divide(g_f, sig_den, g_z)
+                np.multiply(g_z, th, g_z)
+                np.matmul(w_rec_t, g_z, g_new)
+                np.add(g_new, g_num, g_new)
+                np.add.reduce(g_den, axis=1, out=vec_part[0])
+                np.multiply(g_num, f, g_num)
+                np.add.reduce(g_num, axis=1, out=vec_part[1])
+            elif arch == "ctrnn":
+                np.multiply(g, dt_f, tmp)
+                np.negative(tmp, g_leak)
+                np.multiply(tmp, th, g_z)
+                np.multiply(g_leak, inv_f, tmp)
+                np.add(g, tmp, g_new)
+                np.matmul(w_rec_t, g_z, tmp)
+                np.add(g_new, tmp, g_new)
+                np.multiply(g_leak, h, g_leak)
+                np.add.reduce(g_leak, axis=1, out=vec_part[0])
+            else:
+                np.multiply(g, dt_f, g_z)
+                np.multiply(g_z, th, g_z)
+                np.matmul(w_rec_t, g_z, tmp)
+                np.add(g, tmp, g_new)
+            g = g_new
+            np.matmul(g_z, h.T, w_rec_part)
+            np.add.reduce(g_z, axis=1, out=b_part)
+            np.matmul(g_z, inputs[t].T, w_in_part)
+            for total, part in totals:
+                if fresh:
+                    np.copyto(total, part)
+                else:
+                    np.add(total, part, total)
         grads = {"cell.w_in": g_w_in, "cell.w_rec": g_w_rec, "cell.b": g_b}
         if arch == "ltc":
-            grads["cell.tau"] = -(g_vec[0] * delta) / (tau * tau)
-            grads["cell.target"] = g_vec[1] * delta
+            grads["cell.tau"] = -(g_vec[0] * dt) / (tau * tau)
+            grads["cell.target"] = g_vec[1] * dt
         elif arch == "ctrnn":
             grads["cell.tau"] = -g_vec[0] / (tau * tau)
         return [grads[key] for key in names]
@@ -784,14 +736,14 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
 
     The tape records three nodes on the parameter leaves: the cell, the
     head (its value is the coefficients stacked over the shift fractions)
-    and the mean loss.  The tape, the cell's saved boundary states and the
+    and the mean loss.  The tape, the cell's saved per-sample states and the
     head's saved arrays are locals here and die on return."""
     windows = [batches.windows[i] for i in group]
     tape = Tape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
     cell_keys = [key for key in CELL_LEAVES if key in params]
     head_keys = [key for key in params if key not in cell_keys]
-    h, cell_vjp = _cell_forward(arch, params, batches.tensor(group), dt, cfg)
+    h, cell_vjp = _cell_forward(arch, params, batches.tensor(group), dt)
     h_var = tape.custom_node([leaves[key] for key in cell_keys], h, cell_vjp)
     coeff, d, head_vjp = _head_forward(spec, params, h, cfg, rng, scales)
     p = spec.p
@@ -836,7 +788,7 @@ def train(
 
     Each training step records on its own tape inside ``_train_step``,
     and only arrays leave it: one recording, with the cell's (k + 1, V,
-    B) stack of sample-boundary states, is alive at a time.  The
+    B) stack of per-sample states, is alive at a time.  The
     initialization probe and the evaluation groups record nothing and
     drop the backward closures.
     """
@@ -855,7 +807,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = init_params(arch, spec, n_channels, cfg, rng, dt, k)
     probe = batches.tensor(batches.train_idx[: min(8, len(batches.train_idx))])
-    params["head.w0"] /= _probe_hidden_scale(arch, params, probe, dt, cfg)
+    params["head.w0"] /= _probe_hidden_scale(arch, params, probe, dt)
     n_layers = len(cfg.head_layers) + 1
     params[f"head.b{n_layers - 1}"][: spec.p] = resting_consistent_init(
         spec, list(batches.windows), scales, prior=cfg.coeff_bias_init
@@ -877,7 +829,10 @@ def train(
             if np.any(losses < DIVERGED_LOSS):
                 any_alive = True
         if not any_alive:
-            raise TrainingError("every batch element diverged for an entire epoch")
+            raise TrainingError(
+                f"every batch element diverged for an entire epoch (epoch {epoch + 1} of "
+                f"{cfg.epochs}, {len(batches.train_idx)} training windows)"
+            )
         loss_history.append(float(np.mean(epoch_losses)))
 
     # final estimates on the held-out windows, dropout off
@@ -885,7 +840,7 @@ def train(
     coeff_cols, d_cols = [], []
     for start in range(0, len(eval_idx), cfg.batch_size):
         tensor = batches.tensor(eval_idx[start : start + cfg.batch_size])
-        h = _cell_forward(arch, params, tensor, dt, cfg)[0]
+        h = _cell_forward(arch, params, tensor, dt)[0]
         coeff_col, d_col = _head_forward(spec, params, h, cfg, None, scales)[:2]
         coeff_cols.append(coeff_col)
         d_cols.append(d_col)

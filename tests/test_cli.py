@@ -109,7 +109,7 @@ def _sweep(tmp_path, experiment, arch, out_name, *flags, **fields):
         "arch": arch,
         "injected_shifts": [3],
         "generation": {"n_traces": 2, "k": 200},
-        "train": {"epochs": 1, "hidden_width": 4, "unfold_substeps": 2, "solve_substeps": 2},
+        "train": {"epochs": 1, "hidden_width": 4, "solve_substeps": 2},
         **fields,
     }))
     out = tmp_path / out_name

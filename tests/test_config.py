@@ -46,6 +46,9 @@ EXPERIMENT_ERRORS = [
     ({"train": [1]}, r"^ExperimentConfig\.train must be a JSON object, got list$"),
     ({"train": {"explicit_loss": True}},
      r"^ExperimentConfig\.train: unknown TrainConfig keys: explicit_loss$"),
+    # a config saved while the cell's step count was a setting
+    ({"train": {"epochs": 1, "unfold_substeps": 6}},
+     r"^ExperimentConfig\.train: unknown TrainConfig keys: unfold_substeps$"),
     ({"bogus": 1}, r"^unknown ExperimentConfig keys: bogus$"),
 ]
 
@@ -149,7 +152,6 @@ TRAIN_CONFIGS = st.builds(
     beta2=_unit,
     adam_eps=st.floats(0.0, exclude_min=True, allow_infinity=False, width=64),
     batch_size=st.integers(1, 512),
-    unfold_substeps=st.integers(1, 16),
     solve_substeps=st.integers(1, 16),
     s_max=st.floats(0.0, 1e3),
     shift_channels=st.lists(st.integers(0, 4), max_size=3, unique=True).map(tuple),

@@ -95,9 +95,20 @@ def test_sindy_rmse_y_divergent_model_is_inf():
     assert _sindy_rmse_y(xi, columns, traces) == (float("inf"), len(traces))
 
 
+def test_sindyc_scores_traces_of_unequal_length_as_each_alone(sindyc_fit):
+    spec, coeffs, traces = _lv_data()
+    first, second = traces[:2]
+    cut = replace(second, y=second.y[:, :-50], u=second.u[:, :-50])
+    xi, columns, result = sindyc_fit(spec, coeffs, [first, cut], ExperimentConfig())
+    alone = [_sindy_rmse_y(xi, columns, [tr]) for tr in (first, cut)]
+    assert all(np.isfinite(rmse) and rmse > 0 for rmse, _ in alone)
+    assert result.rmse_y == float(np.mean([rmse for rmse, _ in alone]))
+    assert result.diverged_windows == 0 == sum(n for _, n in alone)
+
+
 def test_experiment_digest_is_stable():
     # digests label report rows, so a config must keep its digest
-    assert ExperimentConfig().digest() == "85568c8ad7af"
+    assert ExperimentConfig().digest() == "a2ad021ecc34"
     cfg = ExperimentConfig(
         experiment="aid",
         system="bergman_aid",
@@ -105,13 +116,13 @@ def test_experiment_digest_is_stable():
         generation=(("injected_shift", 10), ("n_traces", 2)),
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
-    assert cfg.digest() == "68b02bd9d24b"
+    assert cfg.digest() == "beda6a9bd51c"
 
 
 def test_experiment_config_json_round_trip():
     pinned = {
-        "85568c8ad7af": ExperimentConfig(),
-        "68b02bd9d24b": ExperimentConfig(
+        "a2ad021ecc34": ExperimentConfig(),
+        "beda6a9bd51c": ExperimentConfig(
             experiment="aid",
             system="bergman_aid",
             mask=(1, 0, 1),
@@ -161,7 +172,7 @@ def test_c5_generation_honours_perturbation(monkeypatch):
         injected_shifts=(3,),
         k_window=50,
         generation=(("k", 200), ("n_traces", 1)),
-        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+        train=TrainConfig(epochs=0, hidden_width=4, solve_substeps=1),
     )
     rows = run_experiment(cfg)
     assert [r.status for r in rows] == ["ok"] * 3
@@ -184,7 +195,7 @@ def test_shift_sweeps_make_one_generation_solve(experiment, monkeypatch):
         injected_shifts=(3, 10, 20),
         k_window=50,
         generation=(("k", 200), ("n_traces", 2)),
-        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+        train=TrainConfig(epochs=0, hidden_width=4, solve_substeps=1),
     )
     rows = run_experiment(cfg)
     assert [r.status for r in rows] == ["ok"] * 7
@@ -314,7 +325,7 @@ def test_c2_records_a_preset_without_an_unperturbed_variant():
         system="bergman_aid",
         k_window=50,
         generation=(("n_traces", 2),),
-        train=TrainConfig(epochs=0, hidden_width=4, unfold_substeps=1, solve_substeps=1),
+        train=TrainConfig(epochs=0, hidden_width=4, solve_substeps=1),
     )
     rows = run_experiment(cfg)
     assert [r.point for r in rows] == ["perturbed", "unperturbed"]

@@ -1,5 +1,6 @@
 """Tests for the recurrent recovery module."""
 
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -96,8 +97,7 @@ def test_train_reports_the_replay_of_each_eval_window():
     traces = apply_mask_to_traces(traces, SensingMask((1, 0)))
     batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.5, seed=3)
     cfg = TrainConfig(
-        epochs=1, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
-        shift_channels=(0,), seed=4,
+        epochs=1, hidden_width=4, head_layers=(6,), solve_substeps=2, shift_channels=(0,), seed=4,
     )
     result = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
     windows = [batches.windows[i] for i in batches.test_idx]
@@ -336,61 +336,57 @@ def test_fd_loss_keeps_the_states_and_one_input_table():
     assert peak - entry < 1.25 * arrays, (peak - entry) / arrays
 
 
-def reference_final_states(arch, params, tensor, dt, substeps):
+def reference_final_states(arch, params, tensor, dt):
     """Per-sample numpy cell steps, one window at a time: the LTC fused
     semi-implicit update and the CT-RNN / NODE explicit Euler steps.
     Returns the final hidden states as V x B."""
     w_in, w_rec, b = params["cell.w_in"], params["cell.w_rec"], params["cell.b"]
-    delta = dt / substeps
     finals = []
     for window in tensor:
         h = np.zeros(w_rec.shape[0])
         for inp in window.T:
-            for _ in range(substeps):
-                z = w_in @ inp + w_rec @ h + b
-                if arch == "ltc":
-                    f = np.logaddexp(0.0, np.tanh(z))
-                    tau, target = params["cell.tau"], params["cell.target"]
-                    h = (h + delta * f * target) / (1.0 + delta * (1.0 / tau + f))
-                elif arch == "ctrnn":
-                    h = h + delta * (-h / params["cell.tau"] + np.tanh(z))
-                else:
-                    h = h + delta * np.tanh(z)
+            z = w_in @ inp + w_rec @ h + b
+            if arch == "ltc":
+                f = np.logaddexp(0.0, np.tanh(z))
+                tau, target = params["cell.tau"], params["cell.target"]
+                h = (h + dt * f * target) / (1.0 + dt * (1.0 / tau + f))
+            elif arch == "ctrnn":
+                h = h + dt * (-h / params["cell.tau"] + np.tanh(z))
+            else:
+                h = h + dt * np.tanh(z)
         finals.append(h)
     return np.stack(finals, axis=1)
 
 
-def reference_tape_cell(tape, arch, leaves, tensor, dt, cfg):
+def reference_tape_cell(tape, arch, leaves, tensor, dt):
     """The cell unroll recorded primitive by primitive on a ``RefTape``:
-    the LTC columns ``target delta`` and ``1 + delta/tau`` once, the drive
-    ``w_in u + b`` once per sample, then about ten nodes per substep;
+    the LTC columns ``target dt`` and ``1 + dt/tau`` once, then per sample
+    the drive ``w_in u + b`` and about ten nodes for the step;
     ``_cell_forward``'s forward values and gradients must equal this
     graph's bit for bit."""
     B, C, k = tensor.shape
     V = leaves["cell.w_rec"].value.shape[0]
     w_in, w_rec, b = leaves["cell.w_in"], leaves["cell.w_rec"], leaves["cell.b"]
-    delta = dt / cfg.unfold_substeps
     h = tape.leaf(np.zeros((V, B)))
     if arch in ("ltc", "ctrnn"):
         inv_tau = tape.div(1.0, leaves["cell.tau"])
     if arch == "ltc":
-        tdel = tape.scale(leaves["cell.target"], delta)
-        c = tape.add(tape.scale(inv_tau, delta), 1.0)
+        tdel = tape.scale(leaves["cell.target"], dt)
+        c = tape.add(tape.scale(inv_tau, dt), 1.0)
     for t in range(k):
         inp = np.ascontiguousarray(tensor[:, :, t].T)  # C x B
         drive = tape.addcol(tape.matmul(w_in, inp), b)
-        for _ in range(cfg.unfold_substeps):
-            z = tape.add(tape.matmul(w_rec, h), drive)
-            if arch == "ltc":
-                f = tape.softplus(tape.tanh(z))
-                num = tape.add(h, tape.mulcol(f, tdel))
-                den = tape.addcol(tape.scale(f, delta), c)
-                h = tape.div(num, den)
-            elif arch == "ctrnn":
-                f = tape.tanh(z)
-                h = tape.add(h, tape.scale(tape.sub(f, tape.mulcol(h, inv_tau)), delta))
-            else:
-                h = tape.add(h, tape.scale(tape.tanh(z), delta))
+        z = tape.add(tape.matmul(w_rec, h), drive)
+        if arch == "ltc":
+            f = tape.softplus(tape.tanh(z))
+            num = tape.add(h, tape.mulcol(f, tdel))
+            den = tape.addcol(tape.scale(f, dt), c)
+            h = tape.div(num, den)
+        elif arch == "ctrnn":
+            f = tape.tanh(z)
+            h = tape.add(h, tape.scale(tape.sub(f, tape.mulcol(h, inv_tau)), dt))
+        else:
+            h = tape.add(h, tape.scale(tape.tanh(z), dt))
     return h
 
 
@@ -420,67 +416,64 @@ def reference_tape_head(tape, spec, leaves, h, cfg, rng, scales):
     return coeff, d
 
 
-def _cell_node(tape, arch, leaves, tensor, dt, cfg):
+def _cell_node(tape, arch, leaves, tensor, dt):
     """``_cell_forward`` spliced onto ``tape`` as one node over the cell
     leaves, the way a training step records it."""
     params = {key: leaf.value for key, leaf in leaves.items()}
-    h, vjp = _cell_forward(arch, params, tensor, dt, cfg)
+    h, vjp = _cell_forward(arch, params, tensor, dt)
     return tape.custom_node([leaves[key] for key in CELL_LEAVES if key in leaves], h, vjp)
 
 
 def _cell_case(arch, seed=3):
     spec, _ = builtin_system("lotka_volterra")
-    cfg = TrainConfig(hidden_width=5, unfold_substeps=3)
+    cfg = TrainConfig(hidden_width=5)
     rng = np.random.default_rng(seed)
     dt, k = 0.1, 30
     params = init_params(arch, spec, 3, cfg, rng, dt, k)
     tensor = rng.normal(0.0, 2.0, (4, 3, k))
-    return params, tensor, dt, cfg
+    return params, tensor, dt
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_cell_forward_matches_numpy_steps(arch):
-    params, tensor, dt, cfg = _cell_case(arch)
-    got = _cell_forward(arch, params, tensor, dt, cfg)[0]
-    want = reference_final_states(arch, params, tensor, dt, cfg.unfold_substeps)
+    params, tensor, dt = _cell_case(arch)
+    got = _cell_forward(arch, params, tensor, dt)[0]
+    want = reference_final_states(arch, params, tensor, dt)
     assert got.shape == (5, 4)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     rms = np.sqrt(np.mean(want**2))
-    assert abs(_probe_hidden_scale(arch, params, tensor, dt, cfg) - max(rms, 1e-3)) <= 1e-12 * rms
+    assert abs(_probe_hidden_scale(arch, params, tensor, dt) - max(rms, 1e-3)) <= 1e-12 * rms
 
 
-def _cell_grads(cell, arch, params, tensor, dt, cfg, cot):
+def _cell_grads(cell, arch, params, tensor, dt, cot):
     """Final state and cell-leaf gradients of ``sum(h * cot)``, with the
     cell recorded on a ``RefTape`` by ``cell(tape, arch, leaves, ...)``."""
     tape = RefTape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
-    h = cell(tape, arch, leaves, tensor, dt, cfg)
+    h = cell(tape, arch, leaves, tensor, dt)
     table = tape.backward(tape.sum(tape.mul(h, cot)))
     return h.value, {key: table[leaves[key].idx] for key in CELL_LEAVES if key in leaves}
 
 
-# width 1 makes a per-sample stack's substep axis contiguous, where a
-# reduction over it would sum pairwise instead of in the tape's order; the
-# backward computes its cotangent-free factors over (n_sub, V, B) stacks,
-# so odd sizes put each element in another SIMD lane than a per-substep
-# (V, B) call; one substep per sample leaves the replay no interior state
+# width 1 and odd sizes give the backward's reductions and matmuls other
+# shapes than the square, even ones
 @pytest.mark.parametrize(
-    "width, n_sub, batch",
-    [(6, 3, 1), (6, 3, 4), (6, 3, 32), (1, 9, 4), (5, 7, 3), (7, 5, 33), (6, 1, 4)],
-    ids=["1", "4", "32", "width1-9sub-4", "width5-7sub-3", "width7-5sub-33", "1sub-4"],
+    "width, batch",
+    [(6, 1), (6, 4), (6, 32), (1, 4), (5, 3), (7, 33)],
+    ids=["1", "4", "32", "width1-4", "width5-3", "width7-33"],
 )
 @pytest.mark.parametrize("arch", ARCHS)
-def test_fused_cell_is_bit_identical_to_tape_graph(arch, width, n_sub, batch):
+def test_fused_cell_is_bit_identical_to_tape_graph(arch, width, batch):
     spec, _ = builtin_system("lotka_volterra")
-    cfg = TrainConfig(hidden_width=width, unfold_substeps=n_sub)
+    cfg = TrainConfig(hidden_width=width)
     rng = np.random.default_rng(11)
     dt, k = 0.1, 25
     params = init_params(arch, spec, 3, cfg, rng, dt, k)
     tensor = rng.normal(0.0, 2.0, (batch, 3, k))
     cot = rng.normal(0.0, 1.0, (width, batch))
 
-    h_ref, g_ref = _cell_grads(reference_tape_cell, arch, params, tensor, dt, cfg, cot)
-    h, g = _cell_grads(_cell_node, arch, params, tensor, dt, cfg, cot)
+    h_ref, g_ref = _cell_grads(reference_tape_cell, arch, params, tensor, dt, cot)
+    h, g = _cell_grads(_cell_node, arch, params, tensor, dt, cot)
     assert np.array_equal(h, h_ref)
     assert sorted(g) == sorted(g_ref) and len(g) == {"ltc": 5, "ctrnn": 4, "node": 3}[arch]
     for key, want in g_ref.items():
@@ -491,7 +484,7 @@ def test_fused_cell_is_bit_identical_to_tape_graph(arch, width, n_sub, batch):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_fused_cell_gradients_match_central_differences(arch):
     spec, _ = builtin_system("lotka_volterra")
-    cfg = TrainConfig(hidden_width=3, unfold_substeps=2)
+    cfg = TrainConfig(hidden_width=3)
     rng = np.random.default_rng(12)
     dt, k = 0.1, 6
     params = init_params(arch, spec, 2, cfg, rng, dt, k)
@@ -504,18 +497,37 @@ def test_fused_cell_gradients_match_central_differences(arch):
         def loss(var, key=key):
             tape = var.tape
             leaves = {name: var if name == key else tape.leaf(v) for name, v in params.items()}
-            h = _cell_node(tape, arch, leaves, tensor, dt, cfg)
+            h = _cell_node(tape, arch, leaves, tensor, dt)
             return tape.sum(tape.mul(h, cot))
 
         assert grad_check(loss, params[key]) < 1e-6, key
 
 
 def test_probe_raises_on_diverging_hidden_state():
-    params, tensor, dt, cfg = _cell_case("ctrnn")
-    # delta / tau = 1000: the explicit Euler step overflows within the window
-    params["cell.tau"] = np.full_like(params["cell.tau"], dt / cfg.unfold_substeps / 1000.0)
+    params, tensor, dt = _cell_case("ctrnn")
+    # dt / tau = 1000, the least tau that training's clip allows: each
+    # explicit Euler step scales the state by about -999, so it overflows
+    # within 120 samples
+    params["cell.tau"] = np.full_like(params["cell.tau"], dt / 1000.0)
+    tensor = np.concatenate([tensor] * 4, axis=2)
     with np.errstate(all="ignore"), pytest.raises(TrainingError):
-        _probe_hidden_scale("ctrnn", params, tensor, dt, cfg)
+        _probe_hidden_scale("ctrnn", params, tensor, dt)
+
+
+def test_train_error_names_the_epoch_where_every_window_diverged():
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=2
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
+    # every candidate starts a thousand times too large, so every solve
+    # blows up and no gradient moves the estimates back
+    cfg = TrainConfig(epochs=3, hidden_width=4, head_layers=(6,), coeff_bias_init=300.0, seed=9)
+    message = (
+        "every batch element diverged for an entire epoch "
+        f"(epoch 1 of 3, {len(batches.train_idx)} training windows)"
+    )
+    with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+        train("ltc", spec, batches, cfg, coeffs_true=coeffs)
 
 
 HEAD_CASES = pytest.mark.parametrize(
@@ -578,7 +590,7 @@ def test_train_step_gradients_are_bit_identical_to_primitive_graph(
     batches = make_batches(traces, batch_size=3, k_window=25, split_ratio=0.75, seed=2)
     cfg = TrainConfig(
         hidden_width=4, head_layers=head_layers, dropout=dropout, shift_channels=shift_channels,
-        unfold_substeps=2, weight_grad_clip=0.0, seed=9,
+        weight_grad_clip=0.0, seed=9,
     )
     group = batches.train_batches[0]
     windows = [batches.windows[i] for i in group]
@@ -588,7 +600,7 @@ def test_train_step_gradients_are_bit_identical_to_primitive_graph(
 
     tape = RefTape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
-    h = reference_tape_cell(tape, "ltc", leaves, batches.tensor(group), dt, cfg)
+    h = reference_tape_cell(tape, "ltc", leaves, batches.tensor(group), dt)
     coeff, d = reference_tape_head(tape, spec, leaves, h, cfg, np.random.default_rng(8), scales)
     want_losses, g_c, g_d = reconstruction_losses(spec, coeff.value.T, d.value.T, windows, cfg)
     B = len(group)
@@ -618,8 +630,7 @@ def test_train_is_deterministic_under_a_seed(arch):
     )
     batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
     cfg = TrainConfig(
-        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
-        shift_channels=(0,), seed=9,
+        epochs=2, hidden_width=4, head_layers=(6,), solve_substeps=2, shift_channels=(0,), seed=9,
     )
     first = train(arch, spec, batches, cfg, coeffs_true=coeffs)
     second = train(arch, spec, batches, cfg, coeffs_true=coeffs)
@@ -636,8 +647,7 @@ def test_train_frees_each_tape_before_the_next_step(arch, monkeypatch, gc_disabl
     )
     batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
     cfg = TrainConfig(
-        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
-        shift_channels=(0,), seed=9,
+        epochs=2, hidden_width=4, head_layers=(6,), solve_substeps=2, shift_channels=(0,), seed=9,
     )
     tapes, live_at_update = [], []
 
@@ -668,8 +678,8 @@ def test_train_holds_one_recording_at_each_cell_forward(arch, monkeypatch, gc_di
     )
     batches = make_batches(traces, batch_size=3, k_window=25, split_ratio=0.75, seed=2)
     cfg = TrainConfig(
-        epochs=2, hidden_width=4, head_layers=(6,), unfold_substeps=2, solve_substeps=2,
-        shift_channels=(0,), seed=9, batch_size=3,
+        epochs=2, hidden_width=4, head_layers=(6,), solve_substeps=2, shift_channels=(0,),
+        seed=9, batch_size=3,
     )
     tapes, live_at_cell = [], []
 
@@ -699,14 +709,14 @@ def test_train_holds_one_recording_at_each_cell_forward(arch, monkeypatch, gc_di
 @pytest.mark.parametrize("arch", ARCHS)
 def test_cell_keeps_one_state_per_sample(arch):
     spec, _ = builtin_system("lotka_volterra")
-    cfg = TrainConfig(hidden_width=32, unfold_substeps=6)
+    cfg = TrainConfig(hidden_width=32)
     rng = np.random.default_rng(4)
     dt, k, B = 0.1, 200, 32
     params = init_params(arch, spec, 3, cfg, rng, dt, k)
     tensor = rng.normal(0.0, 1.0, (B, 3, k))
     tracemalloc.start()
     try:
-        h, vjp = _cell_forward(arch, params, tensor, dt, cfg)
+        h, vjp = _cell_forward(arch, params, tensor, dt)
         _, forward_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         kept, _ = tracemalloc.get_traced_memory()
@@ -715,20 +725,20 @@ def test_cell_keeps_one_state_per_sample(arch):
     finally:
         tracemalloc.stop()
     assert h.shape == (32, B) and len(grads) == {"ltc": 5, "ctrnn": 4, "node": 3}[arch]
-    # one (V, B) state per sample boundary: the zero state, then the state
-    # after each sample; the inputs and a few (V, B) buffers come on top
-    # (1.13-1.15 stacks measured, where a per-substep stack reads 7.1)
+    # one (V, B) state per sample: the zero state, then the state after
+    # each sample; the inputs and a few (V, B) buffers come on top (1.12-1.14
+    # stacks measured)
     stack = 32 * B * 8 * (k + 1)
     assert forward_peak < 1.35 * stack, forward_peak / stack
-    # the backward replays one sample at a time into (n_sub, V, B) stacks
-    # (0.22-0.38 stacks measured)
-    assert backward_peak - kept < 0.6 * stack, (backward_peak - kept) / stack
+    # the backward recomputes one step at a time into a few (V, B) buffers
+    # (0.06-0.09 stacks measured)
+    assert backward_peak - kept < 0.15 * stack, (backward_peak - kept) / stack
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_cell_vjp_repeats_its_bits_and_writes_no_argument(arch):
-    params, tensor, dt, cfg = _cell_case(arch)
-    h, vjp = _cell_forward(arch, params, tensor, dt, cfg)
+    params, tensor, dt = _cell_case(arch)
+    h, vjp = _cell_forward(arch, params, tensor, dt)
     h_before = h.copy()
     cot = np.random.default_rng(5).normal(0.0, 1.0, h.shape)
     cot_before = cot.copy()

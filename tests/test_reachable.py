@@ -26,8 +26,7 @@ ALLOWED = {
     ("harness.py", "get_system"): "the benchmark's sweep check looks a system up by name",
 }
 
-TINY_TRAIN = {"epochs": 1, "hidden_width": 4, "head_layers": [6], "unfold_substeps": 1,
-              "solve_substeps": 1}
+TINY_TRAIN = {"epochs": 1, "hidden_width": 4, "head_layers": [6], "solve_substeps": 1}
 
 
 def _functions():
