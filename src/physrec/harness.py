@@ -469,7 +469,6 @@ class ExperimentConfig:
     arch: str = "ltc"  # ltc | ctrnn | node | sindyc
     seed: int = 0
     mask: tuple[int, ...] | None = None
-    perturbation: bool = True
     injected_shifts: tuple[int, ...] = (3, 10, 20)
     rate_points: int = 4
     k_window: int = 200
@@ -518,7 +517,7 @@ class ReportRow:
     rmse_y: float
     coeff_errors: tuple[float, ...]
     shifts: tuple[float, ...]
-    runtime_s: float
+    runtime_s: float  # wall time of the fit alone, without generating its data
     seed: int
     status: str = "ok"
     diverged_windows: int = 0  # replay windows that diverged; rmse_y is inf if any
@@ -612,120 +611,79 @@ def _fitted_system(cfg: ExperimentConfig) -> str:
     return _PRESET_SYSTEMS.get(cfg.experiment, cfg.system)
 
 
-def _row(cfg, point, factor, r_theta, r_y, errors, shifts, t0, status="ok", diverged=0):
-    return ReportRow(
-        digest=cfg.digest(),
-        experiment=cfg.experiment,
-        system=_fitted_system(cfg),
-        arch=cfg.arch,
-        point=point,
-        sampling_factor=factor,
-        rmse_coeffs=r_theta,
-        rmse_y=r_y,
-        coeff_errors=errors,
-        shifts=shifts,
-        runtime_s=time.perf_counter() - t0,
-        seed=cfg.seed,
-        status=status,
-        diverged_windows=diverged,
-    )
-
-
-def _fit_point(cfg, spec, coeffs_true, traces, factor, point, train_cfg) -> ReportRow:
-    t0 = time.perf_counter()
-    try:
-        result = fit_traces(cfg, spec, coeffs_true, traces, factor, train_cfg)
-        errors = tuple(
-            float(abs(a - b)) for a, b in zip(result.coeffs.values, coeffs_true.values)
-        )
-        return _row(
-            cfg,
-            point,
-            factor,
-            result.rmse_coeffs,
-            result.rmse_y,
-            errors,
-            tuple(float(s) for s in result.shifts),
-            t0,
-            diverged=result.diverged_windows,
-        )
-    except Exception as e:  # per-point failures land in the row
-        return _row(
-            cfg, point, factor, float("nan"), float("nan"), (), (), t0, status=f"error: {e}"
-        )
+def _bound(spec, coeffs, traces, _meta):
+    """A sweep point's ``data``: returns the spec, coefficients and traces bound here."""
+    return lambda: (spec, coeffs, traces)
 
 
 # ---------------------------------------------------------------------------
 # experiment sweeps
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Execute one experiment sweep; one row per sweep point.
-
-    ``c5`` and ``aid`` simulate their preset once per seed and report that
-    one truth at the baseline and at every injected shift.  Per-point
-    failures, and ``c2``'s unperturbed data of a preset without that
-    variant, are recorded in their row and the sweep continues.
-    """
-    gen_overrides = {**dict(cfg.generation), "perturbation": cfg.perturbation}
-    if cfg.experiment in ("single", "c1", "c2"):
-        spec, coeffs_true, traces, _ = generate_benchmark_data(cfg.system, gen_overrides, cfg.seed)
-    rows: list[ReportRow] = []
-
-    if cfg.experiment == "single":
-        factor = nyquist_factor(traces)
-        rows.append(_fit_point(cfg, spec, coeffs_true, traces, factor, "single", cfg.train))
-
-    elif cfg.experiment == "c1":
-        for factor in rate_sweep_factors(traces, cfg.rate_points):
-            rows.append(
-                _fit_point(
-                    cfg, spec, coeffs_true, traces, factor, f"factor={factor}", cfg.train
-                )
-            )
-
-    elif cfg.experiment == "c2":
-        factor = nyquist_factor(traces)
-        rows.append(
-            _fit_point(cfg, spec, coeffs_true, traces, factor, "perturbed", cfg.train)
-        )
-        t0 = time.perf_counter()
-        try:
-            spec2, coeffs2, traces_np, _ = generate_benchmark_data(
-                cfg.system, {**gen_overrides, "perturbation": False}, seed=cfg.seed
-            )
-        except ConfigError as e:
-            nan = float("nan")
-            rows.append(_row(cfg, "unperturbed", factor, nan, nan, (), (), t0, f"error: {e}"))
-        else:
-            rows.append(
-                _fit_point(cfg, spec2, coeffs2, traces_np, factor, "unperturbed", cfg.train)
-            )
-
-    elif cfg.experiment in ("c5", "aid"):
-        truth = _simulate(_fitted_system(cfg), gen_overrides, cfg.seed)
-        spec, coeffs_true, base_traces, meta = _package(truth, truth.cfg["injected_shift"])
-        off = replace(cfg.train, shift_channels=())
-        on = replace(cfg.train, shift_channels=tuple(meta["ext_channels"]))
-        rows.append(_fit_point(cfg, spec, coeffs_true, base_traces, 1, "baseline", off))
+def _sweep_points(cfg: ExperimentConfig):
+    """Yield ``(point, factor, data, train_cfg)`` for every sweep point in
+    row order; ``data()`` returns the point's ``(spec, coeffs, traces)``."""
+    system, gen, tc = _fitted_system(cfg), dict(cfg.generation), cfg.train
+    if cfg.experiment in ("c5", "aid"):
+        truth = _simulate(system, gen, cfg.seed)
+        off = replace(tc, shift_channels=())
+        on = replace(tc, shift_channels=_PRESETS[system].ext_channels)
+        yield "baseline", 1, _bound(*_package(truth, truth.cfg["injected_shift"])), off
         for s in cfg.injected_shifts:
-            traces = _package(truth, int(s))[2]
-            rows.append(
-                _fit_point(cfg, spec, coeffs_true, traces, 1, f"shift={s}/search_off", off)
-            )
-            rows.append(
-                _fit_point(cfg, spec, coeffs_true, traces, 1, f"shift={s}/search_on", on)
-            )
-
+            data = _bound(*_package(truth, int(s)))
+            yield f"shift={s}/search_off", 1, data, off
+            yield f"shift={s}/search_on", 1, data, on
     elif cfg.experiment == "eeg":
         for kind in ("sine", "wiener"):
-            spec, coeffs_true, traces, _ = generate_benchmark_data(
-                _fitted_system(cfg), {**gen_overrides, "input_kind": kind}, seed=cfg.seed
-            )
-            rows.append(
-                _fit_point(cfg, spec, coeffs_true, traces, 1, f"input={kind}", cfg.train)
-            )
+            data = generate_benchmark_data(system, {**gen, "input_kind": kind}, cfg.seed)
+            yield f"input={kind}", 1, _bound(*data), tc
+    elif cfg.experiment == "c2":
+        data = generate_benchmark_data(system, {**gen, "perturbation": True}, cfg.seed)
+        factor = nyquist_factor(data[2])
+        yield "perturbed", factor, _bound(*data), tc
+        # generated inside the row's try, so a preset without it fails in its row
+        make = partial(generate_benchmark_data, system, {**gen, "perturbation": False}, cfg.seed)
+        yield "unperturbed", factor, lambda: make()[:3], tc
+    elif cfg.experiment == "single":
+        data = generate_benchmark_data(system, gen, cfg.seed)
+        yield "single", nyquist_factor(data[2]), _bound(*data), tc
+    else:  # c1
+        data = generate_benchmark_data(system, gen, cfg.seed)
+        for factor in rate_sweep_factors(data[2], cfg.rate_points):
+            yield f"factor={factor}", factor, _bound(*data), tc
 
+
+def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
+    """Execute one experiment sweep; one row per sweep point, in order:
+
+    - ``single``: ``cfg.system`` at its Nyquist decimation factor.
+    - ``c1``: ``factor=F`` for ``cfg.rate_points`` factors from 1 to Nyquist.
+    - ``c2``: ``perturbed`` then ``unperturbed``, both at the perturbed
+      data's Nyquist factor.
+    - ``c5`` (``cfg.system``) and ``aid`` (``bergman_aid``): one truth at
+      full rate, fitted as ``baseline``, then per injected shift ``S`` as
+      ``shift=S/search_off`` and ``shift=S/search_on``.
+    - ``eeg`` (``eeg_dvdp``) at full rate: ``input=sine``, ``input=wiener``.
+
+    A failed fit, or a failed generation of ``c2``'s unperturbed data,
+    gets an ``error: ...`` row and the sweep goes on; any other
+    generation error fails the sweep.
+    """
+    rows = []
+    for point, factor, data, train_cfg in _sweep_points(cfg):
+        fit = dict(rmse_coeffs=np.nan, rmse_y=np.nan, coeff_errors=(), shifts=())
+        t0 = time.perf_counter()
+        try:
+            spec, coeffs_true, traces = data()
+            t0 = time.perf_counter()  # runtime_s times the fit alone
+            r = fit_traces(cfg, spec, coeffs_true, traces, factor, train_cfg)
+            errors = tuple(float(abs(a - b)) for a, b in zip(r.coeffs.values, coeffs_true.values))
+            fit = dict(rmse_coeffs=r.rmse_coeffs, rmse_y=r.rmse_y, coeff_errors=errors,
+                       shifts=tuple(map(float, r.shifts)), diverged_windows=r.diverged_windows)
+        except Exception as e:  # per-point failures land in the row
+            fit["status"] = f"error: {e}"
+        rows.append(ReportRow(cfg.digest(), cfg.experiment, _fitted_system(cfg), cfg.arch, point,
+                              factor, runtime_s=time.perf_counter() - t0, seed=cfg.seed, **fit))
     return rows
 
 
@@ -744,9 +702,9 @@ def _format_value(v):
 def emit_report(rows: list[ReportRow], fmt: str, path, include_runtime: bool = False):
     """Write rows as plot-ready CSV or JSON with a deterministic column order.
 
-    Wall-clock time is recorded on every row but excluded from emitted
-    files by default so identical configurations produce byte-identical
-    reports.
+    ``runtime_s``, the wall time of a point's fit without its data
+    generation, is recorded on every row but excluded from emitted files
+    by default so identical configurations produce byte-identical reports.
     """
     cols = [c for c in REPORT_COLUMNS if include_runtime or c != "runtime_s"]
     if fmt == "csv":

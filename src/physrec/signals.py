@@ -19,8 +19,10 @@ class Trace:
     """Uniformly sampled observed states ``y`` and inputs ``u``.
 
     ``labels`` lists the y-channel names followed by the u-channel names.
-    ``meta`` carries generation-time ground truth (event times, masks,
-    coefficient values) and is never consumed by the estimators.
+    ``meta`` carries generation-time ground truth (event times,
+    coefficient values) and the sensing mask.  Of it, only ``meta["mask"]``
+    is read: the neural loss takes the observed channels from it, and
+    ``load_dataset`` splits a CSV's columns into ``y`` and ``u`` by it.
     """
 
     t0: float

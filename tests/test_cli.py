@@ -118,23 +118,29 @@ def _sweep(tmp_path, experiment, arch, out_name, *flags, **fields):
     return code, out
 
 
+SHIFT_POINTS = [("baseline", 1), ("shift=3/search_off", 1), ("shift=3/search_on", 1)]
+EEG_POINTS = [("input=sine", 1), ("input=wiener", 1)]
+
+
 @pytest.mark.parametrize(
-    "experiment,arch,system,n_rows",
+    "experiment,arch,system,points",
     [
-        ("eeg", "ltc", "eeg_dvdp", 2),
-        ("eeg", "sindyc", "eeg_dvdp", 2),
-        ("aid", "ltc", "bergman_aid", 3),
-        ("c1", "ltc", "lotka_volterra", 4),
-        ("c2", "ltc", "lotka_volterra", 2),
-        ("c5", "ltc", "lotka_volterra", 3),
-        ("single", "sindyc", "lotka_volterra", 1),
+        ("eeg", "ltc", "eeg_dvdp", EEG_POINTS),
+        ("eeg", "sindyc", "eeg_dvdp", EEG_POINTS),
+        ("aid", "ltc", "bergman_aid", SHIFT_POINTS),
+        ("c1", "ltc", "lotka_volterra",
+         [("factor=1", 1), ("factor=3", 3), ("factor=7", 7), ("factor=20", 20)]),
+        ("c2", "ltc", "lotka_volterra", [("perturbed", 20), ("unperturbed", 20)]),
+        ("c5", "ltc", "lotka_volterra", SHIFT_POINTS),
+        ("single", "sindyc", "lotka_volterra", [("single", 20)]),
     ],
 )
-def test_sweep_fits_the_preset_system(experiment, arch, system, n_rows, tmp_path):
+def test_sweep_fits_the_preset_system(experiment, arch, system, points, tmp_path):
     code, out = _sweep(tmp_path, experiment, arch, "rows.json")
     assert code == 0
     rows = json.loads(out.read_text())
-    assert len(rows) == n_rows
+    # the sweep's points, in row order, with their decimation factors
+    assert [(row["point"], row["sampling_factor"]) for row in rows] == points
     for row in rows:
         assert row["status"] == "ok", row["status"]
         assert row["system"] == system and row["experiment"] == experiment
@@ -167,10 +173,13 @@ def test_sweep_reports_diverged_replays(tmp_path, capsys):
     assert "4 ok, 0 failed; diverged replay windows: 1" in err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("experiment", ["c1", "c5"])
+@pytest.mark.parametrize(
+    "experiment,fmt",
+    [("c1", "csv"), ("c1", "json"), ("c5", "csv"), ("c5", "json"),
+     ("c2", "csv"), ("aid", "csv"), ("eeg", "csv"), ("single", "csv")],
+)
 def test_identical_sweeps_write_identical_reports(experiment, fmt, tmp_path):
-    # c5 simulates once and packages the truth once per injected shift
+    # c5 and aid simulate once and package the truth once per injected shift
     reports = []
     for name in (f"a.{fmt}", f"b.{fmt}"):
         code, out = _sweep(tmp_path, experiment, "ltc", name)

@@ -40,7 +40,8 @@ EXPERIMENT_ERRORS = [
     ({"train": {"epochs": 2.5}}, r"^ExperimentConfig\.train\.epochs must be int, got 2\.5$"),
     ({"train": {"lr": "0.1"}}, r"^ExperimentConfig\.train\.lr must be float, got '0\.1'$"),
     ({"train": {"epochs": True}}, r"^ExperimentConfig\.train\.epochs must be int, got True$"),
-    ({"perturbation": "no"}, r"^ExperimentConfig\.perturbation must be bool, got 'no'$"),
+    # a config saved while perturbation was a field beside the generation overrides
+    ({"perturbation": False}, r"^unknown ExperimentConfig keys: perturbation$"),
     ({"seed": None}, r"^ExperimentConfig\.seed must be int, got None$"),
     ({"system": 3}, r"^ExperimentConfig\.system must be str, got 3$"),
     ({"train": [1]}, r"^ExperimentConfig\.train must be a JSON object, got list$"),
@@ -175,7 +176,6 @@ EXPERIMENT_CONFIGS = st.builds(
     seed=st.integers(-(2**40), 2**40),
     mask=st.none() | st.lists(st.sampled_from((0, 1)), min_size=1, max_size=4)
     .filter(lambda m: 1 in m).map(tuple),
-    perturbation=st.booleans(),
     injected_shifts=st.lists(st.integers(0, 50), max_size=4).map(tuple),
     rate_points=st.integers(1, 10),
     k_window=st.integers(2, 10**4),

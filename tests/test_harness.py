@@ -108,7 +108,7 @@ def test_sindyc_scores_traces_of_unequal_length_as_each_alone(sindyc_fit):
 
 def test_experiment_digest_is_stable():
     # digests label report rows, so a config must keep its digest
-    assert ExperimentConfig().digest() == "a2ad021ecc34"
+    assert ExperimentConfig().digest() == "0db096f123ab"
     cfg = ExperimentConfig(
         experiment="aid",
         system="bergman_aid",
@@ -116,13 +116,13 @@ def test_experiment_digest_is_stable():
         generation=(("injected_shift", 10), ("n_traces", 2)),
         train=TrainConfig(epochs=3, shift_channels=(1,), head_layers=(16, 8), hidden_width=4),
     )
-    assert cfg.digest() == "beda6a9bd51c"
+    assert cfg.digest() == "b2f2f6e33869"
 
 
 def test_experiment_config_json_round_trip():
     pinned = {
-        "a2ad021ecc34": ExperimentConfig(),
-        "beda6a9bd51c": ExperimentConfig(
+        "0db096f123ab": ExperimentConfig(),
+        "b2f2f6e33869": ExperimentConfig(
             experiment="aid",
             system="bergman_aid",
             mask=(1, 0, 1),
@@ -168,16 +168,43 @@ def test_c5_generation_honours_perturbation(monkeypatch):
     monkeypatch.setattr(harness, "_simulate", spy)
     cfg = ExperimentConfig(
         experiment="c5",
-        perturbation=False,
         injected_shifts=(3,),
         k_window=50,
-        generation=(("k", 200), ("n_traces", 1)),
+        generation=(("k", 200), ("n_traces", 1), ("perturbation", False)),
         train=TrainConfig(epochs=0, hidden_width=4, solve_substeps=1),
     )
     rows = run_experiment(cfg)
     assert [r.status for r in rows] == ["ok"] * 3
     assert len(seen) == 1
     assert seen[0].get("perturbation") is False, seen
+
+
+@pytest.mark.parametrize(
+    "experiment,perturbation,seen",
+    [("c1", False, [False]), ("c1", True, [True]), ("single", False, [False]),
+     ("c2", False, [True, False]), ("c2", True, [True, False])],
+)
+def test_sweeps_generate_what_the_generation_overrides_say(
+    experiment, perturbation, seen, monkeypatch
+):
+    # c2 sets perturbation on each of its two points; every other sweep
+    # passes the generation overrides through unchanged
+    calls = []
+    generate = harness.generate_benchmark_data
+
+    def spy(system, overrides, seed):
+        calls.append(overrides["perturbation"])
+        return generate(system, overrides, seed)
+
+    monkeypatch.setattr(harness, "generate_benchmark_data", spy)
+    cfg = ExperimentConfig(
+        experiment=experiment,
+        arch="sindyc",
+        generation=(("k", 300), ("n_traces", 1), ("perturbation", perturbation)),
+    )
+    rows = run_experiment(cfg)
+    assert calls == seen
+    assert [r.status for r in rows] == ["ok"] * len(rows)
 
 
 @pytest.mark.parametrize("experiment", ["c5", "aid"])
@@ -314,7 +341,7 @@ def test_generation_rejects_what_a_preset_cannot_do(system, overrides, message):
 
 @pytest.mark.parametrize("experiment", ["aid", "eeg"])
 def test_shift_and_eeg_sweeps_reject_an_unperturbed_preset(experiment):
-    cfg = ExperimentConfig(experiment=experiment, perturbation=False)
+    cfg = ExperimentConfig(experiment=experiment, generation=(("perturbation", False),))
     with pytest.raises(ConfigError, match=r"has no unperturbed variant"):
         run_experiment(cfg)
 
