@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 
@@ -22,26 +21,10 @@ from .harness import (
 )
 
 
-def _preset_overrides(preset: str) -> dict:
-    """Generation overrides of ``--preset``: default | unperturbed |
-    shifted[:N], an input reported N >= 0 samples early (10 by default)."""
-    if preset == "default":
-        return {}
-    if preset == "unperturbed":
-        return {"perturbation": False}
-    match = re.fullmatch(r"shifted(?::([0-9]+))?", preset)
-    if match is None:
-        raise ConfigError(
-            f"unknown preset {preset!r}; expected default, unperturbed or shifted[:N]"
-        )
-    return {"injected_shift": int(match.group(1) or 10)}
-
-
 def _cmd_generate(args) -> int:
     overrides = decode_json(args.overrides, "--overrides") if args.overrides else {}
     if not isinstance(overrides, dict):
         raise ConfigError(f"--overrides must be a JSON object, got {type(overrides).__name__}")
-    overrides.update(_preset_overrides(args.preset))
     spec, coeffs, traces, meta = generate_benchmark_data(args.system, overrides, seed=args.seed)
     save_dataset(args.out, spec, coeffs, traces, meta)
     print(f"wrote {len(traces)} traces for {spec.name} to {args.out}")
@@ -106,7 +89,6 @@ def main(argv=None) -> int:
         "--system", required=True,
         help="benchmark preset: scalar | lorenz | lotka_volterra | bergman_aid | eeg_dvdp",
     )
-    p_gen.add_argument("--preset", default="default", help="default | unperturbed | shifted[:N]")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument(

@@ -561,11 +561,11 @@ def _sindy_rmse_y(xi, columns, traces) -> tuple[float, int]:
     for i, tr in enumerate(traces):
         groups.setdefault((tr.k, tr.dt), []).append(i)
     rmses, n_diverged = np.empty(len(traces)), 0
-    for idx in groups.values():
+    for (_, dt), idx in groups.items():
         group = [traces[i] for i in idx]
-        u_table = np.stack([tr.u for tr in group])
+        y, u = np.stack([tr.y for tr in group]), np.stack([tr.u for tr in group])
         _, diverged, rmses[idx] = replay(
-            spec, np.zeros((len(group), 0)), u_table, group, substeps=1
+            spec, np.zeros((len(group), 0)), u, y, list(range(spec.n)), dt, substeps=1
         )
         n_diverged += int(np.count_nonzero(diverged))
     return float(np.mean(rmses)), n_diverged
@@ -574,7 +574,7 @@ def _sindy_rmse_y(xi, columns, traces) -> tuple[float, int]:
 def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResult:
     """Pooled SINDYc fit of full-state traces, scored against the true
     coefficients (spurious library terms count as errors) and by
-    reconstruction.  Keeps no reconstructed traces, shifts or loss history."""
+    reconstruction.  Keeps no shifts or loss history."""
     if any(tr.y.shape[0] != spec.n for tr in traces):
         raise SpecError("the sparse-regression baseline needs full-state data")
     columns = library_columns(spec.n, traces[0].m, cfg.sindy_degree)
@@ -596,7 +596,6 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
         shifts=np.zeros(0),
         loss_history=[],
         rmse_y=rmse_y,
-        reconstructions=[],
         rmse_coeffs=rmse_coeffs(np.append(theta_est, spurious),
                                 np.append(coeffs_true.values, np.zeros(len(spurious)))),
         diverged_windows=diverged_windows,
@@ -861,10 +860,11 @@ def save_dataset(dirpath, spec, coeffs, traces, meta) -> None:
     write_json({"dataset": meta, "traces": index}, os.path.join(dirpath, "meta.json"))
 
 
-def _dataset_index(doc):
+def _dataset_index(doc, n: int):
     """``meta.json``'s dataset object, its ``dt`` and its trace entries as
-    ``(file, meta)`` pairs, each field checked for its JSON type; a field
-    of the wrong type is a ConfigError naming it (``traces[0].file``)."""
+    ``(file, meta)`` pairs, each field checked for its JSON type and a
+    sensing mask for ``n`` entries of 0 or 1 with at least one 1; a field
+    that fails is a ConfigError naming it (``traces[0].file``)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"must be a JSON object, got {type(doc).__name__}")
     dataset, entries = doc.get("dataset"), doc.get("traces")
@@ -887,7 +887,12 @@ def _dataset_index(doc):
         if not isinstance(meta, dict):
             raise ConfigError(f"{where}.meta must be a JSON object, got {meta!r}")
         if "mask" in meta:
-            json_value(tuple[int, ...], meta["mask"], f"{where}.meta.mask")
+            mask = json_value(tuple[int, ...], meta["mask"], f"{where}.meta.mask")
+            if len(mask) != n or not {*mask} <= {0, 1} or 1 not in mask:
+                raise ConfigError(
+                    f"{where}.meta.mask must be {n} entries of 0 or 1 with at least one 1, "
+                    f"got {list(mask)}"
+                )
         index.append((name, meta))
     return dataset, float(dt), index
 
@@ -904,7 +909,7 @@ def load_dataset(dirpath):
     meta_path = os.path.join(dirpath, "meta.json")
     doc = load_json(meta_path)
     try:
-        dataset, dt, index = _dataset_index(doc)
+        dataset, dt, index = _dataset_index(doc, spec.n)
     except ConfigError as e:
         raise ConfigError(f"{meta_path}: {e}") from None
     traces = []

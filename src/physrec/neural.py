@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import Coefficients, ConfigError, SensingMask, SpecError, SystemSpec
 from .odesolve import integrate_batch
-from .signals import BatchSet, Trace, rmse_signal, shift_signed
+from .signals import BatchSet, rmse_signal, shift_signed
 from .tape import Tape
 
 ARCHS = ("ltc", "ctrnn", "node")
@@ -45,9 +45,9 @@ class TrainingError(RuntimeError):
 # head output scaling
 
 
-def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
+def coefficient_scales(spec: SystemSpec, u: np.ndarray) -> np.ndarray:
     """Characteristic magnitude of every coefficient, from declared resting
-    levels and the input channels' RMS.
+    levels and the RMS of the input windows ``u`` (windows, m, k).
 
     A term ``w * c * prod(x_v^p) * u_j`` on equation i has characteristic
     coefficient size ``sigma_i / (prod sigma_v^p * sigma_u_j)``; where a
@@ -57,9 +57,8 @@ def coefficient_scales(spec: SystemSpec, windows: list[Trace]) -> np.ndarray:
     """
     sigma_x = np.maximum(1.0, np.abs(spec.resting_state()))
     m = spec.m
-    if m and windows:
-        rms = np.sqrt(np.mean(np.stack([w.u**2 for w in windows]), axis=(0, 2)))
-        sigma_u = np.maximum(1.0, rms)
+    if m and len(u):
+        sigma_u = np.maximum(1.0, np.sqrt(np.mean(u**2, axis=(0, 2))))
     else:
         sigma_u = np.ones(m)
     per_coeff: dict[str, list[float]] = {name: [] for name in spec.coeff_names}
@@ -144,47 +143,23 @@ class TrainConfig:
 # window replay and the reconstruction loss
 
 
-def _window_mask(spec: SystemSpec, trace: Trace) -> SensingMask:
-    meta_mask = trace.meta.get("mask")
-    if meta_mask is not None:
-        if len(meta_mask) != spec.n:
-            raise ConfigError(
-                f"sensing mask {tuple(meta_mask)} has {len(meta_mask)} entries "
-                f"but {spec.name} has {spec.n} states"
-            )
-        return SensingMask(tuple(int(v) for v in meta_mask))
-    if trace.y.shape[0] == spec.n:
-        return SensingMask((1,) * spec.n)
-    raise SpecError(
-        "window does not declare a sensing mask and is not full-state; "
-        "set trace.meta['mask']"
-    )
-
-
-def _initial_state(spec: SystemSpec, trace: Trace, mask: SensingMask) -> np.ndarray:
-    x0 = spec.resting_state()
-    x0[list(mask.observed)] = trace.y[:, 0]
-    return x0
-
-
-def common_grid(spec: SystemSpec, windows: list[Trace]) -> tuple[SensingMask, int, float]:
-    """Sensing mask, sample count and spacing shared by all ``windows``;
-    raises SpecError naming the first window whose mask, ``k`` or ``dt``
-    (beyond a 1e-9 relative tolerance) differs from window 0's."""
-    mask, k, dt = _window_mask(spec, windows[0]), windows[0].k, windows[0].dt
-    for i, w in enumerate(windows[1:], start=1):
-        w_mask = _window_mask(spec, w)
-        if w_mask != mask:
-            diff = ("sensing mask", w_mask.diag, mask.diag)
-        elif w.k != k:
-            diff = ("k", w.k, k)
-        elif abs(w.dt - dt) > 1e-9 * dt:
-            diff = ("dt", w.dt, dt)
-        else:
-            continue
-        what, mine, first = diff
-        raise SpecError(f"window {i} has {what} {mine} but window 0 has {first}")
-    return mask, k, dt
+def observed_states(spec: SystemSpec, batches: BatchSet) -> list[int]:
+    """The states behind ``batches.y``'s channels: those its sensing mask
+    marks, or all of them when it has none.  A mask whose length is not
+    ``spec.n`` is a ConfigError; one that marks other than ``y``'s channel
+    count is a SpecError."""
+    mask = batches.mask or (1,) * spec.n
+    if len(mask) != spec.n:
+        raise ConfigError(
+            f"sensing mask {mask} has {len(mask)} entries but {spec.name} has {spec.n} states"
+        )
+    observed = list(SensingMask(mask).observed)
+    if len(observed) != batches.y.shape[1]:
+        raise SpecError(
+            f"sensing mask {mask} marks {len(observed)} states but the windows hold "
+            f"{batches.y.shape[1]} observed channels; set trace.meta['mask']"
+        )
+    return observed
 
 
 def rmse_coeffs(est: Coefficients | np.ndarray, truth: Coefficients | np.ndarray) -> float:
@@ -196,27 +171,28 @@ def rmse_coeffs(est: Coefficients | np.ndarray, truth: Coefficients | np.ndarray
     return float(np.sqrt(np.mean((e - t) ** 2)))
 
 
-def replay(spec: SystemSpec, coeff_rows, u_table, windows: list[Trace], substeps: int):
+def replay(spec: SystemSpec, coeff_rows, u_table, y, observed, dt: float, substeps: int):
     """Solve candidate rows from their windows' first observations.
 
-    ``u_table`` (rows, m, k) and ``coeff_rows`` (rows, p) hold an equal
-    run of rows per window, window by window.  Each row starts from rest
-    with the observed entries set to its window's ``y[:, 0]``; all go
-    through one ``integrate_batch`` on the windows' common grid
-    (SpecError when they do not share one).  Returns ``(y_est, diverged,
-    rmses)``: every row's observed channels (rows, n_obs, k), which are
-    the solver's ``states`` when all are observed, the divergence flags,
-    and per window its first row's ``rmse_signal``, inf if it diverged.
+    ``y`` (windows, n_obs, k) holds the windows' observations of the
+    states ``observed`` on a grid of spacing ``dt``.  ``u_table`` (rows, m,
+    k) and ``coeff_rows`` (rows, p) hold an equal run of rows per window,
+    window by window.  Each row starts from rest with the observed entries
+    set to its window's ``y[:, :, 0]``; all go through one
+    ``integrate_batch``.  Returns ``(y_est, diverged, rmses)``: every row's
+    observed channels (rows, n_obs, k), which are the solver's ``states``
+    when all are observed, the divergence flags, and per window its first
+    row's ``rmse_signal``, inf if it diverged.
     """
-    mask, k, dt = common_grid(spec, windows)
-    r = len(u_table) // len(windows)
-    x0 = np.repeat(np.stack([_initial_state(spec, w, mask) for w in windows]), r, axis=0)
+    W, _, k = y.shape
+    r = len(u_table) // W
+    x0 = np.tile(spec.resting_state(), (len(u_table), 1))
+    x0[:, observed] = np.repeat(y[:, :, 0], r, axis=0)
     y_est, diverged, _ = integrate_batch(spec, coeff_rows, x0, u_table, k, dt, substeps)
-    if len(mask.observed) < spec.n:
-        y_est = y_est[:, list(mask.observed), :]
+    if len(observed) < spec.n:
+        y_est = y_est[:, observed, :]
     rmses = [
-        float("inf") if diverged[b * r] else rmse_signal(y_est[b * r], w.y)
-        for b, w in enumerate(windows)
+        float("inf") if diverged[b * r] else rmse_signal(y_est[b * r], y[b]) for b in range(W)
     ]
     return y_est, diverged, np.array(rmses)
 
@@ -234,28 +210,30 @@ def reconstruction_losses(
     spec: SystemSpec,
     coeff_rows: np.ndarray,
     d_rows: np.ndarray,
-    windows: list[Trace],
+    idx,
+    batches: BatchSet,
     cfg: TrainConfig,
 ):
-    """Losses and central-difference gradients for a batch of per-window
-    candidates.
+    """Losses and central-difference gradients for the candidates of the
+    windows ``idx`` of ``batches``.
 
-    ``coeff_rows`` is (B, p) and ``d_rows`` is (B, q).  All windows must
-    share their grid and sensing mask (SpecError otherwise).  Each window's
-    parameters are its coefficients followed by its shift fractions, and
-    it solves one table of 1 + 2(p + q) rows: row 0 is the candidate, and
-    rows 1 + 2i and 2 + 2i add and subtract ``eps`` on parameter i
-    (``fd_eps * max(1, |c|)`` on a coefficient, ``fd_eps`` on a shift
-    fraction).  Their inputs fill one table, and all rows go through one
-    ``replay``.  A row's loss, its mean squared error over the observed
+    ``coeff_rows`` is (B, p) and ``d_rows`` is (B, q), a row per index in
+    ``idx``.  Each window's parameters are its coefficients followed by
+    its shift fractions, and it solves one table of 1 + 2(p + q) rows: row
+    0 is the candidate, and rows 1 + 2i and 2 + 2i add and subtract
+    ``eps`` on parameter i (``fd_eps * max(1, |c|)`` on a coefficient,
+    ``fd_eps`` on a shift fraction).  Their inputs fill one table, and all
+    rows go through one ``replay``.  A row's loss, its mean squared error over the observed
     channels and the samples after the first, is formed in place in the
     states and summed pairwise per channel, the channels added in order.
     Returns ``(losses, g_coeff, g_d)``: row 0's losses and the gradient
     split into its (B, p) and (B, q) parts, both views of one array.  An
     entry is zero where its plus or minus row or row 0 diverged.
     """
-    mask, k, _ = common_grid(spec, windows)  # before the table is filled
-    B, n_obs = len(windows), len(mask.observed)
+    observed = observed_states(spec, batches)  # before the table is filled
+    idx = list(idx)
+    y = batches.y[idx]
+    B, n_obs, k = y.shape
     p, nrow = spec.p, 1 + 2 * (spec.p + cfg.n_shift)
 
     eps = cfg.fd_eps * np.hstack([np.maximum(1.0, np.abs(coeff_rows)), np.ones_like(d_rows)])
@@ -266,20 +244,20 @@ def reconstruction_losses(
 
     # rows 0 to 2p share the candidate's inputs; only the shift rows move them
     n_same = 1 + 2 * p
-    u_table = np.empty((B * nrow, windows[0].m, k))
-    for w, table, u in zip(windows, rows, u_table.reshape(B, nrow, -1, k)):
+    u_table = np.empty((B * nrow, batches.u.shape[1], k))
+    for i, table, u in zip(idx, rows, u_table.reshape(B, nrow, -1, k)):
         for j in (0, *range(n_same, nrow)):
-            u[j] = _shift_inputs(w.u, cfg.shift_samples(table[j, p:]), cfg.shift_channels)
+            u[j] = _shift_inputs(batches.u[i], cfg.shift_samples(table[j, p:]), cfg.shift_channels)
         u[1:n_same] = u[0]
 
     y_est, diverged, _ = replay(
-        spec, rows[:, :, :p].reshape(B * nrow, p), u_table, windows, cfg.solve_substeps
+        spec, rows[:, :, :p].reshape(B * nrow, p), u_table, y, observed, batches.dt,
+        cfg.solve_substeps,
     )
 
     err = y_est.reshape(B, nrow, n_obs, k)[..., 1:]
     with np.errstate(all="ignore"):
-        for e, w in zip(err, windows):
-            e -= w.y[:, 1:]
+        err -= y[:, None, :, 1:]
         np.square(err, out=err)
         losses = sum(np.moveaxis(np.add.reduce(err, axis=3), 2, 0)) / (n_obs * (k - 1))
     losses = np.where(diverged.reshape(B, nrow) | ~np.isfinite(losses), DIVERGED_LOSS, losses)
@@ -303,13 +281,13 @@ def reconstruction_losses(
 
 def resting_consistent_init(
     spec: SystemSpec,
-    windows: list[Trace],
+    u: np.ndarray,
     scales: np.ndarray,
     prior: float = 0.3,
     lam: float = 0.1,
 ) -> np.ndarray:
     """Initial scaled coefficient estimates that keep the resting state
-    stationary under the average input.
+    stationary under the mean of the input windows ``u`` (windows, m, k).
 
     Solves a small regularized least squares: the right-hand side is
     affine in the coefficients, so zeroing it at the declared resting
@@ -318,13 +296,7 @@ def resting_consistent_init(
     keeps the first reconstruction solves bounded.
     """
     x0 = spec.resting_state()
-    u_mean = (
-        # summed in C order whatever the windows' layout, so equal data
-        # gives equal bits
-        np.mean(np.ascontiguousarray(np.stack([w.u for w in windows])), axis=(0, 2))
-        if spec.m
-        else np.zeros(0)
-    )
+    u_mean = np.mean(u, axis=(0, 2)) if spec.m else np.zeros(0)
 
     def term_value(term):
         v = term.weight
@@ -714,7 +686,6 @@ class RecoveryResult:
     shifts: np.ndarray
     loss_history: list[float]
     rmse_y: float
-    reconstructions: list[Trace]
     rmse_coeffs: float | None = None
     diverged_windows: int = 0  # replayed windows behind an inf rmse_y
 
@@ -738,7 +709,6 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
     head (its value is the coefficients stacked over the shift fractions)
     and the mean loss.  The tape, the cell's saved per-sample states and the
     head's saved arrays are locals here and die on return."""
-    windows = [batches.windows[i] for i in group]
     tape = Tape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
     cell_keys = [key for key in CELL_LEAVES if key in params]
@@ -755,7 +725,7 @@ def _train_step(arch, spec, batches, group, params, adam, dt, cfg, rng, scales, 
     out_var = tape.custom_node(
         [h_var, *(leaves[key] for key in head_keys)], np.vstack((coeff, d)), head_back
     )
-    losses, g_c, g_d = reconstruction_losses(spec, coeff.T, d.T, windows, cfg)
+    losses, g_c, g_d = reconstruction_losses(spec, coeff.T, d.T, group, batches, cfg)
     B = len(group)
     g_out = np.vstack((g_c.T, g_d.T))
     loss_var = tape.custom_node([out_var], np.mean(losses), lambda cot: [cot * g_out / B])
@@ -784,7 +754,8 @@ def train(
     The per-epoch loss history is the mean training-batch loss; the final
     coefficient and shift estimates are the means of the per-window head
     outputs over the test split (train split when no test windows exist),
-    evaluated without dropout.  Deterministic for a given seed.
+    evaluated without dropout; ``rmse_y`` is their mean ``replay`` RMSE
+    under those estimates.  Deterministic for a given seed.
 
     Each training step records on its own tape inside ``_train_step``,
     and only arrays leave it: one recording, with the cell's (k + 1, V,
@@ -794,23 +765,22 @@ def train(
     """
     if arch not in ARCHS:
         raise SpecError(f"unknown architecture {arch!r}")
-    if not batches.windows:
+    if not len(batches.y):
         raise SpecError("empty batch set")
     for ch in cfg.shift_channels:
         if not 0 <= ch < spec.m:
             raise SpecError(f"shift channel {ch} is out of range for m={spec.m} inputs")
-    k = batches.k
-    dt = batches.windows[0].dt
-    n_channels = batches.windows[0].y.shape[0] + batches.windows[0].u.shape[0]
+    k, dt = batches.k, batches.dt
+    n_channels = batches.y.shape[1] + batches.u.shape[1]
 
-    scales = coefficient_scales(spec, list(batches.windows))
+    scales = coefficient_scales(spec, batches.u)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(arch, spec, n_channels, cfg, rng, dt, k)
     probe = batches.tensor(batches.train_idx[: min(8, len(batches.train_idx))])
     params["head.w0"] /= _probe_hidden_scale(arch, params, probe, dt)
     n_layers = len(cfg.head_layers) + 1
     params[f"head.b{n_layers - 1}"][: spec.p] = resting_consistent_init(
-        spec, list(batches.windows), scales, prior=cfg.coeff_bias_init
+        spec, batches.u, scales, prior=cfg.coeff_bias_init
     )
     adam = AdamState.fresh(params)
 
@@ -852,15 +822,12 @@ def train(
     coeffs = Coefficients(coeff_est)
 
     # every eval window replayed in one batch; rows are independent
-    windows = [batches.windows[i] for i in eval_idx]
-    u_table = np.stack([_shift_inputs(w.u, shifts, cfg.shift_channels) for w in windows])
-    y_est, diverged, rmses = replay(
-        spec, np.tile(coeffs.values, (len(windows), 1)), u_table, windows, cfg.solve_substeps
+    idx = list(eval_idx)
+    u_table = np.stack([_shift_inputs(u, shifts, cfg.shift_channels) for u in batches.u[idx]])
+    _, diverged, rmses = replay(
+        spec, np.tile(coeffs.values, (len(idx), 1)), u_table, batches.y[idx],
+        observed_states(spec, batches), dt, cfg.solve_substeps,
     )
-    recons = [
-        Trace(w.t0, w.dt, y, u, w.labels, dict(w.meta))
-        for w, y, u in zip(windows, y_est, u_table)
-    ]
     rmse_c = None if coeffs_true is None else rmse_coeffs(coeffs, coeffs_true)
 
     return RecoveryResult(
@@ -868,7 +835,6 @@ def train(
         shifts=shifts,
         loss_history=loss_history,
         rmse_y=float(np.mean(rmses)),
-        reconstructions=recons,
         rmse_coeffs=rmse_c,
         diverged_windows=int(np.count_nonzero(diverged)),
     )

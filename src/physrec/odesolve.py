@@ -1,8 +1,8 @@
 """Fixed-step integration of control-affine systems.
 
 ``integrate_batch`` is the one solver.  It is the reconstruction box used
-for benchmark data generation, inside the training loss, for the final
-reconstructions and for the SINDYc model's replay: given initial states,
+for benchmark data generation, inside the training loss, for the replay
+that scores the final estimates and for the SINDYc model's replay: given initial states,
 coefficient candidates and input samples, it produces the estimated
 states on the sample grid.
 

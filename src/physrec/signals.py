@@ -21,8 +21,10 @@ class Trace:
     ``labels`` lists the y-channel names followed by the u-channel names.
     ``meta`` carries generation-time ground truth (event times,
     coefficient values) and the sensing mask.  Of it, only ``meta["mask"]``
-    is read: the neural loss takes the observed channels from it, and
-    ``load_dataset`` splits a CSV's columns into ``y`` and ``u`` by it.
+    is read: ``load_dataset`` checks it against the system and splits a
+    CSV's columns into ``y`` and ``u`` by it, and ``make_batches`` carries
+    it, shared by every trace, to ``BatchSet.mask``, from which the neural
+    loss takes the observed states.
     """
 
     t0: float
@@ -166,13 +168,18 @@ def nyquist_rate(x: np.ndarray, fs: float) -> float:
 class BatchSet:
     """Fixed-length windows stacked for batch training.
 
-    ``windows`` hold one Trace per instance; ``train_idx`` / ``test_idx``
-    give the deterministic split.  ``tensor`` stacks y rows over u rows
-    into the (instances, channels, k) layout consumed by the recurrent
-    cells.
+    ``y`` (windows, observed channels, k) and ``u`` (windows, inputs, k)
+    hold every window, C-ordered, on one grid of spacing ``dt``; ``mask``
+    is the traces' shared ``meta["mask"]``, or None when they carry none.
+    ``train_idx`` / ``test_idx`` give the deterministic split.  ``tensor``
+    stacks y rows over u rows into the (windows, channels, k) layout
+    consumed by the recurrent cells.
     """
 
-    windows: tuple[Trace, ...]
+    y: np.ndarray
+    u: np.ndarray
+    dt: float
+    mask: tuple[int, ...] | None
     train_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
     batch_size: int
@@ -180,16 +187,13 @@ class BatchSet:
     def __post_init__(self):
         if self.batch_size < 1:
             raise SpecError("batch size must be >= 1")
-        ks = {w.k for w in self.windows}
-        if len(ks) > 1:
-            raise SpecError("all windows in a batch set must share k")
 
     @property
     def k(self) -> int:
-        return self.windows[0].k
+        return self.y.shape[2]
 
     def tensor(self, idx) -> np.ndarray:
-        return np.stack([np.vstack([self.windows[i].y, self.windows[i].u]) for i in idx])
+        return np.concatenate((self.y[list(idx)], self.u[list(idx)]), axis=1)
 
     @property
     def train_batches(self) -> list[tuple[int, ...]]:
@@ -206,42 +210,54 @@ def make_batches(
 ) -> BatchSet:
     """Window traces to length ``k_window`` and split train/test by ratio.
 
-    Windows are consecutive non-overlapping segments of each trace; the
-    shuffle and split are deterministic under ``seed``.
+    Windows are consecutive non-overlapping segments of each trace,
+    stacked in trace order; the shuffle and split are deterministic under
+    ``seed``.  Every trace must share trace 0's sensing mask (or its
+    absence), observed-channel and input counts and ``dt`` (within 1e-9
+    relative); SpecError names the first trace that does not.
     """
     if not traces:
         raise SpecError("no traces supplied")
     if not 0 < split_ratio <= 1:
         raise SpecError("split_ratio must be in (0, 1]")
-    windows: list[Trace] = []
+    first = traces[0]
+    masks = [None if "mask" not in tr.meta else tuple(tr.meta["mask"]) for tr in traces]
+    ys, us = [], []
     for ti, tr in enumerate(traces):
+        if masks[ti] != masks[0]:
+            diff = ("sensing mask", masks[ti], masks[0])
+        elif tr.y.shape[0] != first.y.shape[0]:
+            diff = ("observed channels", tr.y.shape[0], first.y.shape[0])
+        elif tr.m != first.m:
+            diff = ("inputs", tr.m, first.m)
+        elif abs(tr.dt - first.dt) > 1e-9 * first.dt:
+            diff = ("dt", tr.dt, first.dt)
+        else:
+            diff = None
+        if diff:
+            what, mine, theirs = diff
+            raise SpecError(f"trace {ti} has {what} {mine} but trace 0 has {theirs}")
         if tr.k < k_window:
             raise SpecError(
                 f"trace {ti} has k={tr.k} < window {k_window}: "
                 f"need at least one window per trace"
             )
         for start in range(0, tr.k - k_window + 1, k_window):
-            sl = slice(start, start + k_window)
-            meta = dict(tr.meta)
-            meta["window_of"] = (ti, start)
-            windows.append(
-                Trace(
-                    tr.t0 + start * tr.dt,
-                    tr.dt,
-                    tr.y[:, sl],
-                    tr.u[:, sl],
-                    tr.labels,
-                    meta,
-                )
-            )
-    order = np.random.default_rng(seed).permutation(len(windows))
-    n_train = int(round(len(windows) * split_ratio))
+            ys.append(tr.y[:, start : start + k_window])
+            us.append(tr.u[:, start : start + k_window])
+    order = np.random.default_rng(seed).permutation(len(ys))
+    n_train = int(round(len(ys) * split_ratio))
     if n_train == 0:
         raise SpecError(
-            f"{len(windows)} window(s) at split_ratio={split_ratio} leave no training window"
+            f"{len(ys)} window(s) at split_ratio={split_ratio} leave no training window"
         )
     return BatchSet(
-        windows=tuple(windows),
+        # np.array, unlike np.stack, gives C order whatever the traces'
+        # layout, and the sums over the stacks follow their memory order
+        y=np.array(ys),
+        u=np.array(us),
+        dt=first.dt,
+        mask=masks[0],
         train_idx=tuple(int(i) for i in order[:n_train]),
         test_idx=tuple(int(i) for i in order[n_train:]),
         batch_size=batch_size,

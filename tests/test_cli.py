@@ -230,31 +230,17 @@ def test_nyquist_prints_the_rate_of_the_loaded_traces(tmp_path, capsys):
     assert rate == pytest.approx(4.0)
 
 
-def _generate(tmp_path, preset):
-    """Run ``physrec generate --preset`` on a tiny Lotka-Volterra set."""
+@pytest.mark.parametrize(
+    "overrides,meta",
+    [({}, {"perturbation": True, "injected_shift": 0}),
+     ({"perturbation": False}, {"perturbation": False, "injected_shift": 0}),
+     ({"injected_shift": 10}, {"perturbation": True, "injected_shift": 10}),
+     ({"perturbation": False, "injected_shift": 4}, {"perturbation": False, "injected_shift": 4})],
+)
+def test_generate_applies_the_perturbation_and_shift_overrides(overrides, meta, tmp_path):
     out = tmp_path / "data"
     code = cli.main(["generate", "--system", "lotka_volterra", "--seed", "1", "--out", str(out),
-                     "--overrides", json.dumps({"n_traces": 1, "k": 100}), "--preset", preset])
-    return code, out
-
-
-@pytest.mark.parametrize("preset", ["unperturb", "bogus", "shifted10", "shifted:", "shifted:x",
-                                    "default:3", ""])
-def test_generate_rejects_an_unknown_preset(preset, tmp_path, capsys):
-    code, out = _generate(tmp_path, preset)
-    assert code == 1 and not out.exists()
-    assert f"unknown preset {preset!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "preset,meta",
-    [("default", {"perturbation": True, "injected_shift": 0}),
-     ("unperturbed", {"perturbation": False, "injected_shift": 0}),
-     ("shifted", {"perturbation": True, "injected_shift": 10}),
-     ("shifted:4", {"perturbation": True, "injected_shift": 4})],
-)
-def test_generate_applies_each_preset(preset, meta, tmp_path):
-    code, out = _generate(tmp_path, preset)
+                     "--overrides", json.dumps({"n_traces": 1, "k": 100, **overrides})])
     assert code == 0
     saved = load_dataset(out)[3]
     assert {key: saved[key] for key in meta} == meta

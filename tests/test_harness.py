@@ -302,7 +302,8 @@ def test_true_coefficients_replay_the_generated_data(system, overrides):
     spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
     rows = np.repeat(coeffs.values[None, :], len(traces), axis=0)
     y_est, diverged, _ = replay(
-        spec, rows, np.stack([tr.u for tr in traces]), traces, TrainConfig().solve_substeps
+        spec, rows, np.stack([tr.u for tr in traces]), np.stack([tr.y for tr in traces]),
+        list(range(spec.n)), traces[0].dt, TrainConfig().solve_substeps,
     )
     assert not np.any(diverged)
     for est, tr in zip(y_est, traces):
@@ -582,6 +583,23 @@ def test_load_dataset_names_the_meta_json_field(edit, message, tmp_path):
     with pytest.raises(ConfigError) as err:
         harness.load_dataset(tmp_path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("mask", [[1, 1, 1], [2, 0], [0, 0]])
+def test_load_dataset_checks_each_mask_against_the_system(mask, tmp_path):
+    spec, coeffs, traces, meta = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 50}, seed=5
+    )
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    path = tmp_path / "meta.json"
+    doc = json.loads(path.read_text())
+    doc["traces"][1]["meta"]["mask"] = mask
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        harness.load_dataset(tmp_path)
+    assert str(err.value) == (
+        f"{path}: traces[1].meta.mask must be 2 entries of 0 or 1 with at least one 1, got {mask}"
+    )
 
 
 def test_load_dataset_names_a_meta_json_that_is_not_json(tmp_path):

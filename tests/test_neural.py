@@ -31,43 +31,27 @@ from physrec.tape import Tape
 from reftape import RefTape, grad_check
 
 
-def _window(k=20, dt=0.1, mask=(1, 1)):
-    y = np.tile(np.array([100.0, 20.0])[:, None], (1, k))[[i for i, d in enumerate(mask) if d]]
-    return Trace(0.0, dt, y, np.zeros((1, k)), meta={"mask": mask})
-
-
-@pytest.mark.parametrize(
-    "first,odd,what",
-    [
-        ({"mask": (1, 0)}, {"mask": (0, 1)}, "sensing mask"),
-        ({}, {"k": 21}, "k"),
-        ({}, {"dt": 0.2}, "dt"),
-    ],
-    ids=["mask", "k", "dt"],
-)
-def test_reconstruction_losses_rejects_mixed_windows(first, odd, what):
-    spec, coeffs = builtin_system("lotka_volterra")
-    windows = [_window(**first), _window(**first), _window(**{**first, **odd})]
-    with pytest.raises(SpecError) as err:
-        reconstruction_losses(
-            spec,
-            np.repeat(coeffs.values[None, :], 3, axis=0),
-            np.zeros((3, 0)),
-            windows,
-            TrainConfig(),
-        )
-    assert f"window 2 has {what} " in str(err.value)
-
-
 @pytest.mark.parametrize("mask", [(1,), (1, 0, 1)])
 def test_window_mask_must_cover_every_state(mask):
     # a mask stored in trace metadata is checked against the system's n
     spec, coeffs = builtin_system("lotka_volterra")
-    window = Trace(0.0, 0.1, np.full((sum(mask), 20), 100.0), np.zeros((1, 20)),
-                   meta={"mask": mask})
+    trace = Trace(0.0, 0.1, np.full((sum(mask), 20), 100.0), np.zeros((1, 20)),
+                  meta={"mask": mask})
     with pytest.raises(ConfigError, match=f"has {len(mask)} entries but lotka_volterra has 2"):
         reconstruction_losses(
-            spec, coeffs.values[None, :], np.zeros((1, 0)), [window], TrainConfig(),
+            spec, coeffs.values[None, :], np.zeros((1, 0)), [0], make_batches([trace], 1, 20, 1.0),
+            TrainConfig(),
+        )
+
+
+def test_windows_without_a_mask_must_be_full_state():
+    spec, coeffs = builtin_system("lotka_volterra")
+    trace = Trace(0.0, 0.1, np.full((1, 20), 100.0), np.zeros((1, 20)))
+    message = r"sensing mask \(1, 1\) marks 2 states but the windows hold 1 observed channels"
+    with pytest.raises(SpecError, match=message):
+        reconstruction_losses(
+            spec, coeffs.values[None, :], np.zeros((1, 0)), [0], make_batches([trace], 1, 20, 1.0),
+            TrainConfig(),
         )
 
 
@@ -100,31 +84,29 @@ def test_train_reports_the_replay_of_each_eval_window():
         epochs=1, hidden_width=4, head_layers=(6,), solve_substeps=2, shift_channels=(0,), seed=4,
     )
     result = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
-    windows = [batches.windows[i] for i in batches.test_idx]
-    assert len(result.reconstructions) == len(windows) > 1
+    assert len(batches.test_idx) > 1
     rmses = []
-    for w, recon in zip(windows, result.reconstructions):
-        u = w.u.copy()
-        u[0] = shift_signed(w.u[0], result.shifts[0])
+    for i in batches.test_idx:
+        y, u = batches.y[i], batches.u[i].copy()
+        u[0] = shift_signed(batches.u[i, 0], result.shifts[0])
         x0 = spec.resting_state()
-        x0[0] = w.y[0, 0]
+        x0[0] = y[0, 0]
         states, diverged, _ = integrate_batch(
-            spec, result.coeffs.values[None, :], x0[None, :], u[None], w.k, w.dt,
+            spec, result.coeffs.values[None, :], x0[None, :], u[None], batches.k, batches.dt,
             cfg.solve_substeps,
         )
-        assert np.array_equal(recon.y, states[0, :1]) and np.array_equal(recon.u, u)
-        rmses.append(float("inf") if diverged[0] else rmse_signal(states[0, :1], w.y))
+        rmses.append(float("inf") if diverged[0] else rmse_signal(states[0, :1], y))
     assert result.rmse_y == float(np.mean(rmses))
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_resting_init_ignores_the_input_layout(layout):
     # equal input values give equal initial estimates bit for bit, whatever
-    # the memory layout of each window's u
+    # the memory layout of each trace's u
     spec, _ = builtin_system("bergman_aid")
     rng = np.random.default_rng(0)
-    windows = [
-        Trace(0.0, 5.0, np.ones((3, 200)), rng.uniform(0.0, 1.0, (2, 200))) for _ in range(6)
+    traces = [
+        Trace(0.0, 5.0, np.ones((3, 400)), rng.uniform(0.0, 1.0, (2, 400))) for _ in range(3)
     ]
 
     def relaid(u):
@@ -134,44 +116,51 @@ def test_resting_init_ignores_the_input_layout(layout):
         wide[:, ::2] = u
         return wide[:, ::2]
 
-    other = [replace(w, u=relaid(w.u)) for w in windows]
+    other = [replace(tr, u=relaid(tr.u)) for tr in traces]
     assert not other[0].u.flags.c_contiguous
+    want, got = (make_batches(trs, 4, 200, 1.0) for trs in (traces, other))
+    assert np.array_equal(got.u, want.u) and got.u.flags.c_contiguous
     scales = np.ones(spec.p)
     assert np.array_equal(
-        neural.resting_consistent_init(spec, other, scales),
-        neural.resting_consistent_init(spec, windows, scales),
+        neural.resting_consistent_init(spec, got.u, scales),
+        neural.resting_consistent_init(spec, want.u, scales),
     )
 
 
 def test_reconstruction_losses_shared_grid_at_equilibrium():
     spec, coeffs = builtin_system("lotka_volterra")
+    resting = Trace(0.0, 0.1, np.tile([[100.0], [20.0]], (1, 20)), np.zeros((1, 20)),
+                    meta={"mask": (1, 1)})
     losses, _, _ = reconstruction_losses(
         spec,
         np.repeat(coeffs.values[None, :], 2, axis=0),
         np.zeros((2, 0)),
-        [_window(), _window()],
+        [0, 1],
+        make_batches([resting, resting], 2, 20, 1.0),
         TrainConfig(),
     )
     assert np.all(losses < 1e-20)
 
 
-def _row_errors(spec, coeff, d, w, cfg):
-    """One candidate solved alone: its squared errors against the window's
-    observations after the first, and whether it diverged.  ``coeff`` are
-    its coefficients and ``d`` the shift fractions of the window's shift
-    channels; the state starts at rest with the observed entries set to
-    the window's first sample (every state when the window has no mask)."""
-    seen = [i for i, flag in enumerate(w.meta.get("mask", (1,) * spec.n)) if flag]
+def _row_errors(spec, coeff, d, i, batches, cfg):
+    """One candidate solved alone: its squared errors against the
+    observations of window ``i`` of ``batches`` after the first, and
+    whether it diverged.  ``coeff`` are its coefficients and ``d`` the
+    shift fractions of the shift channels; the state starts at rest with
+    the observed entries set to the window's first sample (every state
+    when the batch set has no mask)."""
+    seen = [j for j, flag in enumerate(batches.mask or (1,) * spec.n) if flag]
+    y, k = batches.y[i], batches.k
     x0 = spec.resting_state()
-    x0[seen] = w.y[:, 0]
-    u = w.u.copy()
+    x0[seen] = y[:, 0]
+    u = batches.u[i].copy()
     for frac, ch in zip(d, cfg.shift_channels):
-        u[ch] = shift_signed(w.u[ch], float(np.clip(frac * cfg.s_max, -(w.k - 1), w.k - 1)))
+        u[ch] = shift_signed(batches.u[i, ch], float(np.clip(frac * cfg.s_max, -(k - 1), k - 1)))
     states, diverged, _ = integrate_batch(
-        spec, coeff[None, :], x0[None, :], u[None], w.k, w.dt, cfg.solve_substeps
+        spec, coeff[None, :], x0[None, :], u[None], k, batches.dt, cfg.solve_substeps
     )
     with np.errstate(all="ignore"):
-        return (states[0, seen, 1:] - w.y[:, 1:]) ** 2, bool(diverged[0])
+        return (states[0, seen, 1:] - y[:, 1:]) ** 2, bool(diverged[0])
 
 
 def _row_loss(err):
@@ -184,7 +173,7 @@ def _row_loss(err):
     return total / err.size
 
 
-def _fd_oracle(spec, coeff_rows, d_rows, windows, cfg):
+def _fd_oracle(spec, coeff_rows, d_rows, idx, batches, cfg):
     """``reconstruction_losses`` one row at a time.  Per window the rows are
     the candidate, then a plus and a minus row for every coefficient (step
     ``fd_eps * max(1, |c|)``) and every shift fraction (step ``fd_eps``),
@@ -195,7 +184,7 @@ def _fd_oracle(spec, coeff_rows, d_rows, windows, cfg):
     row_losses)``, the last (windows, rows) in the order above."""
     p = spec.p
     errors, bad, steps = [], [], []
-    for c, d, w in zip(coeff_rows, d_rows, windows):
+    for c, d, i in zip(coeff_rows, d_rows, idx):
         params = np.concatenate([c, d])
         eps = [cfg.fd_eps * max(1.0, abs(v)) for v in c] + [cfg.fd_eps] * len(d)
         rows = [params]
@@ -204,14 +193,14 @@ def _fd_oracle(spec, coeff_rows, d_rows, windows, cfg):
             up[j] = params[j] + e
             down[j] = params[j] - e
             rows += [up, down]
-        solved = [_row_errors(spec, row[:p], row[p:], w, cfg) for row in rows]
+        solved = [_row_errors(spec, row[:p], row[p:], i, batches, cfg) for row in rows]
         errors.append([err for err, _ in solved])
         bad.append([flag for _, flag in solved])
         steps.append(eps)
     with np.errstate(all="ignore"):
         row_losses = np.array([[_row_loss(err) for err in row] for row in errors])
     row_losses[np.array(bad) | ~np.isfinite(row_losses)] = neural.DIVERGED_LOSS
-    grads = np.zeros((len(windows), len(steps[0])))
+    grads = np.zeros((len(idx), len(steps[0])))
     for b, eps in enumerate(steps):
         for j, e in enumerate(eps):
             base, lp, lm = row_losses[b, [0, 1 + 2 * j, 2 + 2 * j]]
@@ -224,9 +213,10 @@ def _fd_oracle(spec, coeff_rows, d_rows, windows, cfg):
 
 
 def _fd_case(system="lotka_volterra", mask=(1, 0), shift_channel=0, spread=0.3, n_traces=2):
-    """The first six 25-sample windows of ``system`` whose shift channel
-    carries input, seen through ``mask`` (None: full state, with no mask
-    in the windows' metadata), with per-window candidates within
+    """The indices of the first six 25-sample windows of ``system`` whose
+    shift channel carries input and their batch set, seen through ``mask``
+    (None: full state, with no mask in the traces' metadata), with
+    per-window candidates within
     ``spread`` of the truth and shift fractions for that one channel
     (q = 1).  The default is Lotka-Volterra (p = 4) observing the prey
     only.  With several observed channels the oracle's per-row mean
@@ -237,12 +227,12 @@ def _fd_case(system="lotka_volterra", mask=(1, 0), shift_channel=0, spread=0.3, 
     )
     if mask is not None:
         traces = apply_mask_to_traces(traces, SensingMask(mask))
-    windows = make_batches(traces, 4, 25, 1.0, seed=1).windows
-    windows = [w for w in windows if w.u[shift_channel].any()][:6]
+    batches = make_batches(traces, 4, 25, 1.0, seed=1)
+    idx = np.flatnonzero(batches.u[:, shift_channel].any(axis=1))[:6].tolist()
     rng = np.random.default_rng(5)
     coeff_rows = coeffs.values * rng.uniform(1 - spread, 1 + spread, (6, spec.p))
     cfg = TrainConfig(shift_channels=(shift_channel,))
-    return spec, coeff_rows, rng.uniform(-0.3, 0.3, (6, 1)), windows, cfg
+    return spec, coeff_rows, rng.uniform(-0.3, 0.3, (6, 1)), idx, batches, cfg
 
 
 # each case with the clip that binds on some of its windows and not on the others
@@ -261,10 +251,10 @@ FD_CASES = {
 @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
 def test_fd_loss_matches_a_row_by_row_oracle(clip, case):
     kwargs, grad_clip = FD_CASES[case]
-    spec, coeff_rows, d_rows, windows, cfg = _fd_case(**kwargs)
+    spec, coeff_rows, d_rows, idx, batches, cfg = _fd_case(**kwargs)
     cfg = replace(cfg, grad_clip=grad_clip if clip else 0.0)
-    got = reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)
-    want = _fd_oracle(spec, coeff_rows, d_rows, windows, cfg)
+    got = reconstruction_losses(spec, coeff_rows, d_rows, idx, batches, cfg)
+    want = _fd_oracle(spec, coeff_rows, d_rows, idx, batches, cfg)
     for g, w in zip(got, want[:3]):
         assert g.shape == w.shape and np.array_equal(g, w)
     losses, g_c, g_d = got
@@ -273,9 +263,9 @@ def test_fd_loss_matches_a_row_by_row_oracle(clip, case):
     if clip:
         # the clip binds on some windows and leaves the others alone
         unclipped = replace(cfg, grad_clip=0.0)
-        raw = np.hstack(_fd_oracle(spec, coeff_rows, d_rows, windows, unclipped)[1:3])
+        raw = np.hstack(_fd_oracle(spec, coeff_rows, d_rows, idx, batches, unclipped)[1:3])
         clipped = np.linalg.norm(raw, axis=1) > grad_clip
-        assert 0 < np.count_nonzero(clipped) < len(windows)
+        assert 0 < np.count_nonzero(clipped) < len(idx)
         g = np.hstack([g_c, g_d])
         assert np.allclose(np.linalg.norm(g[clipped], axis=1), grad_clip)
         assert np.array_equal(g[~clipped], raw[~clipped])
@@ -287,15 +277,15 @@ def test_fd_loss_zeroes_diverged_pairs_and_windows():
     # window 0.  A predator cull at the centre of window 1 diverges its row
     # 0, while its shift rows move the cull out of the window and stay
     # finite, so only row 0 can zero that pair.
-    spec, coeff_rows, d_rows, windows, _ = _fd_case()
+    spec, coeff_rows, d_rows, idx, batches, _ = _fd_case()
     coeff_rows[0, 0] = 1e3
-    cull = windows[1].u.copy()
-    cull[0, 10:14] -= 1e4
-    windows[1] = replace(windows[1], u=cull)
+    cull = batches.u.copy()
+    cull[idx[1], 0, 10:14] -= 1e4
+    batches = replace(batches, u=cull)
     d_rows[1] = 0.0
     cfg = TrainConfig(shift_channels=(0,), fd_eps=2.0, grad_clip=0.0)
-    got = reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)
-    *want, row_losses = _fd_oracle(spec, coeff_rows, d_rows, windows, cfg)
+    got = reconstruction_losses(spec, coeff_rows, d_rows, idx, batches, cfg)
+    *want, row_losses = _fd_oracle(spec, coeff_rows, d_rows, idx, batches, cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     losses, g_c, g_d = got
@@ -315,22 +305,24 @@ def test_fd_loss_keeps_the_states_and_one_input_table():
     spec, coeffs, traces, _ = generate_benchmark_data(
         "lotka_volterra", {"injected_shift": 10, "n_traces": 4}, seed=0
     )
-    windows = make_batches(traces, 32, 200, 1.0, seed=0).windows[:32]
+    batches = make_batches(traces, 32, 200, 1.0, seed=0)
+    idx = range(32)
     rng = np.random.default_rng(6)
     coeff_rows = coeffs.values * rng.uniform(0.9, 1.1, (32, spec.p))
     d_rows = rng.uniform(-0.2, 0.2, (32, 1))
     cfg = TrainConfig(shift_channels=(0,))
-    reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)  # warm the rhs cache
+    reconstruction_losses(spec, coeff_rows, d_rows, idx, batches, cfg)  # warm the rhs cache
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        reconstruction_losses(spec, coeff_rows, d_rows, windows, cfg)
+        reconstruction_losses(spec, coeff_rows, d_rows, idx, batches, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 352 rows of (n, k) states and (m, k) inputs; the solver's buffers come
-    # on top (1.10 measured, where copies of the inputs, of the observed
-    # states and of the squared errors read 1.79)
+    # 352 rows of (n, k) states and (m, k) inputs; the solver's buffers and
+    # the 32 windows' gathered observations come on top (1.16 measured,
+    # where copies of the inputs, of the observed states and of the squared
+    # errors read 1.79)
     rows = 32 * (1 + 2 * (spec.p + 1))
     arrays = rows * (spec.n + 1) * 200 * 8
     assert peak - entry < 1.25 * arrays, (peak - entry) / arrays
@@ -593,16 +585,17 @@ def test_train_step_gradients_are_bit_identical_to_primitive_graph(
         weight_grad_clip=0.0, seed=9,
     )
     group = batches.train_batches[0]
-    windows = [batches.windows[i] for i in group]
-    dt = windows[0].dt
+    dt = batches.dt
     params = init_params("ltc", spec, 3, cfg, np.random.default_rng(3), dt, batches.k)
-    scales = neural.coefficient_scales(spec, windows)
+    scales = neural.coefficient_scales(spec, batches.u[list(group)])
 
     tape = RefTape()
     leaves = {key: tape.leaf(v) for key, v in params.items()}
     h = reference_tape_cell(tape, "ltc", leaves, batches.tensor(group), dt)
     coeff, d = reference_tape_head(tape, spec, leaves, h, cfg, np.random.default_rng(8), scales)
-    want_losses, g_c, g_d = reconstruction_losses(spec, coeff.value.T, d.value.T, windows, cfg)
+    want_losses, g_c, g_d = reconstruction_losses(
+        spec, coeff.value.T, d.value.T, group, batches, cfg
+    )
     B = len(group)
     loss = tape.custom_node(
         [coeff, d], np.mean(want_losses), lambda cot: [cot * g_c.T / B, cot * g_d.T / B]

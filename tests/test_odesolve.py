@@ -13,9 +13,8 @@ from physrec.dynamics import (
     Term,
     builtin_system,
 )
-from physrec.neural import _initial_state
+from physrec.neural import replay
 from physrec.odesolve import integrate_batch
-from physrec.signals import Trace
 from physrec.sindy import library_columns, model_spec
 
 
@@ -140,14 +139,13 @@ class TestSolve:
         spec, coeffs = builtin_system("bergman_aid")
         mask = SensingMask((0, 0, 1))
         k = 20
-        window = Trace(0.0, 5.0, np.ones((1, k)), np.zeros((2, k)), meta={"mask": mask.diag})
-        x0 = _initial_state(spec, window, mask)
-        assert x0[0] == spec.resting_state()[0] and x0[2] == 1.0
-        states, _, _ = solve_one(spec, coeffs, x0, k, 5.0)
-        y = states[list(mask.observed)]
-        assert y.shape == (1, k)
-        assert states[0, 0] == spec.resting_state()[0]
-        assert y[0, 0] == 1.0
+        y, u = np.ones((1, 1, k)), np.zeros((1, 2, k))
+        y_est, _, _ = replay(spec, coeffs.values[None, :], u, y, list(mask.observed), 5.0, 2)
+        x0 = spec.resting_state()
+        x0[2] = 1.0
+        states, _, _ = solve_one(spec, coeffs, x0, k, 5.0, substeps=2)
+        assert y_est.shape == (1, 1, k) and y_est[0, 0, 0] == 1.0
+        assert np.array_equal(y_est[0], states[list(mask.observed)])
 
     def test_divergence_reports_time(self):
         spec = SystemSpec(

@@ -51,15 +51,15 @@ def _run_every_subcommand(tmp):
         runs.append((argv[0], cli.main(argv), code))
 
     data = tmp / "lv"
-    for system, overrides, preset in (
-        ("scalar", {"n_traces": 1, "k": 40}, "unperturbed"),
-        ("lorenz", {"n_traces": 1, "k": 40}, "default"),
-        ("bergman_aid", {"n_traces": 1, "k": 81}, "shifted:2"),
-        ("eeg_dvdp", {"n_traces": 1, "k": 40}, "default"),
-        ("lotka_volterra", {"n_traces": 2, "k": 60}, "default"),
+    for system, overrides in (
+        ("scalar", {"n_traces": 1, "k": 40, "perturbation": False}),
+        ("lorenz", {"n_traces": 1, "k": 40}),
+        ("bergman_aid", {"n_traces": 1, "k": 81, "injected_shift": 2}),
+        ("eeg_dvdp", {"n_traces": 1, "k": 40}),
+        ("lotka_volterra", {"n_traces": 2, "k": 60}),
     ):
         out = data if system == "lotka_volterra" else tmp / system
-        run(["generate", "--system", system, "--preset", preset, "--seed", "1",
+        run(["generate", "--system", system, "--seed", "1",
              "--out", str(out), "--overrides", json.dumps(overrides)])
 
     for arch, extra in (("ltc", {"mask": [1, 0]}), ("ctrnn", {}), ("node", {}), ("sindyc", {})):

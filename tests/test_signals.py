@@ -1,5 +1,8 @@
 """Tests for traces, shifting, decimation, and spectra."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,10 +182,36 @@ class TestBatches:
         assert a.train_idx == b.train_idx and a.test_idx == b.test_idx
 
     def test_windowing_covers_trace(self):
-        bs = make_batches(self._traces(2, k=450), 4, 200, 1.0, seed=0)
-        assert len(bs.windows) == 4  # two windows per 450-sample trace
-        starts = sorted(w.meta["window_of"] for w in bs.windows)
-        assert starts == [(0, 0), (0, 200), (1, 0), (1, 200)]
+        traces = self._traces(2, k=450)
+        bs = make_batches(traces, 4, 200, 1.0, seed=0)
+        # two windows per 450-sample trace, in trace order
+        slices = [(tr, start) for tr in traces for start in (0, 200)]
+        assert bs.y.shape == (4, 2, 200) and bs.u.shape == (4, 1, 200)
+        for y, u, (tr, start) in zip(bs.y, bs.u, slices):
+            assert np.array_equal(y, tr.y[:, start : start + 200])
+            assert np.array_equal(u, tr.u[:, start : start + 200])
+
+    def test_mask_read_from_json_matches_a_tuple(self):
+        # load_dataset reads masks as tuples; a list of the same entries is the same mask
+        first, second = self._traces(2, n_y=1)
+        traces = [replace(first, meta={"mask": (1, 0)}), replace(second, meta={"mask": [1, 0]})]
+        assert make_batches(traces, 4, 200, 1.0).mask == (1, 0)
+
+    @pytest.mark.parametrize(
+        "odd,message",
+        [
+            ({"meta": {"mask": (0, 1)}}, "sensing mask (0, 1) but trace 0 has (1, 0)"),
+            ({"meta": {}}, "sensing mask None but trace 0 has (1, 0)"),
+            ({"y": np.zeros((2, 200))}, "observed channels 2 but trace 0 has 1"),
+            ({"u": np.zeros((2, 200))}, "inputs 2 but trace 0 has 1"),
+            ({"dt": 0.2}, "dt 0.2 but trace 0 has 0.1"),
+        ],
+        ids=["mask", "no-mask", "observed", "inputs", "dt"],
+    )
+    def test_mixed_traces_rejected(self, odd, message):
+        first = replace(self._traces(1, n_y=1)[0], meta={"mask": (1, 0)})
+        with pytest.raises(SpecError, match=f"^trace 2 has {re.escape(message)}$"):
+            make_batches([first, first, replace(first, **odd)], 4, 200, 1.0)
 
 
 class TestTraceValidation:
