@@ -44,6 +44,7 @@ def _cmd_recover(args) -> int:
         "rmse_y": result.rmse_y,
         "rmse_coeffs": result.rmse_coeffs,
         "loss_history": result.loss_history,
+        "solve_substeps": result.solve_substeps,
     }
     write_json(out, args.out)
     print(f"rmse_y={result.rmse_y:.6g} rmse_coeffs={result.rmse_coeffs}")

@@ -596,6 +596,7 @@ def fit_sindyc(spec, coeffs_true, traces, cfg: ExperimentConfig) -> RecoveryResu
         shifts=np.zeros(0),
         loss_history=[],
         rmse_y=rmse_y,
+        solve_substeps=1,  # _sindy_rmse_y's replay
         rmse_coeffs=rmse_coeffs(np.append(theta_est, spurious),
                                 np.append(coeffs_true.values, np.zeros(len(spurious)))),
         diverged_windows=diverged_windows,
@@ -900,9 +901,10 @@ def _dataset_index(doc, n: int):
 def load_dataset(dirpath):
     """Read a directory written by :func:`save_dataset`.  Every trace takes
     ``meta.json``'s ``dataset.dt`` exactly, after its CSV's sample spacing
-    is checked against it.  A ``meta.json`` that is not valid JSON, or
-    whose fields have the wrong JSON type, is a ConfigError naming the
-    file and the field."""
+    is checked against it; its CSV must hold one column per state that its
+    mask observes (every state without a mask) and one per input.  A
+    ``meta.json`` that is not valid JSON, or whose fields have the wrong
+    JSON type, is a ConfigError naming the file and the field."""
     import os
 
     spec, coeffs = load_system_config(os.path.join(dirpath, "system.json"))
@@ -928,6 +930,11 @@ def load_dataset(dirpath):
             )
         y = _channels(data)
         n_y = spec.n if "mask" not in meta else sum(meta["mask"])
+        if len(y) != n_y + spec.m:
+            raise ConfigError(
+                f"{trace_path}: expected {n_y + spec.m} columns after t ({n_y} observed "
+                f"states and {spec.m} inputs), found {len(y)}"
+            )
         traces.append(
             Trace(
                 float(data[0, 0]),

@@ -23,8 +23,8 @@ def test_generate_then_recover_sindyc(tmp_path):
                      "--config", str(config), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"arch", "system", "coeffs_est", "coeff_names", "shifts",
-                        "rmse_y", "rmse_coeffs", "loss_history"}
-    assert doc["arch"] == "sindyc"
+                        "rmse_y", "rmse_coeffs", "loss_history", "solve_substeps"}
+    assert doc["arch"] == "sindyc" and doc["solve_substeps"] == 1
     assert doc["shifts"] == [] and doc["loss_history"] == []
     assert len(doc["coeffs_est"]) == len(doc["coeff_names"]) == 4
     assert doc["rmse_y"] >= 0 and doc["rmse_coeffs"] >= 0

@@ -296,9 +296,10 @@ def test_presets_report_one_truth_at_any_shift(system, overrides):
 
 @pytest.mark.parametrize("system,overrides", TINY_PRESETS)
 def test_true_coefficients_replay_the_generated_data(system, overrides):
-    # the rmse_y floor: the true model, replayed at the training's default
-    # solve substeps, reproduces the data generated at the preset's
-    # gen_substeps
+    # the rmse_y floor: the true model, replayed at TrainConfig's default
+    # solve_substeps, reproduces the data generated at the preset's
+    # gen_substeps.  train replays at one step instead only where its step
+    # check finds one step within 1e-6 relative RMS of solve_substeps
     spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
     rows = np.repeat(coeffs.values[None, :], len(traces), axis=0)
     y_est, diverged, _ = replay(
@@ -599,6 +600,25 @@ def test_load_dataset_checks_each_mask_against_the_system(mask, tmp_path):
         harness.load_dataset(tmp_path)
     assert str(err.value) == (
         f"{path}: traces[1].meta.mask must be 2 entries of 0 or 1 with at least one 1, got {mask}"
+    )
+
+
+def test_load_dataset_checks_each_csv_against_its_mask(tmp_path):
+    # a partial mask on full-state CSVs would read the hidden state as an input
+    spec, coeffs, traces, meta = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 50}, seed=5
+    )
+    harness.save_dataset(tmp_path, spec, coeffs, traces, meta)
+    path = tmp_path / "meta.json"
+    doc = json.loads(path.read_text())
+    for entry in doc["traces"]:
+        entry["meta"]["mask"] = [1, 0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        harness.load_dataset(tmp_path)
+    assert str(err.value) == (
+        f"{tmp_path / 'trace_000.csv'}: expected 2 columns after t "
+        "(1 observed states and 1 inputs), found 3"
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from physrec import neural
 from physrec.dynamics import ConfigError, SensingMask, SpecError, builtin_system
-from physrec.harness import apply_mask_to_traces, generate_benchmark_data
+from physrec.harness import apply_mask_to_traces, decimate, generate_benchmark_data
 from physrec.neural import (
     ARCHS,
     CELL_LEAVES,
@@ -93,10 +93,60 @@ def test_train_reports_the_replay_of_each_eval_window():
         x0[0] = y[0, 0]
         states, diverged, _ = integrate_batch(
             spec, result.coeffs.values[None, :], x0[None, :], u[None], batches.k, batches.dt,
-            cfg.solve_substeps,
+            result.solve_substeps,
         )
         rmses.append(float("inf") if diverged[0] else rmse_signal(states[0, :1], y))
     assert result.rmse_y == float(np.mean(rmses))
+
+
+@pytest.mark.parametrize("solve_substeps", [2, 3])
+@pytest.mark.parametrize(
+    "system,overrides,factor,steps",
+    [
+        ("lotka_volterra", {"n_traces": 2, "k": 300}, 1, 1),
+        ("lorenz", {"n_traces": 2, "k": 200}, 1, 1),
+        ("eeg_dvdp", {"n_traces": 2, "k": 100}, 1, 1),
+        # the insulin system's initial candidates are stiff at its 5 min samples
+        ("bergman_aid", {"n_traces": 3, "k": 120}, 1, None),
+        # one step is within 1e-6 over 10 intervals but not over 199
+        ("lotka_volterra", {"n_traces": 2, "k": 800}, 4, None),
+    ],
+    ids=["lotka_volterra", "lorenz", "eeg_dvdp", "bergman_aid", "lotka_volterra/4"],
+)
+def test_train_solves_at_one_step_where_one_step_matches(
+    system, overrides, factor, steps, solve_substeps
+):
+    spec, coeffs, traces, _ = generate_benchmark_data(system, overrides, seed=3)
+    traces = [decimate(tr, factor) for tr in traces]
+    k_window = min(200, *(tr.k for tr in traces))
+    batches = make_batches(traces, batch_size=32, k_window=k_window, split_ratio=0.75, seed=3)
+    cfg = TrainConfig(epochs=0, hidden_width=4, head_layers=(6,), solve_substeps=solve_substeps)
+    result = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
+    assert result.solve_substeps == (steps or solve_substeps)
+
+
+@pytest.mark.parametrize("solve_substeps", [1, 2])
+def test_train_checks_the_step_count_once_above_one_step(solve_substeps, monkeypatch):
+    spec, coeffs, traces, _ = generate_benchmark_data(
+        "lotka_volterra", {"n_traces": 2, "k": 200}, seed=2
+    )
+    batches = make_batches(traces, batch_size=3, k_window=50, split_ratio=0.75, seed=2)
+    cfg = TrainConfig(
+        epochs=1, hidden_width=4, head_layers=(6,), solve_substeps=solve_substeps, seed=9,
+    )
+    solves = []
+
+    def counted(*args):
+        solves.append(args[4:])  # (k_out, dt, substeps)
+        return integrate_batch(*args)
+
+    monkeypatch.setattr(neural, "integrate_batch", counted)
+    result = train("ltc", spec, batches, cfg, coeffs_true=coeffs)
+    assert result.solve_substeps == 1
+    # the check's two solves over the probe windows' first 10 intervals,
+    # then one loss solve per training batch and the replay, all at one step
+    check = [(11, batches.dt, 1), (11, batches.dt, 2)] if solve_substeps == 2 else []
+    assert solves == check + [(50, batches.dt, 1)] * (len(batches.train_batches) + 1)
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -434,7 +484,7 @@ def test_cell_forward_matches_numpy_steps(arch):
     assert got.shape == (5, 4)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     rms = np.sqrt(np.mean(want**2))
-    assert abs(_probe_hidden_scale(arch, params, tensor, dt) - max(rms, 1e-3)) <= 1e-12 * rms
+    assert abs(_probe_hidden_scale(arch, got) - max(rms, 1e-3)) <= 1e-12 * rms
 
 
 def _cell_grads(cell, arch, params, tensor, dt, cot):
@@ -503,7 +553,7 @@ def test_probe_raises_on_diverging_hidden_state():
     params["cell.tau"] = np.full_like(params["cell.tau"], dt / 1000.0)
     tensor = np.concatenate([tensor] * 4, axis=2)
     with np.errstate(all="ignore"), pytest.raises(TrainingError):
-        _probe_hidden_scale("ctrnn", params, tensor, dt)
+        _probe_hidden_scale("ctrnn", _cell_forward("ctrnn", params, tensor, dt)[0])
 
 
 def test_train_error_names_the_epoch_where_every_window_diverged():

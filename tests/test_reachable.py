@@ -64,7 +64,9 @@ def _run_every_subcommand(tmp):
 
     for arch, extra in (("ltc", {"mask": [1, 0]}), ("ctrnn", {}), ("node", {}), ("sindyc", {})):
         config = tmp / f"{arch}.json"
-        train = {**TINY_TRAIN, "shift_channels": [0]} if arch == "ltc" else TINY_TRAIN
+        # two solve substeps run train's step check, which one skips
+        train = {"ltc": {**TINY_TRAIN, "shift_channels": [0]},
+                 "ctrnn": {**TINY_TRAIN, "solve_substeps": 2}}.get(arch, TINY_TRAIN)
         config.write_text(json.dumps({"k_window": 30, "train": train, **extra}))
         run(["recover", "--arch", arch, "--data", str(data), "--config", str(config),
              "--out", str(tmp / f"{arch}-result.json")])
